@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lints every metric name registered against obs::MetricsRegistry
 # (GetCounter / GetGauge / GetHistogram call sites in src/, bench/,
-# tools/ and examples/) for the naming conventions documented in
+# tools/ and examples/, plus the per-query counter list in
+# src/common/query_stats.h) for the naming conventions documented in
 # docs/OBSERVABILITY.md:
 #
 #   - every name matches ^msql_[a-z][a-z0-9_]*$ (prometheus-safe, one
@@ -9,7 +10,7 @@
 #   - counters end in _total
 #   - histograms end in a unit suffix: _ms, _seconds, _bytes, _rows or
 #     _depth
-#   - gauges end in _active, _entries, _bytes, _ratio, _pending or _state
+#   - gauges end in _active, _entries, _bytes, _ratio or _pending
 #   - every name belongs to a known family prefix (msql_query_,
 #     msql_measure_, msql_net_, msql_plan_cache_, ... below) so new
 #     subsystems register their namespace here before inventing one
@@ -50,22 +51,33 @@ check() { # $1 = kind, $2 = suffix regex, $3..$n = names
   done
 }
 
-mapfile -t counters < <(extract GetCounter)
+# The per-query counters are registered in a loop over the counter list in
+# src/common/query_stats.h; their names are the second argument of each
+# X(field, "metric", "help") entry there.
+extract_counter_table() {
+  tr '\n' ' ' < src/common/query_stats.h |
+    grep -oE 'X\( *[a-z_0-9]+, *"[^"]+"' |
+    sed -E 's/.*"([^"]+)"/\1/' | sort -u
+}
+
+mapfile -t counters < <({ extract GetCounter; extract_counter_table; } |
+                          sort -u)
 mapfile -t gauges < <(extract GetGauge)
 mapfile -t histograms < <(extract GetHistogram)
 
 if [ "${#counters[@]}" -eq 0 ] || [ "${#gauges[@]}" -eq 0 ] ||
-   [ "${#histograms[@]}" -eq 0 ]; then
+   [ "${#histograms[@]}" -eq 0 ] ||
+   [ -z "$(extract_counter_table)" ]; then
   echo "lint_metric_names: found no registrations — extraction broken?"
   exit 1
 fi
 
 check counter '_total$' "${counters[@]}"
-check gauge '(_active|_entries|_bytes|_ratio|_pending|_state)$' "${gauges[@]}"
+check gauge '(_active|_entries|_bytes|_ratio|_pending)$' "${gauges[@]}"
 check histogram '(_ms|_seconds|_bytes|_rows|_depth)$' "${histograms[@]}"
 
 # One namespace per subsystem: a metric must extend a registered family.
-families='^msql_(queries|query_|measure_|subquery_|shared_cache_|sessions_|scheduler_|admission_|rate_limited|retries_|circuit_|breaker_|slow_queries|obs_|net_|plan_cache_|exec_)'
+families='^msql_(queries|query_|measure_|subquery_|shared_cache_|sessions_|scheduler_|admission_|rate_limited|retries_|slow_queries|obs_|net_|plan_cache_|exec_)'
 for name in "${counters[@]}" "${gauges[@]}" "${histograms[@]}"; do
   if ! [[ "$name" =~ $families ]]; then
     echo "BAD FAMILY: '$name' is outside the registered prefixes ($families)"

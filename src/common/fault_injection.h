@@ -35,7 +35,7 @@ namespace msql {
 // Armed with ArmSite(site, k), every checkpoint whose name equals `site`
 // fires, up to k times total — the mode the overload chaos test uses to
 // make a specific fault point (e.g. measure.grouped_index_build) fail
-// repeatedly under concurrent load until a circuit breaker trips.
+// repeatedly under concurrent load, degrading each query it hits.
 //
 // The injector is a process-wide singleton. Arming/Reset are test-side
 // control operations; Checkpoint() is safe to reach from many query

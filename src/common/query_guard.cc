@@ -6,7 +6,8 @@ namespace msql {
 
 void QueryGuard::Arm(int64_t timeout_ms, uint64_t max_memory_bytes,
                      uint64_t max_result_rows, CancelTokenPtr token,
-                     std::shared_ptr<std::atomic<uint64_t>> cancel_generation) {
+                     std::shared_ptr<std::atomic<uint64_t>> cancel_generation,
+                     std::optional<uint64_t> generation_snapshot) {
   armed_ = true;
   ticks_ = 1;  // first Check() takes the slow path and seeds the cadence
   timeout_ms_ = timeout_ms;
@@ -22,10 +23,14 @@ void QueryGuard::Arm(int64_t timeout_ms, uint64_t max_memory_bytes,
   bytes_charged_ = 0;
   token_ = std::move(token);
   cancel_generation_ = std::move(cancel_generation);
-  generation_snapshot_ =
-      cancel_generation_ == nullptr
-          ? 0
-          : cancel_generation_->load(std::memory_order_relaxed);
+  if (generation_snapshot) {
+    generation_snapshot_ = *generation_snapshot;
+  } else {
+    generation_snapshot_ =
+        cancel_generation_ == nullptr
+            ? 0
+            : cancel_generation_->load(std::memory_order_relaxed);
+  }
 }
 
 Status QueryGuard::CheckSlow() {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "common/status.h"
 
@@ -53,9 +54,13 @@ class QueryGuard {
   // Activates the guard. Zero limits mean unlimited; the guard still polls
   // `token` (may be null) and `cancel_generation` (may be null) so that
   // Engine::CancelAll and per-query tokens work without any limits set.
+  // The guard cancels on any CancelAll after `generation_snapshot` if set
+  // (the scheduler passes the generation at admission, so a CancelAll
+  // between admission and Arm() is not lost), else after the current one.
   void Arm(int64_t timeout_ms, uint64_t max_memory_bytes,
            uint64_t max_result_rows, CancelTokenPtr token,
-           std::shared_ptr<std::atomic<uint64_t>> cancel_generation);
+           std::shared_ptr<std::atomic<uint64_t>> cancel_generation,
+           std::optional<uint64_t> generation_snapshot = std::nullopt);
 
   // Deadline propagation (docs/ROBUSTNESS.md): lowers the guard's absolute
   // deadline to `deadline` if that is earlier than (or replaces a missing)

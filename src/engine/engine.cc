@@ -67,44 +67,10 @@ void Engine::InitObs() {
       "msql_queries_total", "SELECT statements executed");
   ins_.query_errors = metrics_.GetCounter(
       "msql_query_errors_total", "SELECT statements that returned an error");
-  ins_.measure_evals = metrics_.GetCounter(
-      "msql_measure_evals_total", "Measure evaluations requested");
-  ins_.measure_cache_hits = metrics_.GetCounter(
-      "msql_measure_cache_hits_total", "Measure evaluations served from the "
-      "per-query context cache");
-  ins_.measure_source_scans = metrics_.GetCounter(
-      "msql_measure_source_scans_total",
-      "Full passes over a measure's source relation");
-  ins_.measure_inline_evals = metrics_.GetCounter(
-      "msql_measure_inline_evals_total",
-      "Measure evaluations taking the row-id inline fast path");
-  ins_.measure_grouped_builds = metrics_.GetCounter(
-      "msql_measure_grouped_builds_total",
-      "Grouped-strategy dimension-index builds");
-  ins_.measure_grouped_probes = metrics_.GetCounter(
-      "msql_measure_grouped_probes_total",
-      "Measure evaluations answered by a grouped-index probe");
-  ins_.measure_grouped_fallbacks = metrics_.GetCounter(
-      "msql_measure_grouped_fallbacks_total",
-      "Grouped index builds degraded to the scan path (fault injection)");
-  ins_.measure_parallel_tasks = metrics_.GetCounter(
-      "msql_measure_parallel_tasks_total",
-      "Morsel-parallel measure evaluation worker tasks dispatched");
-  ins_.subquery_execs = metrics_.GetCounter(
-      "msql_subquery_execs_total", "Correlated subquery executions");
-  ins_.subquery_cache_hits = metrics_.GetCounter(
-      "msql_subquery_cache_hits_total",
-      "Correlated subquery results served from the memo cache");
-  ins_.shared_cache_hits = metrics_.GetCounter(
-      "msql_shared_cache_hits_total", "Cross-query shared cache hits");
-  ins_.shared_cache_misses = metrics_.GetCounter(
-      "msql_shared_cache_misses_total", "Cross-query shared cache misses");
-  ins_.exec_vectorized_batches = metrics_.GetCounter(
-      "msql_exec_vectorized_batches_total",
-      "1024-row column batches processed by vectorized kernels");
-  ins_.exec_row_fallbacks = metrics_.GetCounter(
-      "msql_exec_row_fallbacks_total",
-      "Operator invocations that fell back to row-at-a-time execution");
+  for (size_t i = 0; i < kNumQueryCounters; ++i) {
+    ins_.query_counters[i] =
+        metrics_.GetCounter(kQueryCounters[i].metric, kQueryCounters[i].help);
+  }
   ins_.shared_cache_insertions = metrics_.GetCounter(
       "msql_shared_cache_insertions_total", "Cross-query shared cache fills");
   ins_.shared_cache_evictions = metrics_.GetCounter(
@@ -115,9 +81,6 @@ void Engine::InitObs() {
       "Generation invalidations of the cross-query shared cache");
   ins_.sessions_created = metrics_.GetCounter(
       "msql_sessions_created_total", "Sessions created over engine lifetime");
-  ins_.breaker_short_circuits = metrics_.GetCounter(
-      "msql_breaker_short_circuits_total",
-      "Degradable operations skipped because a circuit breaker was open");
   ins_.slow_queries = metrics_.GetCounter(
       "msql_slow_queries_total",
       "Traced queries at or above the slow-query threshold");
@@ -153,23 +116,6 @@ void Engine::InitObs() {
   ins_.query_duration_ms = metrics_.GetHistogram(
       "msql_query_duration_ms", "SELECT wall time",
       obs::MetricsRegistry::LatencyBucketsMs());
-
-  // Circuit breakers for the degradable fault points, mirrored into state
-  // gauges (0 = closed, 1 = open, 2 = half-open).
-  CircuitBreaker::Options bopts;
-  bopts.window = options_.breaker_window;
-  bopts.failure_ratio = options_.breaker_failure_ratio;
-  bopts.min_samples = options_.breaker_min_samples;
-  bopts.open_cooldown_ms = options_.breaker_open_cooldown_ms;
-  bopts.half_open_probes = options_.breaker_half_open_probes;
-  grouped_build_breaker_.Configure(bopts);
-  cache_fill_breaker_.Configure(bopts);
-  grouped_build_breaker_.set_state_gauge(metrics_.GetGauge(
-      "msql_circuit_grouped_build_state",
-      "Grouped-index build breaker state (0=closed, 1=open, 2=half-open)"));
-  cache_fill_breaker_.set_state_gauge(metrics_.GetGauge(
-      "msql_circuit_cache_fill_state",
-      "Shared-cache fill breaker state (0=closed, 1=open, 2=half-open)"));
 
   // Built-in sinks. The ring buffer always exists (RecentTraces() reports
   // empty until tracing is enabled); the slow-query log only when asked.
@@ -445,25 +391,14 @@ void Engine::NoteSessionDestroyed(const std::string& user) {
 EngineStats Engine::stats() const {
   EngineStats s;
   s.queries = ins_.queries->value();
-  s.measure_evals = ins_.measure_evals->value();
-  s.measure_cache_hits = ins_.measure_cache_hits->value();
-  s.measure_source_scans = ins_.measure_source_scans->value();
-  s.measure_grouped_builds = ins_.measure_grouped_builds->value();
-  s.measure_grouped_probes = ins_.measure_grouped_probes->value();
-  s.measure_grouped_fallbacks = ins_.measure_grouped_fallbacks->value();
-  s.measure_parallel_tasks = ins_.measure_parallel_tasks->value();
-  s.subquery_execs = ins_.subquery_execs->value();
-  s.subquery_cache_hits = ins_.subquery_cache_hits->value();
-  s.shared_cache_hits = ins_.shared_cache_hits->value();
-  s.shared_cache_misses = ins_.shared_cache_misses->value();
-  s.exec_vectorized_batches = ins_.exec_vectorized_batches->value();
-  s.exec_row_fallbacks = ins_.exec_row_fallbacks->value();
+  for (size_t i = 0; i < kNumQueryCounters; ++i) {
+    s.*kQueryCounters[i].member = ins_.query_counters[i]->value();
+  }
   const SharedMeasureCache::Stats cache = shared_cache_.stats();
   s.shared_cache_insertions = cache.insertions;
   s.shared_cache_evictions = cache.evictions;
   s.shared_cache_entries = cache.entries;
   s.shared_cache_bytes = cache.bytes;
-  s.breaker_short_circuits = ins_.breaker_short_circuits->value();
   return s;
 }
 
@@ -518,21 +453,9 @@ void Engine::AddTraceSink(std::shared_ptr<obs::TraceSink> sink) {
 
 void Engine::AccumulateStats(const ExecState& state) {
   ins_.queries->Increment();
-  ins_.measure_evals->Increment(state.measure_evals);
-  ins_.measure_cache_hits->Increment(state.measure_cache_hits);
-  ins_.measure_source_scans->Increment(state.measure_source_scans);
-  ins_.measure_inline_evals->Increment(state.measure_inline_evals);
-  ins_.measure_grouped_builds->Increment(state.measure_grouped_builds);
-  ins_.measure_grouped_probes->Increment(state.measure_grouped_probes);
-  ins_.measure_grouped_fallbacks->Increment(state.measure_grouped_fallbacks);
-  ins_.measure_parallel_tasks->Increment(state.measure_parallel_tasks);
-  ins_.subquery_execs->Increment(state.subquery_execs);
-  ins_.subquery_cache_hits->Increment(state.subquery_cache_hits);
-  ins_.shared_cache_hits->Increment(state.shared_cache_hits);
-  ins_.shared_cache_misses->Increment(state.shared_cache_misses);
-  ins_.exec_vectorized_batches->Increment(state.exec_vectorized_batches);
-  ins_.exec_row_fallbacks->Increment(state.exec_row_fallbacks);
-  ins_.breaker_short_circuits->Increment(state.breaker_short_circuits);
+  for (size_t i = 0; i < kNumQueryCounters; ++i) {
+    ins_.query_counters[i]->Increment(state.*kQueryCounters[i].member);
+  }
 }
 
 ThreadPool* Engine::MeasurePool() {
@@ -569,21 +492,7 @@ Result<ResultSet> Engine::FinishSelect(const QueryContext& ctx,
   // Per-query stats travel with the result (and the trace, when present),
   // so concurrent queries never clobber each other's statistics.
   auto stats = std::make_shared<QueryStats>();
-  stats->measure_evals = state.measure_evals;
-  stats->measure_cache_hits = state.measure_cache_hits;
-  stats->measure_source_scans = state.measure_source_scans;
-  stats->measure_inline_evals = state.measure_inline_evals;
-  stats->measure_grouped_builds = state.measure_grouped_builds;
-  stats->measure_grouped_probes = state.measure_grouped_probes;
-  stats->measure_grouped_fallbacks = state.measure_grouped_fallbacks;
-  stats->measure_parallel_tasks = state.measure_parallel_tasks;
-  stats->subquery_execs = state.subquery_execs;
-  stats->subquery_cache_hits = state.subquery_cache_hits;
-  stats->shared_cache_hits = state.shared_cache_hits;
-  stats->shared_cache_misses = state.shared_cache_misses;
-  stats->exec_vectorized_batches = state.exec_vectorized_batches;
-  stats->exec_row_fallbacks = state.exec_row_fallbacks;
-  stats->breaker_short_circuits = state.breaker_short_circuits;
+  static_cast<QueryCounters&>(*stats) = state;
   stats->plan_cache =
       static_cast<QueryStats::PlanCacheOutcome>(state.plan_cache_outcome);
   stats->rows_charged = state.guard.rows_charged();
@@ -729,11 +638,9 @@ Result<ResultSet> Engine::ExecutePlanImpl(
         ctx.options.measure_parallelism != 1) {
       state->measure_pool_provider = [this] { return MeasurePool(); };
     }
-    state->grouped_build_breaker = &grouped_build_breaker_;
-    state->cache_fill_breaker = &cache_fill_breaker_;
     state->guard.Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
                      ctx.options.max_result_rows, ctx.cancel,
-                     cancel_generation_);
+                     cancel_generation_, ctx.cancel_generation);
     if (ctx.has_deadline) state->guard.TightenDeadline(ctx.deadline);
     if (after_arm) {
       Status st = after_arm();

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/circuit_breaker.h"
 #include "runtime/plan_cache.h"
 #include "runtime/shared_cache.h"
 #include "runtime/thread_pool.h"
@@ -64,6 +64,10 @@ struct QueryContext {
   int64_t admission_wait_us = 0;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
+  // The Engine::CancelAll generation at admission, set by the scheduler so
+  // a CancelAll after admission but before the guard is armed (during
+  // parse or bind) still cancels the statement.
+  std::optional<uint64_t> cancel_generation;
 
   // Plan-cache alias key (docs/NETWORKING.md): the trimmed raw statement
   // text, set by Engine::Query when the cache is enabled and the call is a
@@ -73,30 +77,16 @@ struct QueryContext {
 };
 
 // Engine-wide execution statistics, aggregated atomically across every
-// query on every session/thread. `shared_*` mirrors the
-// SharedMeasureCache's own counters for one-stop monitoring. Backed by the
-// MetricsRegistry (Engine::metrics()); this struct remains as a convenient
-// programmatic snapshot.
-struct EngineStats {
+// query on every session/thread: the per-query counters (QueryCounters)
+// summed over all queries, plus the SharedMeasureCache's own counters for
+// one-stop monitoring. Backed by the MetricsRegistry (Engine::metrics());
+// this struct remains as a convenient programmatic snapshot.
+struct EngineStats : QueryCounters {
   uint64_t queries = 0;
-  uint64_t measure_evals = 0;
-  uint64_t measure_cache_hits = 0;
-  uint64_t measure_source_scans = 0;
-  uint64_t measure_grouped_builds = 0;
-  uint64_t measure_grouped_probes = 0;
-  uint64_t measure_grouped_fallbacks = 0;
-  uint64_t measure_parallel_tasks = 0;
-  uint64_t subquery_execs = 0;
-  uint64_t subquery_cache_hits = 0;
-  uint64_t shared_cache_hits = 0;
-  uint64_t shared_cache_misses = 0;
   uint64_t shared_cache_insertions = 0;
   uint64_t shared_cache_evictions = 0;
   uint64_t shared_cache_entries = 0;
   uint64_t shared_cache_bytes = 0;
-  uint64_t breaker_short_circuits = 0;
-  uint64_t exec_vectorized_batches = 0;
-  uint64_t exec_row_fallbacks = 0;
 };
 
 // The public entry point: an in-memory SQL engine implementing the msql
@@ -273,15 +263,6 @@ class Engine {
   // EngineOptions::enable_system_tables is on.
   SystemTableRegistry& system_tables() { return system_tables_; }
 
-  // Circuit breakers guarding the degradable fault points
-  // (docs/ROBUSTNESS.md): grouped-index builds and cross-query cache
-  // fills. Configured from EngineOptions breaker_* at construction;
-  // exposed for monitoring and tests. Their states are published as the
-  // msql_circuit_grouped_build_state / msql_circuit_cache_fill_state
-  // gauges (0 = closed, 1 = open, 2 = half-open).
-  CircuitBreaker& grouped_build_breaker() { return grouped_build_breaker_; }
-  CircuitBreaker& cache_fill_breaker() { return cache_fill_breaker_; }
-
  private:
   friend class Session;
   friend class QueryScheduler;  // admission: cancel generation snapshots
@@ -375,8 +356,6 @@ class Engine {
   SharedMeasureCache shared_cache_;
   PlanCache plan_cache_{options_.plan_cache_max_entries,
                         options_.plan_cache_max_bytes};
-  CircuitBreaker grouped_build_breaker_;
-  CircuitBreaker cache_fill_breaker_;
 
   std::mutex measure_pool_mu_;
   std::unique_ptr<ThreadPool> measure_pool_;
@@ -387,25 +366,12 @@ class Engine {
   struct Instruments {
     obs::Counter* queries = nullptr;
     obs::Counter* query_errors = nullptr;
-    obs::Counter* measure_evals = nullptr;
-    obs::Counter* measure_cache_hits = nullptr;
-    obs::Counter* measure_source_scans = nullptr;
-    obs::Counter* measure_inline_evals = nullptr;
-    obs::Counter* measure_grouped_builds = nullptr;
-    obs::Counter* measure_grouped_probes = nullptr;
-    obs::Counter* measure_grouped_fallbacks = nullptr;
-    obs::Counter* measure_parallel_tasks = nullptr;
-    obs::Counter* subquery_execs = nullptr;
-    obs::Counter* subquery_cache_hits = nullptr;
-    obs::Counter* shared_cache_hits = nullptr;
-    obs::Counter* shared_cache_misses = nullptr;
-    obs::Counter* exec_vectorized_batches = nullptr;
-    obs::Counter* exec_row_fallbacks = nullptr;
+    // Indexed like kQueryCounters (common/query_stats.h).
+    obs::Counter* query_counters[kNumQueryCounters] = {};
     obs::Counter* shared_cache_insertions = nullptr;
     obs::Counter* shared_cache_evictions = nullptr;
     obs::Counter* shared_cache_invalidations = nullptr;
     obs::Counter* sessions_created = nullptr;
-    obs::Counter* breaker_short_circuits = nullptr;
     obs::Counter* slow_queries = nullptr;
     obs::Counter* obs_sink_errors = nullptr;
     obs::Counter* plan_cache_hits = nullptr;

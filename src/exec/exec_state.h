@@ -8,12 +8,12 @@
 #include <unordered_map>
 
 #include "common/query_guard.h"
+#include "common/query_stats.h"
 #include "common/value.h"
 #include "obs/op_profile.h"
 
 namespace msql {
 
-class CircuitBreaker;      // runtime/circuit_breaker.h
 class SharedMeasureCache;  // runtime/shared_cache.h
 class ThreadPool;          // runtime/thread_pool.h
 struct GroupedIndex;       // measure/grouped.h
@@ -65,18 +65,6 @@ struct EngineOptions {
   // (token bucket; docs/ROBUSTNESS.md). 0 = unlimited.
   double admission_rate_limit_qps = 0.0;
   int64_t admission_rate_limit_burst = 8;
-  // Circuit breakers guarding the degradable fault points (grouped-index
-  // builds, shared-cache fills); see runtime/circuit_breaker.h. Read at
-  // engine construction. A breaker opens when, of the last
-  // `breaker_window` outcomes (at least `breaker_min_samples` of them),
-  // the failing fraction reaches `breaker_failure_ratio`; it half-opens
-  // after `breaker_open_cooldown_ms` and closes again after
-  // `breaker_half_open_probes` consecutive successful probes.
-  int breaker_window = 16;
-  double breaker_failure_ratio = 0.5;
-  int breaker_min_samples = 8;
-  int64_t breaker_open_cooldown_ms = 100;
-  int breaker_half_open_probes = 2;
   // Approximate bytes of materialized relations; exceeding returns
   // kResourceExhausted.
   uint64_t max_memory_bytes = 0;
@@ -110,9 +98,10 @@ struct EngineOptions {
   bool enable_system_tables = false;
 };
 
-// Per-query mutable execution state: option snapshot, caches, counters. The
-// counters feed the benchmark harness (cache hit rates, source scans).
-struct ExecState {
+// Per-query mutable execution state: option snapshot, caches, and the
+// per-query counters (common/query_stats.h) that QueryStats, EXPLAIN
+// ANALYZE and the engine metrics are built from.
+struct ExecState : QueryCounters {
   EngineOptions options;
 
   // Resource governor for this query; armed by Engine::RunSelect. Row
@@ -151,14 +140,6 @@ struct ExecState {
   SharedMeasureCache* shared_cache = nullptr;
   uint64_t catalog_generation = 0;
 
-  // Engine-owned circuit breakers for the degradable fault points (null =
-  // unguarded, e.g. worker forks and unit tests building ExecState by
-  // hand). Consulted before grouped-index builds / shared-cache fills;
-  // while open the optimization is skipped and breaker_short_circuits
-  // counts the skips (surfaced by EXPLAIN ANALYZE as breaker=open).
-  CircuitBreaker* grouped_build_breaker = nullptr;
-  CircuitBreaker* cache_fill_breaker = nullptr;
-
   // Per-query memo of structural plan fingerprints (cross-query cache key
   // components); keyed by node identity, which is stable within one query.
   std::unordered_map<const LogicalPlan*, std::string> plan_fingerprints;
@@ -180,23 +161,6 @@ struct ExecState {
   // How this statement interacted with the engine's prepared-plan cache
   // (0 = not consulted, 1 = miss, 2 = hit); copied into QueryStats.
   int plan_cache_outcome = 0;
-
-  // Instrumentation.
-  uint64_t measure_evals = 0;        // measure evaluations requested
-  uint64_t measure_cache_hits = 0;
-  uint64_t measure_source_scans = 0; // full passes over a measure source
-  uint64_t measure_inline_evals = 0; // row-id-only fast path (section 6.4)
-  uint64_t measure_grouped_builds = 0;     // dimension-index builds
-  uint64_t measure_grouped_probes = 0;     // O(1) per-context index probes
-  uint64_t measure_grouped_fallbacks = 0;  // degraded builds (fault inject)
-  uint64_t measure_parallel_tasks = 0;     // morsel-parallel worker tasks
-  uint64_t subquery_execs = 0;
-  uint64_t subquery_cache_hits = 0;
-  uint64_t shared_cache_hits = 0;    // cross-query cache hits (this query)
-  uint64_t shared_cache_misses = 0;
-  uint64_t breaker_short_circuits = 0;  // ops skipped by an open breaker
-  uint64_t exec_vectorized_batches = 0;  // column batches run through kernels
-  uint64_t exec_row_fallbacks = 0;  // vectorized ops degraded to the row path
 };
 
 }  // namespace msql

@@ -10,7 +10,6 @@
 #include "exec/vector_eval.h"
 #include "measure/cse.h"
 #include "measure/grouped.h"
-#include "runtime/circuit_breaker.h"
 #include "runtime/fingerprint.h"
 #include "runtime/shared_cache.h"
 
@@ -55,24 +54,7 @@ Result<RelationPtr> Executor::Execute(const LogicalPlan& plan,
 // map reference cannot be invalidated by recursive insertions.
 Result<RelationPtr> Executor::DispatchProfiled(const LogicalPlan& plan,
                                                const RowStack& outer) {
-  struct Snapshot {
-    uint64_t measure_evals, measure_cache_hits, measure_source_scans,
-        measure_inline_evals, measure_grouped_builds, measure_grouped_probes,
-        subquery_execs, subquery_cache_hits, shared_cache_hits,
-        shared_cache_misses, exec_vectorized_batches, exec_row_fallbacks;
-  };
-  const Snapshot snap{state_->measure_evals,
-                      state_->measure_cache_hits,
-                      state_->measure_source_scans,
-                      state_->measure_inline_evals,
-                      state_->measure_grouped_builds,
-                      state_->measure_grouped_probes,
-                      state_->subquery_execs,
-                      state_->subquery_cache_hits,
-                      state_->shared_cache_hits,
-                      state_->shared_cache_misses,
-                      state_->exec_vectorized_batches,
-                      state_->exec_row_fallbacks};
+  const QueryCounters before = *state_;
   const auto t0 = std::chrono::steady_clock::now();
   Result<RelationPtr> result = Dispatch(plan, outer);
   const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -81,26 +63,9 @@ Result<RelationPtr> Executor::DispatchProfiled(const LogicalPlan& plan,
   obs::OpStats& op = (*state_->profile)[&plan];
   op.invocations += 1;
   op.time_us += us;
-  op.measure_evals += state_->measure_evals - snap.measure_evals;
-  op.measure_cache_hits += state_->measure_cache_hits - snap.measure_cache_hits;
-  op.measure_source_scans +=
-      state_->measure_source_scans - snap.measure_source_scans;
-  op.measure_inline_evals +=
-      state_->measure_inline_evals - snap.measure_inline_evals;
-  op.measure_grouped_builds +=
-      state_->measure_grouped_builds - snap.measure_grouped_builds;
-  op.measure_grouped_probes +=
-      state_->measure_grouped_probes - snap.measure_grouped_probes;
-  op.subquery_execs += state_->subquery_execs - snap.subquery_execs;
-  op.subquery_cache_hits +=
-      state_->subquery_cache_hits - snap.subquery_cache_hits;
-  op.shared_cache_hits += state_->shared_cache_hits - snap.shared_cache_hits;
-  op.shared_cache_misses +=
-      state_->shared_cache_misses - snap.shared_cache_misses;
-  op.exec_vectorized_batches +=
-      state_->exec_vectorized_batches - snap.exec_vectorized_batches;
-  op.exec_row_fallbacks +=
-      state_->exec_row_fallbacks - snap.exec_row_fallbacks;
+  QueryCounters delta = *state_;
+  delta.Subtract(before);
+  op.Add(delta);
   if (result.ok()) op.rows_out += result.value()->rows.size();
   return result;
 }
@@ -1180,7 +1145,7 @@ Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
 
   auto publish = [&](const Value& v) -> Status {
     state->subquery_cache.emplace(cache_key, v);
-    if (!shared_key.empty() && AdmitSharedCacheFill(state)) {
+    if (!shared_key.empty() && AdmitSharedCacheFill()) {
       MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(
           SharedMeasureCache::ApproxEntryBytes(shared_key, v)));
       state->shared_cache->Insert(shared_key, v, state->catalog_generation);

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "exec/agg_eval.h"
 #include "measure/grouped.h"
-#include "runtime/circuit_breaker.h"
 #include "runtime/shared_cache.h"
 
 namespace msql {
@@ -202,7 +201,7 @@ std::string MeasureSharedKey(const RtMeasure& m, const ExecState& state,
 
 Status PublishSharedMeasure(const std::string& shared_key, const Value& result,
                             ExecState* state) {
-  if (shared_key.empty() || !AdmitSharedCacheFill(state)) return Status::Ok();
+  if (shared_key.empty() || !AdmitSharedCacheFill()) return Status::Ok();
   MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(
       SharedMeasureCache::ApproxEntryBytes(shared_key, result)));
   state->shared_cache->Insert(shared_key, result, state->catalog_generation);

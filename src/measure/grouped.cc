@@ -8,7 +8,6 @@
 #include "exec/eval.h"
 #include "exec/vector_eval.h"
 #include "measure/cse.h"
-#include "runtime/circuit_breaker.h"
 #include "runtime/parallel.h"
 #include "runtime/shared_cache.h"
 #include "runtime/thread_pool.h"
@@ -34,16 +33,7 @@ ExecState ForkWorkerState(const ExecState& s) {
 // Folds a joined worker's guard charges and measure counters back into the
 // query state. The guard merge can itself trip the merged budget.
 Status JoinWorkerState(ExecState* state, const ExecState& w) {
-  state->measure_evals += w.measure_evals;
-  state->measure_cache_hits += w.measure_cache_hits;
-  state->measure_source_scans += w.measure_source_scans;
-  state->measure_inline_evals += w.measure_inline_evals;
-  state->measure_grouped_builds += w.measure_grouped_builds;
-  state->measure_grouped_probes += w.measure_grouped_probes;
-  state->measure_grouped_fallbacks += w.measure_grouped_fallbacks;
-  state->measure_parallel_tasks += w.measure_parallel_tasks;
-  state->exec_vectorized_batches += w.exec_vectorized_batches;
-  state->exec_row_fallbacks += w.exec_row_fallbacks;
+  state->Add(w);
   return state->guard.MergeWorker(w.guard);
 }
 
@@ -216,28 +206,15 @@ Result<std::shared_ptr<const GroupedIndex>> GetOrBuildGroupedIndex(
     ++state->shared_cache_misses;
   }
 
-  // Degradable checkpoint, guarded by the grouped-build circuit breaker: an
-  // injected fault here abandons the index (the fallback counter records
-  // it) and the caller scans instead — grouped evaluation is an
-  // optimization, so its build must never fail a query. While the breaker
-  // is open (builds failing persistently) the build is skipped outright,
-  // trading probe speed for not paying the failure on every query.
-  CircuitBreaker* breaker = state->grouped_build_breaker;
-  if (breaker != nullptr && !breaker->Allow()) {
+  // Degradable checkpoint: an injected fault here abandons the index (the
+  // fallback counter records it) and the caller scans instead — grouped
+  // evaluation is an optimization, so its build must never fail a query.
+  FaultInjector& faults = FaultInjector::Instance();
+  if (faults.active() &&
+      !faults.Checkpoint("measure.grouped_index_build").ok()) {
     ++state->measure_grouped_fallbacks;
-    ++state->breaker_short_circuits;
     state->grouped_index_cache.emplace(local_key, nullptr);
     return std::shared_ptr<const GroupedIndex>();
-  }
-  if (FaultInjector::Instance().active()) {
-    Status st =
-        FaultInjector::Instance().Checkpoint("measure.grouped_index_build");
-    if (!st.ok()) {
-      if (breaker != nullptr) breaker->RecordFailure();
-      ++state->measure_grouped_fallbacks;
-      state->grouped_index_cache.emplace(local_key, nullptr);
-      return std::shared_ptr<const GroupedIndex>();
-    }
   }
 
   const Relation& src = *m.source;
@@ -259,11 +236,10 @@ Result<std::shared_ptr<const GroupedIndex>> GetOrBuildGroupedIndex(
   }
   index->approx_bytes = ApproxIndexBytes(*index, n);
   ++state->measure_grouped_builds;
-  if (breaker != nullptr) breaker->RecordSuccess();
 
   std::shared_ptr<const GroupedIndex> result = std::move(index);
   state->grouped_index_cache.emplace(local_key, result);
-  if (!shared_key.empty() && AdmitSharedCacheFill(state)) {
+  if (!shared_key.empty() && AdmitSharedCacheFill()) {
     MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(result->approx_bytes));
     state->shared_cache->InsertObject(shared_key, result, result->approx_bytes,
                                       state->catalog_generation);

@@ -75,21 +75,7 @@ void RenderNode(const LogicalPlan& plan, const ExplainOptions& opts,
       OpStats self = it->second;
       for (const auto& child : plan.children) {
         auto cit = opts.profile->find(child.get());
-        if (cit == opts.profile->end()) continue;
-        const OpStats& c = cit->second;
-        auto sub = [](uint64_t& a, uint64_t b) { a -= a < b ? a : b; };
-        sub(self.measure_evals, c.measure_evals);
-        sub(self.measure_cache_hits, c.measure_cache_hits);
-        sub(self.measure_source_scans, c.measure_source_scans);
-        sub(self.measure_inline_evals, c.measure_inline_evals);
-        sub(self.measure_grouped_builds, c.measure_grouped_builds);
-        sub(self.measure_grouped_probes, c.measure_grouped_probes);
-        sub(self.subquery_execs, c.subquery_execs);
-        sub(self.subquery_cache_hits, c.subquery_cache_hits);
-        sub(self.shared_cache_hits, c.shared_cache_hits);
-        sub(self.shared_cache_misses, c.shared_cache_misses);
-        sub(self.exec_vectorized_batches, c.exec_vectorized_batches);
-        sub(self.exec_row_fallbacks, c.exec_row_fallbacks);
+        if (cit != opts.profile->end()) self.Subtract(cit->second);
       }
       line += StrCat(" (actual time=", FormatMs(it->second.time_us),
                      "ms rows=", it->second.rows_out,
@@ -166,10 +152,6 @@ std::string RenderAnalyzeSummary(const QueryStats& stats,
           ? " (bound plan reused; parse/bind/measure-expand skipped)"
           : "",
       "\n");
-  if (stats.breaker_short_circuits > 0) {
-    out += StrCat("Breakers: short_circuits=", stats.breaker_short_circuits,
-                  " (breaker=open: degradable ops skipped)\n");
-  }
   return out;
 }
 

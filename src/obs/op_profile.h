@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/query_stats.h"
+
 namespace msql {
 struct LogicalPlan;  // plan/plan.h
 }  // namespace msql
@@ -17,23 +19,10 @@ namespace msql::obs {
 // Cache counters are deltas of the ExecState instrumentation across the
 // node's execution, so measure/subquery work done by an operator (e.g. the
 // Aggregate measure-eval loop) lands on that operator.
-struct OpStats {
+struct OpStats : QueryCounters {
   uint64_t invocations = 0;  // "loops": >1 when re-executed (e.g. subplans)
   uint64_t rows_out = 0;     // total rows produced across invocations
   int64_t time_us = 0;
-
-  uint64_t measure_evals = 0;
-  uint64_t measure_cache_hits = 0;
-  uint64_t measure_source_scans = 0;
-  uint64_t measure_inline_evals = 0;
-  uint64_t measure_grouped_builds = 0;
-  uint64_t measure_grouped_probes = 0;
-  uint64_t subquery_execs = 0;
-  uint64_t subquery_cache_hits = 0;
-  uint64_t shared_cache_hits = 0;
-  uint64_t shared_cache_misses = 0;
-  uint64_t exec_vectorized_batches = 0;
-  uint64_t exec_row_fallbacks = 0;
 };
 
 // Per-query profile, keyed by plan-node identity (stable within a query).

@@ -134,22 +134,10 @@ void QueryTrace::ToJson(std::ostream& out) const {
   w.Int(static_cast<int64_t>(rows_returned_));
   w.Key("stats");
   w.BeginObject();
-  w.Key("measure_evals");
-  w.Int(static_cast<int64_t>(stats_.measure_evals));
-  w.Key("measure_cache_hits");
-  w.Int(static_cast<int64_t>(stats_.measure_cache_hits));
-  w.Key("measure_source_scans");
-  w.Int(static_cast<int64_t>(stats_.measure_source_scans));
-  w.Key("measure_inline_evals");
-  w.Int(static_cast<int64_t>(stats_.measure_inline_evals));
-  w.Key("subquery_execs");
-  w.Int(static_cast<int64_t>(stats_.subquery_execs));
-  w.Key("subquery_cache_hits");
-  w.Int(static_cast<int64_t>(stats_.subquery_cache_hits));
-  w.Key("shared_cache_hits");
-  w.Int(static_cast<int64_t>(stats_.shared_cache_hits));
-  w.Key("shared_cache_misses");
-  w.Int(static_cast<int64_t>(stats_.shared_cache_misses));
+  for (const QueryCounterDef& c : kQueryCounters) {
+    w.Key(c.field);
+    w.Int(static_cast<int64_t>(stats_.*c.member));
+  }
   w.Key("rows_charged");
   w.Int(static_cast<int64_t>(stats_.rows_charged));
   w.Key("bytes_charged");

@@ -151,23 +151,6 @@ Status QueryScheduler::WaitForSlots(
 
 Result<QueryScheduler::QueryFuture> QueryScheduler::Submit(
     const SessionPtr& session, std::string sql) {
-  return SubmitRunner(session,
-                      [session, sql = std::move(sql)](const ScheduledRun& run) {
-                        return session->QueryScheduled(sql, run);
-                      });
-}
-
-Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitPrepared(
-    const SessionPtr& session, PreparedPlanPtr prepared, Row params) {
-  return SubmitRunner(session, [session, prepared = std::move(prepared),
-                                params = std::move(params)](
-                                   const ScheduledRun& run) {
-    return session->QueryPreparedScheduled(prepared, params, run);
-  });
-}
-
-Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitRunner(
-    const SessionPtr& session, Runner runner) {
   const SchedMetrics metrics = MetricsFor(session->engine());
   MSQL_FAULT_POINT("runtime.admission_wait");
 
@@ -217,12 +200,13 @@ Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitRunner(
   run.token = token;
   run.has_deadline = has_deadline;
   run.deadline = deadline;
+  run.cancel_generation = generation;
 
   const auto enqueued = std::chrono::steady_clock::now();
   obs::Histogram* queue_wait_ms = metrics.queue_wait_ms;
   auto generation_counter = session->engine().cancel_generation_;
   auto task = std::make_shared<std::packaged_task<Result<ResultSet>()>>(
-      [session, runner = std::move(runner), run, enqueued, queue_wait_ms,
+      [session, sql = std::move(sql), run, enqueued, queue_wait_ms,
        generation, generation_counter]() mutable -> Result<ResultSet> {
         const auto started = std::chrono::steady_clock::now();
         const int64_t wait_us =
@@ -246,7 +230,7 @@ Result<QueryScheduler::QueryFuture> QueryScheduler::SubmitRunner(
                         "query deadline exceeded while queued");
         }
         run.queue_wait_us = wait_us;
-        return runner(run);
+        return session->QueryScheduled(sql, run);
       });
   QueryFuture future = task->get_future();
 

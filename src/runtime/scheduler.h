@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -73,13 +72,6 @@ class QueryScheduler {
   // kDeadlineExceeded, on cancellation during the wait kCancelled.
   Result<QueryFuture> Submit(const SessionPtr& session, std::string sql);
 
-  // As Submit, but for an already-prepared plan with bound parameter
-  // values (Session::QueryPrepared under full admission control). The
-  // msqld server routes Execute frames through this so prepared traffic
-  // obeys the same rate limits, slot caps and deadlines as text queries.
-  Result<QueryFuture> SubmitPrepared(const SessionPtr& session,
-                                     PreparedPlanPtr prepared, Row params);
-
   // Submit + wait, retrying retryable failures (Status::IsRetryable —
   // admission sheds and other transient pressure) with capped exponential
   // backoff and deterministic seeded jitter (runtime/retry.h). Each
@@ -96,12 +88,6 @@ class QueryScheduler {
   const SchedulerOptions& options() const { return options_; }
 
  private:
-  // The admitted statement's execution body, invoked on a worker thread
-  // with the final ScheduledRun (queue wait filled in). Both Submit
-  // variants reduce to SubmitRunner with a different runner.
-  using Runner = std::function<Result<ResultSet>(const ScheduledRun&)>;
-  Result<QueryFuture> SubmitRunner(const SessionPtr& session, Runner runner);
-
   // Scheduler metrics live in the engine's registry (one scheduler may in
   // principle serve sessions of several engines; instruments are re-resolved
   // when the engine changes, cached otherwise).

@@ -41,7 +41,8 @@ Result<ResultSet> Session::Query(const std::string& sql) {
   return result;
 }
 
-QueryContext Session::ScheduledContext(const ScheduledRun& run) const {
+Result<ResultSet> Session::QueryScheduled(const std::string& sql,
+                                          const ScheduledRun& run) {
   QueryContext ctx;
   ctx.options = options_;
   ctx.user = user_;
@@ -53,21 +54,8 @@ QueryContext Session::ScheduledContext(const ScheduledRun& run) const {
   ctx.admission_wait_us = run.admission_wait_us;
   ctx.has_deadline = run.has_deadline;
   ctx.deadline = run.deadline;
-  return ctx;
-}
-
-Result<ResultSet> Session::QueryScheduled(const std::string& sql,
-                                          const ScheduledRun& run) {
-  Result<ResultSet> result = engine_->QueryWith(sql, ScheduledContext(run));
-  ReleaseToken(run.token);
-  return result;
-}
-
-Result<ResultSet> Session::QueryPreparedScheduled(
-    const PreparedPlanPtr& prepared, const Row& params,
-    const ScheduledRun& run) {
-  Result<ResultSet> result =
-      engine_->QueryPlanned(prepared, params, ScheduledContext(run));
+  ctx.cancel_generation = run.cancel_generation;
+  Result<ResultSet> result = engine_->QueryWith(sql, ctx);
   ReleaseToken(run.token);
   return result;
 }

@@ -24,6 +24,7 @@ struct ScheduledRun {
   CancelTokenPtr token;           // registered with the session at submit
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
+  uint64_t cancel_generation = 0;  // Engine::CancelAll generation at submit
 };
 
 // One client's connection to an Engine: an options snapshot, a user, and a
@@ -115,14 +116,6 @@ class Session {
   // spans) and the submission-time deadline into the query context.
   Result<ResultSet> QueryScheduled(const std::string& sql,
                                    const ScheduledRun& run);
-
-  // QueryPrepared() as dispatched by QueryScheduler::SubmitPrepared.
-  Result<ResultSet> QueryPreparedScheduled(const PreparedPlanPtr& prepared,
-                                           const Row& params,
-                                           const ScheduledRun& run);
-
-  // Shared context assembly for the two scheduled variants.
-  QueryContext ScheduledContext(const ScheduledRun& run) const;
 
   Engine* engine_;
   uint64_t id_;

@@ -1,5 +1,7 @@
 #include "runtime/shared_cache.h"
 
+#include "common/fault_injection.h"
+
 namespace msql {
 
 bool SharedMeasureCache::Lookup(const std::string& key, Value* out) {
@@ -125,6 +127,12 @@ void SharedMeasureCache::RemoveLocked(LruList::iterator it) {
   index_.erase(it->key);
   bytes_ -= it->bytes;
   lru_.erase(it);
+}
+
+bool AdmitSharedCacheFill() {
+  FaultInjector& faults = FaultInjector::Instance();
+  return !faults.active() ||
+         faults.Checkpoint("runtime.shared_cache_fill").ok();
 }
 
 }  // namespace msql

@@ -118,6 +118,13 @@ class SharedMeasureCache {
   Stats counters_;
 };
 
+// Gate shared by every cross-query cache fill site (measure values, grouped
+// indexes, subquery memos): the degradable `runtime.shared_cache_fill`
+// fault point. A false return means "skip the fill and move on" — the
+// query still returns correct (uncached) results, so a failed fill
+// degrades that one query instead of failing it.
+bool AdmitSharedCacheFill();
+
 }  // namespace msql
 
 #endif  // MSQL_RUNTIME_SHARED_CACHE_H_

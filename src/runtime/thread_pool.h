@@ -12,10 +12,12 @@
 namespace msql {
 
 // A fixed-size worker pool executing submitted closures FIFO. The pool
-// itself is unbounded; admission control (queue depth, per-session limits)
-// lives in QueryScheduler, which is the only intended submitter for query
-// work. Shutdown() drains the queue and joins the workers; tasks submitted
-// after Shutdown are rejected.
+// itself is unbounded; its submitters bound their own load: QueryScheduler
+// (admission control: queue depth, per-session limits), msqld's statement
+// workers (per-user admission in the server) and the engine's measure pool
+// (one batch of morsel tasks per parallel build or probe). Shutdown()
+// drains the queue and joins the workers; tasks submitted after Shutdown
+// are rejected.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);

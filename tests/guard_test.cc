@@ -116,6 +116,21 @@ TEST(GuardTest, CancelAllFromSecondThread) {
   EXPECT_EQ(again.value().Get(0, 0).int_val(), 2000);
 }
 
+// The scheduler passes the CancelAll generation at admission, so a
+// CancelAll that lands before the guard is armed (during parse or bind)
+// still cancels the admitted statement.
+TEST(GuardTest, CancelAllAfterAdmissionCancelsBeforeArm) {
+  Engine db;
+  LoadInts(&db, 2000, 2000);
+  QueryContext ctx;
+  ctx.options = db.options();
+  ctx.cancel_generation = 0;  // admitted before the CancelAll below
+  db.CancelAll();
+  auto r = db.QueryWith("SELECT COUNT(*) FROM T", ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kCancelled);
+}
+
 TEST(GuardTest, PreCancelledTokenTripsImmediately) {
   Engine db;
   LoadPaperData(&db);

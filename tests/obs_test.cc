@@ -4,11 +4,15 @@
 // and graceful degradation when a trace sink fails.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
+#include "common/query_stats.h"
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -253,6 +257,111 @@ TEST(ObsMetricsTextTest, EngineExposesCoreMetrics) {
   EXPECT_NE(text.find("msql_sessions_created_total 1"), std::string::npos);
   EXPECT_NE(text.find("msql_sessions_active 0"), std::string::npos);
   EXPECT_NE(text.find("msql_shared_cache_hit_ratio"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The per-query counter table (common/query_stats.h)
+// ---------------------------------------------------------------------------
+
+// The value of counter `name` in a Prometheus exposition, or -1 if absent.
+int64_t CounterInText(const std::string& text, const std::string& name) {
+  const std::string needle = "\n" + name + " ";
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
+}
+
+// Every counter in the table reaches every surface with the same value:
+// the query's ResultSet::stats(), the Engine::stats() and MetricsText()
+// deltas across the query, and the slow-query log's "stats" object.
+TEST(ObsCounterTableTest, EveryCounterAgreesAcrossSurfaces) {
+  std::ostringstream log;  // outlives the engine that writes to it
+  EngineOptions opts;
+  opts.enable_tracing = true;
+  Engine db(opts);
+  db.AddTraceSink(std::make_shared<obs::SlowQueryLogSink>(0, &log));
+  MustExecute(&db,
+              "CREATE TABLE Orders (prodName VARCHAR, custName VARCHAR, "
+              "revenue INTEGER)");
+  std::vector<Row> rows;
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back({Value::String("p" + std::to_string(i % 40)),
+                    Value::String("c" + std::to_string(i % 7)),
+                    Value::Int(i % 13)});
+  }
+  ASSERT_TRUE(db.InsertRows("Orders", std::move(rows)).ok());
+  MustExecute(&db,
+              "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE r "
+              "FROM Orders");
+
+  struct Step {
+    const char* sql;
+    bool fail_grouped_build;  // arm measure.grouped_index_build once
+  };
+  const Step steps[] = {
+      // Inline evaluation; the repeat is served by the shared cache.
+      {"SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName", false},
+      {"SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName", false},
+      // Grouped-index build and probes (parallel where the host allows).
+      {"SELECT prodName, r AS v FROM EO GROUP BY prodName", false},
+      // A source scan and per-query memo hits.
+      {"SELECT custName, AGGREGATE(r) / (r AT (ALL)) FROM EO "
+       "GROUP BY custName",
+       false},
+      // Correlated subqueries and their memo.
+      {"SELECT o.custName, (SELECT SUM(p.revenue) FROM Orders p "
+       "WHERE p.custName = o.custName) FROM Orders o",
+       false},
+      // Plain vectorized aggregation.
+      {"SELECT prodName, SUM(revenue) FROM Orders GROUP BY prodName", false},
+      // A failed grouped build degrades to the scan path.
+      {"SELECT custName, r AS v FROM EO GROUP BY custName", true},
+  };
+
+  QueryCounters seen;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.sql);
+    if (step.fail_grouped_build) {
+      FaultInjector::Instance().ArmSite("measure.grouped_index_build", 1);
+    }
+    const EngineStats stats_before = db.stats();
+    const std::string text_before = db.MetricsText();
+    log.str("");
+    const ResultSet rs = MustQuery(&db, step.sql);
+    FaultInjector::Instance().Reset();
+    const EngineStats stats_after = db.stats();
+    const std::string text_after = db.MetricsText();
+    ASSERT_NE(rs.stats(), nullptr);
+    const QueryStats& q = *rs.stats();
+
+    const std::string line = log.str();
+    const size_t open = line.find("\"stats\": {");
+    ASSERT_NE(open, std::string::npos) << line;
+    const std::string logged = line.substr(open, line.find('}', open) - open);
+
+    for (const QueryCounterDef& c : kQueryCounters) {
+      SCOPED_TRACE(c.field);
+      const uint64_t value = q.*c.member;
+      EXPECT_EQ(stats_after.*c.member - stats_before.*c.member, value);
+      const int64_t text_now = CounterInText(text_after, c.metric);
+      ASSERT_GE(text_now, 0) << c.metric << " missing from MetricsText()";
+      EXPECT_EQ(static_cast<uint64_t>(text_now -
+                                      CounterInText(text_before, c.metric)),
+                value);
+      EXPECT_NE(logged.find("\"" + std::string(c.field) +
+                            "\": " + std::to_string(value)),
+                std::string::npos)
+          << logged;
+    }
+    seen.Add(q);
+  }
+
+  // The steps above reach every counter, except the parallel-task count,
+  // which depends on the host's hardware threads.
+  for (const QueryCounterDef& c : kQueryCounters) {
+    if (c.member == &QueryCounters::measure_parallel_tasks) continue;
+    EXPECT_GT(seen.*c.member, 0u) << c.field << " never moved";
+  }
 }
 
 TEST(ObsDisabledTest, TracingOffLeavesRingEmpty) {

@@ -1,8 +1,8 @@
 // Overload resilience (docs/ROBUSTNESS.md, docs/CONCURRENCY.md): token-
-// bucket rate limiting, the circuit breaker state machine, retry backoff,
-// bounded-wait admission with deadline propagation, cancellation reaching
-// queued-but-unstarted work, and the observability surface of all of it
-// (metrics, trace spans, EXPLAIN ANALYZE outcome lines).
+// bucket rate limiting, retry backoff, bounded-wait admission with deadline
+// propagation, cancellation reaching queued-but-unstarted work, and the
+// observability surface of all of it (metrics, trace spans, EXPLAIN
+// ANALYZE outcome lines).
 
 #include <chrono>
 #include <string>
@@ -13,7 +13,6 @@
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "obs/trace.h"
-#include "runtime/circuit_breaker.h"
 #include "runtime/rate_limiter.h"
 #include "runtime/retry.h"
 #include "runtime/scheduler.h"
@@ -67,95 +66,6 @@ TEST(RateLimiterTest, TokensRefillOverTime) {
   EXPECT_GT(limiter.TryAcquire(), 0);  // bucket empty
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(limiter.TryAcquire(), 0);  // refilled
-}
-
-// ---------------------------------------------------------------------------
-// CircuitBreaker
-// ---------------------------------------------------------------------------
-
-CircuitBreaker::Options FastBreaker() {
-  CircuitBreaker::Options o;
-  o.window = 8;
-  o.failure_ratio = 0.5;
-  o.min_samples = 4;
-  o.open_cooldown_ms = 40;
-  o.half_open_probes = 2;
-  return o;
-}
-
-TEST(CircuitBreakerTest, OpensOnFailureRateAndShortCircuits) {
-  CircuitBreaker breaker(FastBreaker());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  // Successes alone never open.
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(breaker.Allow());
-    breaker.RecordSuccess();
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  // min_samples consecutive failures cross the ratio.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(breaker.Allow());
-    breaker.RecordFailure();
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.opens(), 1);
-  EXPECT_FALSE(breaker.Allow());  // inside the cooldown
-  EXPECT_GE(breaker.short_circuits(), 1);
-}
-
-TEST(CircuitBreakerTest, HalfOpenProbesCloseAfterRecovery) {
-  CircuitBreaker breaker(FastBreaker());
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  // Cooldown elapsed: the next Allow() is the first half-open probe.
-  ASSERT_TRUE(breaker.Allow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordSuccess();  // second consecutive success closes
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  // The window was cleared: one more failure must not re-open.
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, ProbeFailureReopens) {
-  CircuitBreaker breaker(FastBreaker());
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();  // probe hit the still-broken dependency
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.opens(), 2);
-  EXPECT_FALSE(breaker.Allow());  // cooldown restarted
-}
-
-TEST(CircuitBreakerTest, HalfOpenAdmitsOnlyProbeBudget) {
-  CircuitBreaker::Options o = FastBreaker();
-  o.open_cooldown_ms = 1;
-  CircuitBreaker breaker(o);
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_TRUE(breaker.Allow());   // probe 1
-  EXPECT_TRUE(breaker.Allow());   // probe 2
-  EXPECT_FALSE(breaker.Allow());  // probe budget spent
-}
-
-TEST(CircuitBreakerTest, EngineWiresBreakerOptionsAndGauges) {
-  EngineOptions opts;
-  opts.breaker_min_samples = 2;
-  opts.breaker_window = 4;
-  Engine db(opts);
-  EXPECT_EQ(db.grouped_build_breaker().state(),
-            CircuitBreaker::State::kClosed);
-  EXPECT_EQ(db.cache_fill_breaker().state(), CircuitBreaker::State::kClosed);
-  // The state gauges exist from construction and read 0 (closed).
-  const std::string text = db.MetricsText();
-  EXPECT_NE(text.find("msql_circuit_grouped_build_state"), std::string::npos);
-  EXPECT_NE(text.find("msql_circuit_cache_fill_state"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

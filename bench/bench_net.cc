@@ -115,8 +115,9 @@ void RaiseNofile() {
   }
 }
 
-// Drives one phase: `drivers` threads round-robin over the (already
-// connected) client pool, each issuing blocking request/response queries
+// Drives one phase: `drivers` threads round-robin over disjoint slices of
+// the (already connected) client pool — a Client is not safe for two
+// threads at once — each issuing blocking request/response queries
 // for `duration_s`. Every connection stays established for the whole
 // phase, so the server sustains the full pool concurrently.
 Phase RunPhase(const std::string& name,
@@ -144,8 +145,9 @@ Phase RunPhase(const std::string& name,
       std::vector<double> local_engine;
       size_t next = static_cast<size_t>(d);
       while (std::chrono::steady_clock::now() < stop) {
-        net::Client& client = *(*clients)[next % n];
+        net::Client& client = *(*clients)[next];
         next += static_cast<size_t>(drivers);
+        if (next >= n) next = static_cast<size_t>(d);
         std::string sql = kHotQuery;
         if (unique_texts) {
           // A fresh LIMIT literal (always larger than the result) per
@@ -215,6 +217,7 @@ int Main(int argc, char** argv) {
     duration_s = 0.3;
     drivers = std::min(drivers, 4);
   }
+  drivers = std::min(drivers, connections);
   RaiseNofile();
 
   EngineOptions engine_options;

@@ -1,10 +1,11 @@
 // Overload goodput/latency benchmark: closed-loop clients drive a small
 // scheduler at 1x / 2x / 4x of its worker capacity, once with
 // instant-reject admission (max_admission_wait_ms=0, the pre-bounded-wait
-// behavior) and once with bounded-wait admission. Every client uses
-// SubmitWithRetry, so shed submissions burn client time in retry backoff;
-// bounded-wait instead holds the submission at admission until a slot
-// frees, keeping workers saturated across completion/retry gaps. Reports
+// behavior) and once with bounded-wait admission. Every client retries
+// retryable failures (Status::IsRetryable) with its own capped exponential
+// backoff, so shed submissions burn client time in backoff; bounded-wait
+// instead holds the submission at admission until a slot frees, keeping
+// workers saturated across completion/retry gaps. Reports
 // goodput (completed queries/sec) and p50/p99 client-observed latency per
 // cell, and emits BENCH_overload.json.
 //
@@ -23,13 +24,13 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/engine.h"
 #include "json_writer.h"
-#include "runtime/retry.h"
 #include "runtime/scheduler.h"
 #include "runtime/session.h"
 #include "workload.h"
@@ -42,6 +43,28 @@ namespace {
 const char* const kQuery =
     "SELECT prodName, SUM(revenue) FROM Orders GROUP BY prodName "
     "ORDER BY prodName";
+
+// Submit + wait, retrying retryable failures: up to 4 tries, sleeping 2 ms
+// doubling to 16 ms between them, scaled by a jitter factor in [0.5, 1)
+// from the client's seeded generator so concurrent clients decorrelate
+// while runs stay reproducible.
+Result<ResultSet> SubmitRetrying(QueryScheduler& scheduler,
+                                 const SessionPtr& session,
+                                 std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> jitter(0.5, 1.0);
+  int64_t backoff_us = 2000;
+  for (int attempt = 1;; ++attempt) {
+    Result<QueryScheduler::QueryFuture> submitted =
+        scheduler.Submit(session, kQuery);
+    Result<ResultSet> r = submitted.ok()
+                              ? submitted.value().get()
+                              : Result<ResultSet>(submitted.status());
+    if (r.ok() || !r.status().IsRetryable() || attempt == 4) return r;
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        static_cast<int64_t>(static_cast<double>(backoff_us) * jitter(rng))));
+    backoff_us = std::min<int64_t>(backoff_us * 2, 16000);
+  }
+}
 
 struct Cell {
   std::string mode;       // "instant_reject" | "bounded_wait"
@@ -77,7 +100,7 @@ Cell RunCell(Engine* db, const std::string& mode, int workers,
   // Admitted work is capped at the worker count: overload must be absorbed
   // at admission (wait or shed), not by an elastic queue.
   sopts.max_pending = static_cast<size_t>(workers);
-  sopts.max_admission_wait_ms = mode == "bounded_wait" ? 100 : 0;
+  sopts.admission.max_admission_wait_ms = mode == "bounded_wait" ? 100 : 0;
   QueryScheduler scheduler(sopts);
 
   std::mutex mu;
@@ -92,16 +115,11 @@ Cell RunCell(Engine* db, const std::string& mode, int workers,
   for (int c = 0; c < cell.clients; ++c) {
     threads.emplace_back([&, c] {
       SessionPtr session = db->CreateSession();
-      RetryPolicy policy;
-      policy.max_attempts = 4;
-      policy.initial_backoff_ms = 2;
-      policy.max_backoff_ms = 16;
-      policy.jitter_seed = static_cast<uint64_t>(c) + 1;
+      std::mt19937_64 rng(static_cast<uint64_t>(c) + 1);
       std::vector<double> local;
       while (std::chrono::steady_clock::now() < stop) {
         const auto t0 = std::chrono::steady_clock::now();
-        Result<ResultSet> r = scheduler.SubmitWithRetry(session, kQuery,
-                                                        policy);
+        Result<ResultSet> r = SubmitRetrying(scheduler, session, rng);
         const std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - t0;
         if (r.ok()) {

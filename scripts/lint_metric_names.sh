@@ -77,7 +77,7 @@ check gauge '(_active|_entries|_bytes|_ratio|_pending)$' "${gauges[@]}"
 check histogram '(_ms|_seconds|_bytes|_rows|_depth)$' "${histograms[@]}"
 
 # One namespace per subsystem: a metric must extend a registered family.
-families='^msql_(queries|query_|measure_|subquery_|shared_cache_|sessions_|scheduler_|admission_|rate_limited|retries_|slow_queries|obs_|net_|plan_cache_|exec_)'
+families='^msql_(queries|query_|measure_|subquery_|shared_cache_|sessions_|scheduler_|admission_|rate_limited|slow_queries|obs_|net_|plan_cache_|exec_)'
 for name in "${counters[@]}" "${gauges[@]}" "${histograms[@]}"; do
   if ! [[ "$name" =~ $families ]]; then
     echo "BAD FAMILY: '$name' is outside the registered prefixes ($families)"

@@ -15,7 +15,7 @@ void FaultInjector::ArmAt(int64_t fail_at, ErrorCode code) {
     site_.clear();
     fired_site_.clear();
   }
-  code_ = code;
+  code_.store(code, std::memory_order_relaxed);
   fired_.store(false, std::memory_order_relaxed);
   fire_count_.store(0, std::memory_order_relaxed);
   fail_at_.store(fail_at, std::memory_order_relaxed);
@@ -30,7 +30,7 @@ void FaultInjector::ArmSite(std::string site, int64_t times, ErrorCode code) {
     site_ = std::move(site);
     fired_site_.clear();
   }
-  code_ = code;
+  code_.store(code, std::memory_order_relaxed);
   fired_.store(false, std::memory_order_relaxed);
   fire_count_.store(0, std::memory_order_relaxed);
   fail_at_.store(0, std::memory_order_relaxed);
@@ -76,7 +76,7 @@ Status FaultInjector::Checkpoint(const char* site) {
       std::lock_guard<std::mutex> lock(site_mu_);
       if (fired_site_.empty()) fired_site_ = site;
     }
-    return Status(code_,
+    return Status(code_.load(std::memory_order_relaxed),
                   StrCat("injected fault at checkpoint '", site, "'"));
   }
   // Ordinal mode: fire exactly once, at the fail_at_th checkpoint reached.
@@ -87,8 +87,9 @@ Status FaultInjector::Checkpoint(const char* site) {
     std::lock_guard<std::mutex> lock(site_mu_);
     fired_site_ = site;
   }
-  return Status(code_, StrCat("injected fault at checkpoint '", site,
-                              "' (hit ", hit, ")"));
+  return Status(code_.load(std::memory_order_relaxed),
+                StrCat("injected fault at checkpoint '", site, "' (hit ", hit,
+                       ")"));
 }
 
 }  // namespace msql

@@ -13,9 +13,10 @@ namespace msql {
 // Deterministic fault-injection harness. The engine is instrumented with
 // named checkpoints (MSQL_FAULT_POINT) on its fallible paths: statement
 // dispatch, binding, plan execution, subquery and measure evaluation,
-// catalog mutation, CSV import/export, scheduler admission and retry
-// backoff. The injector is compiled unconditionally but is a no-op (one
-// predictable branch per checkpoint) until armed.
+// catalog mutation, CSV import/export, statement admission (scheduler and
+// msqld alike) and the msqld network paths. The injector is compiled
+// unconditionally but is a no-op (one predictable branch per checkpoint)
+// until armed.
 //
 // Armed with ArmAt(n), the nth checkpoint reached (1-based) returns an
 // injected non-OK Status exactly once; every other checkpoint passes.
@@ -79,7 +80,8 @@ class FaultInjector {
   std::atomic<int64_t> fire_count_{0};
   // ArmSite state: remaining fire budget; negative = site mode disabled.
   std::atomic<int64_t> site_budget_{-1};
-  ErrorCode code_ = ErrorCode::kExecution;  // written only while disarmed
+  // Written by Arm*, read by Checkpoint on query and server threads.
+  std::atomic<ErrorCode> code_{ErrorCode::kExecution};
   mutable std::mutex site_mu_;
   std::string site_;        // ArmSite target; empty in ArmAt mode
   std::string fired_site_;  // first checkpoint that fired

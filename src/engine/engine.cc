@@ -47,6 +47,32 @@ std::string TrimStatementText(const std::string& sql) {
   return sql.substr(begin, end - begin + 1);
 }
 
+// Renders an admitted statement's admission and worker-queue waits, which
+// happened before the trace clock started, as negative-offset children of
+// the root in the order they happened: msqld queues a statement before
+// admitting it, QueryScheduler after.
+void AddAdmissionSpans(obs::QueryTrace* trace, const QueryContext& ctx) {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  const TimePoint now = std::chrono::steady_clock::now();
+  auto micros = [](TimePoint from, TimePoint to) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+        .count();
+  };
+  struct Wait {
+    const char* name;
+    TimePoint from, to;
+  };
+  Wait waits[] = {{"admission-wait", ctx.admission_start, ctx.admitted_at},
+                  {"queue-wait", ctx.queued_at, ctx.dequeued_at}};
+  if (ctx.queued_at < ctx.admission_start) std::swap(waits[0], waits[1]);
+  for (const Wait& wait : waits) {
+    const int64_t us = micros(wait.from, wait.to);
+    if (us > 0) trace->AddCompletedSpan(wait.name, -micros(wait.from, now), us);
+  }
+  trace->set_queue_wait_us(
+      std::max<int64_t>(0, micros(ctx.queued_at, ctx.dequeued_at)));
+}
+
 // Rendered parameter-value tuple, appended to cross-query shared-cache
 // keys (ExecState::param_sig): `?` placeholders fingerprint structurally,
 // so the bound values must join the key for it to stay injective.
@@ -266,20 +292,7 @@ Result<ResultSet> Engine::QueryTraced(const std::string& sql,
       ctx.session_id, ctx.user);
   if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
   if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
-  if (ctx.admission_wait_us > 0) {
-    // Bounded-wait admission happened before the enqueue; render it as the
-    // earliest negative-offset child of the root.
-    trace->AddCompletedSpan("admission-wait",
-                            -(ctx.admission_wait_us + ctx.queue_wait_us),
-                            ctx.admission_wait_us);
-  }
-  if (ctx.queue_wait_us > 0) {
-    // The wait happened before the trace clock started; render it as a
-    // negative-offset child of the root.
-    trace->set_queue_wait_us(ctx.queue_wait_us);
-    trace->AddCompletedSpan("queue-wait", -ctx.queue_wait_us,
-                            ctx.queue_wait_us);
-  }
+  AddAdmissionSpans(trace.get(), ctx);
   QueryContext tctx = ctx;
   tctx.trace = trace.get();
 
@@ -311,16 +324,7 @@ Status Engine::ExecuteTraced(const std::string& sql, const QueryContext& ctx) {
       ctx.session_id, ctx.user);
   if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
   if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
-  if (ctx.admission_wait_us > 0) {
-    trace->AddCompletedSpan("admission-wait",
-                            -(ctx.admission_wait_us + ctx.queue_wait_us),
-                            ctx.admission_wait_us);
-  }
-  if (ctx.queue_wait_us > 0) {
-    trace->set_queue_wait_us(ctx.queue_wait_us);
-    trace->AddCompletedSpan("queue-wait", -ctx.queue_wait_us,
-                            ctx.queue_wait_us);
-  }
+  AddAdmissionSpans(trace.get(), ctx);
   QueryContext tctx = ctx;
   tctx.trace = trace.get();
 
@@ -814,16 +818,7 @@ Result<ResultSet> Engine::QueryPlanned(const PreparedPlanPtr& prepared,
         ctx.session_id, ctx.user);
     if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
     if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
-    if (ctx.admission_wait_us > 0) {
-      trace->AddCompletedSpan("admission-wait",
-                              -(ctx.admission_wait_us + ctx.queue_wait_us),
-                              ctx.admission_wait_us);
-    }
-    if (ctx.queue_wait_us > 0) {
-      trace->set_queue_wait_us(ctx.queue_wait_us);
-      trace->AddCompletedSpan("queue-wait", -ctx.queue_wait_us,
-                              ctx.queue_wait_us);
-    }
+    AddAdmissionSpans(trace.get(), ctx);
     QueryContext tctx = ctx;
     tctx.trace = trace.get();
     Result<ResultSet> result = RunPlanned(prepared, coerced, tctx);

@@ -41,11 +41,9 @@ struct QueryContext {
   CancelTokenPtr cancel;
 
   // Observability (docs/OBSERVABILITY.md). `session_id` labels traces (0 =
-  // engine-level call); `queue_wait_us` is filled by the scheduler so the
-  // trace records its queue time; `trace` is set internally by the engine
-  // when `options.enable_tracing` is on.
+  // engine-level call); `trace` is set internally by the engine when
+  // `options.enable_tracing` is on.
   uint64_t session_id = 0;
-  int64_t queue_wait_us = 0;
   obs::QueryTrace* trace = nullptr;
 
   // Wire trace context (docs/NETWORKING.md): the client-supplied
@@ -55,16 +53,21 @@ struct QueryContext {
   std::string trace_id;
   std::string peer;
 
-  // Overload resilience (docs/ROBUSTNESS.md). `admission_wait_us` is how
-  // long the submission waited in bounded-wait admission (rate limit +
-  // pending slot), recorded as its own trace span. When `has_deadline` is
-  // set, the scheduler stamped an absolute deadline at submission;
+  // Overload resilience (docs/ROBUSTNESS.md), set from an admission ticket
+  // (runtime/admission.h). The admission wait [admission_start,
+  // admitted_at] and the worker-queue wait [queued_at, dequeued_at] (zero
+  // when not admitted) happened before the trace clock starts; the trace
+  // renders them as spans in the order they happened. When `has_deadline`
+  // is set, admission stamped an absolute deadline at submission;
   // RunSelect tightens the query guard to it so queue wait, measure
   // expansion and execution all charge one budget (kDeadlineExceeded).
-  int64_t admission_wait_us = 0;
+  std::chrono::steady_clock::time_point admission_start{};
+  std::chrono::steady_clock::time_point admitted_at{};
+  std::chrono::steady_clock::time_point queued_at{};
+  std::chrono::steady_clock::time_point dequeued_at{};
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  // The Engine::CancelAll generation at admission, set by the scheduler so
+  // The Engine::CancelAll generation at admission, set from the ticket so
   // a CancelAll after admission but before the guard is armed (during
   // parse or bind) still cancels the statement.
   std::optional<uint64_t> cancel_generation;
@@ -265,7 +268,7 @@ class Engine {
 
  private:
   friend class Session;
-  friend class QueryScheduler;  // admission: cancel generation snapshots
+  friend class Admission;  // cancel generation snapshots
 
   Status ExecuteStmt(const Stmt& stmt, ResultSet* out,
                      const QueryContext& ctx);

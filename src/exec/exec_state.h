@@ -59,12 +59,9 @@ struct EngineOptions {
   int max_recursion_depth = 64;
   // Wall-clock budget per statement; exceeding it returns
   // kDeadlineExceeded. Scheduler-submitted statements start this budget at
-  // admission (docs/CONCURRENCY.md), so queue wait counts against it.
+  // submission (docs/CONCURRENCY.md), so admission and queue wait count
+  // against it.
   int64_t timeout_ms = 0;
-  // Admission rate limit for scheduler-submitted statements of one session
-  // (token bucket; docs/ROBUSTNESS.md). 0 = unlimited.
-  double admission_rate_limit_qps = 0.0;
-  int64_t admission_rate_limit_burst = 8;
   // Approximate bytes of materialized relations; exceeding returns
   // kResourceExhausted.
   uint64_t max_memory_bytes = 0;

@@ -39,7 +39,9 @@ Status FaultAt(const char* site) {
 }  // namespace
 
 MsqldServer::MsqldServer(Engine* engine, ServerOptions options)
-    : engine_(engine), options_(std::move(options)) {
+    : engine_(engine),
+      options_(std::move(options)),
+      admission_(options_.admission, std::nullopt) {
   obs::MetricsRegistry& reg = engine_->metrics();
   metrics_.connections = reg.GetCounter(
       "msql_net_connections_total", "Connections accepted by msqld");
@@ -58,9 +60,6 @@ MsqldServer::MsqldServer(Engine* engine, ServerOptions options)
   metrics_.protocol_errors = reg.GetCounter(
       "msql_net_protocol_errors_total",
       "Connections dropped for malformed or out-of-order frames");
-  metrics_.rate_limited = reg.GetCounter(
-      "msql_net_rate_limited_total",
-      "Statements shed by the per-user admission rate limit");
   metrics_.write_timeouts = reg.GetCounter(
       "msql_net_write_timeouts_total",
       "Connections dropped after pending output stalled for "
@@ -95,8 +94,6 @@ Status MsqldServer::Start() {
                           options_.listen_backlog, &port_));
   MSQL_RETURN_IF_ERROR(SetNonBlocking(listener_.fd(), true));
 
-  user_limiters_ = std::make_unique<RateLimiterRegistry>(
-      options_.per_user_rate_limit_qps, options_.per_user_rate_limit_burst);
   workers_ =
       std::make_unique<ThreadPool>(std::max(1, options_.num_worker_threads));
 
@@ -862,9 +859,11 @@ void MsqldServer::DispatchQuery(const ConnPtr& conn, const Frame& frame) {
   metrics_.queries->Increment();
   NoteStatementStart(conn, msg.value().sql);
   conn->busy.store(true, std::memory_order_release);
-  if (!workers_->Submit([this, conn, m = msg.take()]() mutable {
-        RunQuery(conn, std::move(m));
+  AdmissionTicket ticket = OpenTicket(conn, msg.value().timeout_ms);
+  if (!workers_->Submit([this, conn, m = msg.take(), ticket]() mutable {
+        RunQuery(conn, std::move(m), std::move(ticket));
       })) {
+    admission_.Release(*conn->session, ticket);
     conn->busy.store(false, std::memory_order_release);
     SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
     conn->close_after_flush.store(true);
@@ -902,102 +901,63 @@ void MsqldServer::DispatchExecute(const ConnPtr& conn, const Frame& frame) {
   metrics_.queries->Increment();
   NoteStatementStart(conn, StrCat("<execute #", msg.value().stmt_id, ">"));
   conn->busy.store(true, std::memory_order_release);
-  if (!workers_->Submit([this, conn, m = msg.value()] {
-        RunExecute(conn, m);
+  AdmissionTicket ticket = OpenTicket(conn, msg.value().timeout_ms);
+  if (!workers_->Submit([this, conn, m = msg.value(), ticket]() mutable {
+        RunExecute(conn, m, std::move(ticket));
       })) {
+    admission_.Release(*conn->session, ticket);
     conn->busy.store(false, std::memory_order_release);
     SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
     conn->close_after_flush.store(true);
   }
 }
 
-Status MsqldServer::AdmitStatement(const ConnPtr& conn,
-                                   uint32_t frame_timeout_ms,
-                                   int64_t* remaining_timeout_ms) {
-  const auto start = std::chrono::steady_clock::now();
-  const int64_t timeout_ms = frame_timeout_ms > 0
-                                 ? static_cast<int64_t>(frame_timeout_ms)
-                                 : options_.default_timeout_ms;
-  const bool has_deadline = timeout_ms > 0;
-  const auto deadline = start + std::chrono::milliseconds(timeout_ms);
-
-  if (user_limiters_->enabled()) {
-    RateLimiter& limiter = user_limiters_->ForKey(conn->user);
-    auto wait_deadline =
-        start + std::chrono::milliseconds(options_.max_admission_wait_ms);
-    if (has_deadline && deadline < wait_deadline) wait_deadline = deadline;
-    while (true) {
-      if (conn->dead.load(std::memory_order_acquire)) {
-        return Status(ErrorCode::kCancelled,
-                      "connection closed during admission");
-      }
-      const int64_t defer_us = limiter.TryAcquire();
-      if (defer_us == 0) break;
-      const auto now = std::chrono::steady_clock::now();
-      if (has_deadline && now >= deadline) {
-        return Status(ErrorCode::kDeadlineExceeded,
-                      "deadline exceeded while rate-limit gated");
-      }
-      if (now + std::chrono::microseconds(defer_us) > wait_deadline) {
-        metrics_.rate_limited->Increment();
-        conn->stats.rate_limited.fetch_add(1, std::memory_order_relaxed);
-        return Status(ErrorCode::kResourceExhausted,
-                      StrCat("user '", conn->user,
-                             "' admission rate limited (next token in ",
-                             defer_us, "us, beyond the wait budget)"));
-      }
-      std::this_thread::sleep_for(
-          std::min(std::chrono::microseconds(defer_us),
-                   std::chrono::microseconds(1000)));
-    }
-  }
-
-  if (!has_deadline) {
-    *remaining_timeout_ms = 0;
-    return Status::Ok();
-  }
-  const auto now = std::chrono::steady_clock::now();
-  if (now >= deadline) {
-    return Status(ErrorCode::kDeadlineExceeded,
-                  "deadline exceeded during admission");
-  }
-  // The budget given to the engine is net of admission wait, so wire
-  // timeout_ms bounds the whole server-side round trip.
-  *remaining_timeout_ms = std::max<int64_t>(
-      1, std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-             .count());
-  return Status::Ok();
+AdmissionTicket MsqldServer::OpenTicket(const ConnPtr& conn,
+                                        uint32_t timeout_ms) {
+  return Admission::Open(*conn->session,
+                         timeout_ms > 0 ? static_cast<int64_t>(timeout_ms)
+                                        : options_.default_timeout_ms);
 }
 
-void MsqldServer::RunQuery(const ConnPtr& conn, QueryMsg msg) {
+template <typename Fn>
+Result<ResultSet> MsqldServer::RunAdmitted(const ConnPtr& conn,
+                                           AdmissionTicket ticket,
+                                           const std::string* trace_id,
+                                           Fn run) {
+  Session& session = *conn->session;
+  ticket.dequeued_at = Admission::Clock::now();
+  Status admitted = admission_.Admit(session, &ticket);
+  if (!admitted.ok()) {
+    if (ticket.rate_limited) {
+      conn->stats.rate_limited.fetch_add(1, std::memory_order_relaxed);
+    }
+    admission_.Release(session, ticket);
+    return admitted;
+  }
+  // Per-statement option mutation is safe here: one statement in flight
+  // per connection.
+  const bool saved_tracing = session.options().enable_tracing;
+  if (trace_id != nullptr) {
+    session.options().enable_tracing = true;
+    session.SetTraceId(*trace_id);
+  }
+  Result<ResultSet> result = run(ticket);
+  if (trace_id != nullptr) {
+    session.options().enable_tracing = saved_tracing;
+    session.SetTraceId("");
+  }
+  admission_.Release(session, ticket);
+  return result;
+}
+
+void MsqldServer::RunQuery(const ConnPtr& conn, QueryMsg msg,
+                           AdmissionTicket ticket) {
   const bool want_trace = (msg.trace_flags & kTraceFlagEnabled) != 0;
-  int64_t budget_ms = 0;
-  Status admitted = AdmitStatement(conn, msg.timeout_ms, &budget_ms);
-  Result<ResultSet> result = admitted.ok()
-                                 ? [&] {
-                                     // Per-statement option mutation is safe
-                                     // here: one statement in flight per
-                                     // connection, same as timeout_ms.
-                                     conn->session->options().timeout_ms =
-                                         budget_ms;
-                                     const bool saved_tracing =
-                                         conn->session->options()
-                                             .enable_tracing;
-                                     if (want_trace) {
-                                       conn->session->options()
-                                           .enable_tracing = true;
-                                       conn->session->SetTraceId(msg.trace_id);
-                                     }
-                                     Result<ResultSet> r =
-                                         conn->session->Query(msg.sql);
-                                     if (want_trace) {
-                                       conn->session->options()
-                                           .enable_tracing = saved_tracing;
-                                       conn->session->SetTraceId("");
-                                     }
-                                     return r;
-                                   }()
-                                 : Result<ResultSet>(admitted);
+  Result<ResultSet> result = RunAdmitted(
+      conn, std::move(ticket), want_trace ? &msg.trace_id : nullptr,
+      [&](const AdmissionTicket& ticket) {
+        return conn->session->Query(msg.sql, ticket);
+      });
   if (result.ok()) {
     SendResult(conn, 0, result.value(), want_trace);
   } else {
@@ -1028,7 +988,8 @@ void MsqldServer::RunPrepare(const ConnPtr& conn, uint32_t stmt_id,
   FinishStatement(conn);
 }
 
-void MsqldServer::RunExecute(const ConnPtr& conn, ExecuteMsg msg) {
+void MsqldServer::RunExecute(const ConnPtr& conn, ExecuteMsg msg,
+                             AdmissionTicket ticket) {
   const bool want_trace = (msg.trace_flags & kTraceFlagEnabled) != 0;
   PreparedPlanPtr plan;
   Row params;
@@ -1049,50 +1010,37 @@ void MsqldServer::RunExecute(const ConnPtr& conn, ExecuteMsg msg) {
       params = it->second.params;
     }
   }
-  if (setup.ok()) {
+  if (!setup.ok()) {
+    admission_.Release(*conn->session, ticket);
+    SendError(conn, setup);
+    FinishStatement(conn);
+    return;
+  }
+  {
     // /statusz showed "<execute #N>" from dispatch; upgrade it to the
     // prepared statement's actual text now that we have the plan.
     std::lock_guard<std::mutex> lock(conn->stats.mu);
     conn->stats.statement = plan->sql;
   }
-  Result<ResultSet> result = setup.ok() ? Result<ResultSet>(ResultSet())
-                                        : Result<ResultSet>(setup);
-  if (setup.ok()) {
-    int64_t budget_ms = 0;
-    Status admitted = AdmitStatement(conn, msg.timeout_ms, &budget_ms);
-    if (admitted.ok()) {
-      conn->session->options().timeout_ms = budget_ms;
-      const bool saved_tracing = conn->session->options().enable_tracing;
-      if (want_trace) {
-        conn->session->options().enable_tracing = true;
-        conn->session->SetTraceId(msg.trace_id);
-      }
-      result = conn->session->QueryPrepared(plan, params);
-      if (!result.ok() && result.status().code() == ErrorCode::kCatalog) {
+  Result<ResultSet> result = RunAdmitted(
+      conn, std::move(ticket), want_trace ? &msg.trace_id : nullptr,
+      [&](const AdmissionTicket& ticket) {
+        Result<ResultSet> r =
+            conn->session->QueryPrepared(plan, params, ticket);
+        if (r.ok() || r.status().code() != ErrorCode::kCatalog) return r;
         // The catalog moved under the prepared plan. Re-prepare
-        // transparently from the stored statement text and retry once;
-        // the client never sees the generation bump.
+        // transparently from the stored statement text and retry once; the
+        // client never sees the generation bump.
         Result<PreparedPlanPtr> fresh =
             conn->session->Prepare(plan->sql, plan->param_types);
-        if (fresh.ok()) {
-          {
-            std::lock_guard<std::mutex> lock(conn->stmts_mu);
-            auto it = conn->stmts.find(msg.stmt_id);
-            if (it != conn->stmts.end()) it->second.plan = fresh.value();
-          }
-          result = conn->session->QueryPrepared(fresh.value(), params);
-        } else {
-          result = fresh.status();
+        if (!fresh.ok()) return Result<ResultSet>(fresh.status());
+        {
+          std::lock_guard<std::mutex> lock(conn->stmts_mu);
+          auto it = conn->stmts.find(msg.stmt_id);
+          if (it != conn->stmts.end()) it->second.plan = fresh.value();
         }
-      }
-      if (want_trace) {
-        conn->session->options().enable_tracing = saved_tracing;
-        conn->session->SetTraceId("");
-      }
-    } else {
-      result = admitted;
-    }
-  }
+        return conn->session->QueryPrepared(fresh.value(), params, ticket);
+      });
   if (result.ok()) {
     SendResult(conn, msg.stmt_id, result.value(), want_trace);
   } else {

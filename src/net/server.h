@@ -16,7 +16,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "runtime/rate_limiter.h"
+#include "runtime/admission.h"
 #include "runtime/session.h"
 #include "runtime/thread_pool.h"
 
@@ -31,12 +31,16 @@
 // machinery: cancellation scope, option snapshot, definer security.
 //
 // Robustness posture:
-//  - Admission reuses the GCRA RateLimiter per authenticated user
-//    (RateLimiterRegistry): a flooding user exhausts only its own bucket,
-//    waits bounded, then is shed with kResourceExhausted.
+//  - Wire statements go through the engine's one admission path
+//    (runtime/admission.h) on the statement worker: a flooding user
+//    exhausts only its own token bucket, waits bounded, then is shed with
+//    kResourceExhausted. The cancel token is registered at frame dispatch,
+//    so a Cancel frame or a closed connection reaches a statement still
+//    waiting for a worker or in admission.
 //  - Deadlines propagate from the wire: Query/Execute carry timeout_ms;
-//    the budget starts at frame dispatch, so admission wait charges
-//    against it (kDeadlineExceeded once elapsed).
+//    the budget starts at frame dispatch on the handler thread, so worker
+//    queue time and admission wait charge against it (kDeadlineExceeded
+//    once elapsed).
 //  - Slow or half-closed clients cannot wedge a handler: output buffers
 //    are size-capped (overflow => kResourceExhausted Error + close), and a
 //    connection whose pending output makes no progress for
@@ -59,10 +63,8 @@ struct ServerOptions {
   // (slow-client shed). <= 0 disables.
   int64_t write_timeout_ms = 10000;
   size_t result_batch_rows = 1024;  // rows per ResultBatch frame
-  // Per-user admission token bucket; 0 qps = unlimited.
-  double per_user_rate_limit_qps = 0.0;
-  int64_t per_user_rate_limit_burst = 16;
-  int64_t max_admission_wait_ms = 100;
+  // Statement admission: per-user token bucket and bounded wait.
+  AdmissionOptions admission;
   // Applied when a Query/Execute frame carries timeout_ms == 0.
   int64_t default_timeout_ms = 0;
   // Admin HTTP endpoint (/metrics, /healthz, /statusz, /tracez) on the
@@ -211,7 +213,6 @@ class MsqldServer {
     obs::Counter* queries = nullptr;
     obs::Counter* errors_sent = nullptr;
     obs::Counter* protocol_errors = nullptr;
-    obs::Counter* rate_limited = nullptr;
     obs::Counter* write_timeouts = nullptr;
     obs::Counter* slow_client_sheds = nullptr;
     obs::Gauge* connections_active = nullptr;
@@ -242,15 +243,24 @@ class MsqldServer {
   void DispatchPrepare(const ConnPtr& conn, const Frame& frame);
   void DispatchExecute(const ConnPtr& conn, const Frame& frame);
 
-  // Worker-side statement execution.
-  void RunQuery(const ConnPtr& conn, QueryMsg msg);
+  // Opens a Query/Execute statement's admission ticket on the handler
+  // thread at frame dispatch (budget: the frame's timeout_ms, else
+  // default_timeout_ms): its deadline counts from here, and a Cancel frame
+  // or a connection close reaches it while it waits for a worker.
+  AdmissionTicket OpenTicket(const ConnPtr& conn, uint32_t timeout_ms);
+
+  // Worker-side statement execution. Query/Execute carry the ticket opened
+  // at dispatch.
+  void RunQuery(const ConnPtr& conn, QueryMsg msg, AdmissionTicket ticket);
   void RunPrepare(const ConnPtr& conn, uint32_t stmt_id, PrepareMsg msg);
-  void RunExecute(const ConnPtr& conn, ExecuteMsg msg);
-  // Bounded-wait per-user admission + deadline bookkeeping shared by
-  // RunQuery/RunExecute. On success *remaining_timeout_ms holds the
-  // statement budget net of admission wait.
-  Status AdmitStatement(const ConnPtr& conn, uint32_t frame_timeout_ms,
-                        int64_t* remaining_timeout_ms);
+  void RunExecute(const ConnPtr& conn, ExecuteMsg msg,
+                  AdmissionTicket ticket);
+  // Admits one Query/Execute statement, runs `run` with its ticket under
+  // the client's trace context when `trace_id` is set, then releases the
+  // ticket.
+  template <typename Fn>
+  Result<ResultSet> RunAdmitted(const ConnPtr& conn, AdmissionTicket ticket,
+                                const std::string* trace_id, Fn run);
   // Connection-stats bookkeeping around one statement: dispatch marks the
   // connection busy with the statement's text, FinishStatement returns it
   // to idle.
@@ -292,7 +302,7 @@ class MsqldServer {
   std::thread acceptor_;
   std::vector<std::unique_ptr<Handler>> handlers_;
   std::unique_ptr<ThreadPool> workers_;
-  std::unique_ptr<RateLimiterRegistry> user_limiters_;
+  Admission admission_;
 
   std::unique_ptr<AdminServer> admin_;
 

@@ -4,20 +4,12 @@
 
 namespace msql {
 
-void RateLimiter::Configure(double rate_per_sec, int64_t burst) {
-  rate_per_sec_ = rate_per_sec;
-  burst_ = std::max<int64_t>(1, burst);
-  if (rate_per_sec <= 0.0) {
-    interval_us_ = 0;
-    tau_us_ = 0;
-    tat_us_.store(0, std::memory_order_relaxed);
-    return;
-  }
-  interval_us_ = std::max<int64_t>(1, static_cast<int64_t>(1e6 / rate_per_sec));
-  tau_us_ = (burst_ - 1) * interval_us_;
-  epoch_ = std::chrono::steady_clock::now();
-  tat_us_.store(0, std::memory_order_relaxed);
-}
+RateLimiter::RateLimiter(double rate_per_sec, int64_t burst)
+    : interval_us_(rate_per_sec <= 0.0
+                       ? 0
+                       : std::max<int64_t>(
+                             1, static_cast<int64_t>(1e6 / rate_per_sec))),
+      tau_us_((std::max<int64_t>(1, burst) - 1) * interval_us_) {}
 
 int64_t RateLimiter::TryAcquire() {
   if (interval_us_ == 0) return 0;
@@ -44,11 +36,6 @@ RateLimiter& RateLimiterRegistry::ForKey(const std::string& key) {
     slot = std::make_unique<RateLimiter>(rate_per_sec_, burst_);
   }
   return *slot;
-}
-
-size_t RateLimiterRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return limiters_.size();
 }
 
 }  // namespace msql

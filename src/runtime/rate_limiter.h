@@ -13,24 +13,17 @@ namespace msql {
 
 // Lock-free token-bucket rate limiter (GCRA formulation: the bucket is a
 // single "theoretical arrival time" timestamp, advanced by CAS, instead of
-// a token count plus a refill thread). Admission control consults one of
-// these per session and one global instance per scheduler; a query that
-// cannot acquire immediately learns how long until a token frees up and
-// waits out that hint against its deadline (docs/CONCURRENCY.md).
+// a token count plus a refill thread). Admission (runtime/admission.h)
+// consults one of these per user; a statement that cannot acquire
+// immediately learns how long until a token frees up and waits out that
+// hint against its wait budget and deadline (docs/CONCURRENCY.md).
 //
 // rate_per_sec <= 0 disables the limiter (TryAcquire always admits), so
-// "no rate limit" costs one predictable branch.
+// "no rate limit" costs one predictable branch. A new limiter starts with a
+// full bucket of `burst` tokens.
 class RateLimiter {
  public:
-  RateLimiter() = default;
-  RateLimiter(double rate_per_sec, int64_t burst) {
-    Configure(rate_per_sec, burst);
-  }
-
-  // (Re)configures the limiter with a full bucket. Not safe to call
-  // concurrently with TryAcquire; the engine configures limiters at
-  // session / scheduler construction.
-  void Configure(double rate_per_sec, int64_t burst);
+  explicit RateLimiter(double rate_per_sec = 0.0, int64_t burst = 1);
 
   // Attempts to take one token. Returns 0 on success, otherwise the number
   // of microseconds until a token will be available (callers sleep or
@@ -38,8 +31,6 @@ class RateLimiter {
   int64_t TryAcquire();
 
   bool enabled() const { return interval_us_ > 0; }
-  double rate_per_sec() const { return rate_per_sec_; }
-  int64_t burst() const { return burst_; }
 
  private:
   int64_t NowUs() const {
@@ -48,20 +39,18 @@ class RateLimiter {
         .count();
   }
 
-  double rate_per_sec_ = 0.0;
-  int64_t burst_ = 0;
-  int64_t interval_us_ = 0;  // microseconds per token; 0 = unlimited
-  int64_t tau_us_ = 0;       // burst allowance: (burst - 1) * interval
-  std::chrono::steady_clock::time_point epoch_{
+  const int64_t interval_us_;  // microseconds per token; 0 = unlimited
+  const int64_t tau_us_;       // burst allowance: (burst - 1) * interval
+  const std::chrono::steady_clock::time_point epoch_{
       std::chrono::steady_clock::now()};
   // GCRA theoretical arrival time, microseconds since epoch_.
   std::atomic<int64_t> tat_us_{0};
 };
 
 // A lazily-populated map of independent RateLimiters sharing one
-// configuration, keyed by an arbitrary string — the msqld server keys by
-// authenticated user so one client flooding Query frames exhausts only its
-// own token bucket (docs/NETWORKING.md). ForKey returns a stable reference
+// configuration, keyed by an arbitrary string — admission keys by user, so
+// one client flooding statements exhausts only its own token bucket
+// (docs/NETWORKING.md). ForKey returns a stable reference
 // (limiters are heap-allocated and never removed); TryAcquire on the result
 // is lock-free as usual, the registry lock covers only map lookup/insert.
 class RateLimiterRegistry {
@@ -76,12 +65,11 @@ class RateLimiterRegistry {
   RateLimiter& ForKey(const std::string& key);
 
   bool enabled() const { return rate_per_sec_ > 0.0; }
-  size_t size() const;
 
  private:
   const double rate_per_sec_;
   const int64_t burst_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<RateLimiter>> limiters_;
 };
 

@@ -13,19 +13,6 @@ CancelTokenPtr Session::AcquireToken() {
   return token;
 }
 
-QueryContext Session::MakeContext(CancelTokenPtr* token_out) {
-  CancelTokenPtr token = AcquireToken();
-  *token_out = token;
-  QueryContext ctx;
-  ctx.options = options_;
-  ctx.user = user_;
-  ctx.cancel = std::move(token);
-  ctx.session_id = id_;
-  ctx.peer = peer_;
-  ctx.trace_id = trace_id_;
-  return ctx;
-}
-
 void Session::ReleaseToken(const CancelTokenPtr& token) {
   std::lock_guard<std::mutex> lock(tokens_mu_);
   active_tokens_.erase(
@@ -33,58 +20,73 @@ void Session::ReleaseToken(const CancelTokenPtr& token) {
       active_tokens_.end());
 }
 
-Result<ResultSet> Session::Query(const std::string& sql) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Result<ResultSet> result = engine_->QueryWith(sql, ctx);
-  ReleaseToken(token);
-  return result;
-}
-
-Result<ResultSet> Session::QueryScheduled(const std::string& sql,
-                                          const ScheduledRun& run) {
+template <typename Fn>
+auto Session::Run(const AdmissionTicket& ticket, Fn fn) {
   QueryContext ctx;
   ctx.options = options_;
   ctx.user = user_;
-  ctx.cancel = run.token;  // registered by the scheduler at submission
   ctx.session_id = id_;
   ctx.peer = peer_;
   ctx.trace_id = trace_id_;
-  ctx.queue_wait_us = run.queue_wait_us;
-  ctx.admission_wait_us = run.admission_wait_us;
-  ctx.has_deadline = run.has_deadline;
-  ctx.deadline = run.deadline;
-  ctx.cancel_generation = run.cancel_generation;
-  Result<ResultSet> result = engine_->QueryWith(sql, ctx);
-  ReleaseToken(run.token);
-  return result;
+  using R = decltype(fn(ctx));
+  if (ticket.token == nullptr) {
+    ctx.cancel = AcquireToken();
+    R result = fn(ctx);
+    ReleaseToken(ctx.cancel);
+    return result;
+  }
+  // An admitted statement may have sat in a worker queue since admission:
+  // a cancel, CancelAll or deadline that landed meanwhile ends it before a
+  // single operator runs. Admission releases the ticket's token.
+  if (ticket.token->cancelled() ||
+      engine_->cancel_generation_->load(std::memory_order_relaxed) !=
+          ticket.cancel_generation) {
+    return R(Status(ErrorCode::kCancelled,
+                    "query cancelled after admission, before it started"));
+  }
+  if (ticket.has_deadline &&
+      std::chrono::steady_clock::now() >= ticket.deadline) {
+    return R(Status(ErrorCode::kDeadlineExceeded,
+                    "query deadline exceeded after admission, before it "
+                    "started"));
+  }
+  ctx.cancel = ticket.token;
+  ctx.admission_start = ticket.admission_start;
+  ctx.admitted_at = ticket.admitted_at;
+  ctx.queued_at = ticket.queued_at;
+  ctx.dequeued_at = ticket.dequeued_at;
+  ctx.has_deadline = ticket.has_deadline;
+  ctx.deadline = ticket.deadline;
+  ctx.cancel_generation = ticket.cancel_generation;
+  return fn(ctx);
+}
+
+Result<ResultSet> Session::Query(const std::string& sql,
+                                 const AdmissionTicket& ticket) {
+  return Run(ticket, [&](const QueryContext& ctx) {
+    return engine_->QueryWith(sql, ctx);
+  });
 }
 
 Result<PreparedPlanPtr> Session::Prepare(const std::string& sql,
                                          std::vector<TypeKind> param_types) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Result<PreparedPlanPtr> result =
-      engine_->PrepareSelect(sql, std::move(param_types), ctx);
-  ReleaseToken(token);
-  return result;
+  return Run({}, [&](const QueryContext& ctx) {
+    return engine_->PrepareSelect(sql, std::move(param_types), ctx);
+  });
 }
 
 Result<ResultSet> Session::QueryPrepared(const PreparedPlanPtr& prepared,
-                                         const Row& params) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Result<ResultSet> result = engine_->QueryPlanned(prepared, params, ctx);
-  ReleaseToken(token);
-  return result;
+                                         const Row& params,
+                                         const AdmissionTicket& ticket) {
+  return Run(ticket, [&](const QueryContext& ctx) {
+    return engine_->QueryPlanned(prepared, params, ctx);
+  });
 }
 
 Status Session::Execute(const std::string& sql) {
-  CancelTokenPtr token;
-  QueryContext ctx = MakeContext(&token);
-  Status status = engine_->ExecuteWith(sql, ctx);
-  ReleaseToken(token);
-  return status;
+  return Run({}, [&](const QueryContext& ctx) {
+    return engine_->ExecuteWith(sql, ctx);
+  });
 }
 
 void Session::Cancel() {

@@ -10,21 +10,30 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "runtime/rate_limiter.h"
 
 namespace msql {
 
-// Everything the scheduler hands a session about one admitted statement:
-// how long admission and queueing took (for the trace), the cancel token it
-// registered at submission, and the absolute deadline stamped when the
-// statement was submitted (docs/CONCURRENCY.md).
-struct ScheduledRun {
-  int64_t queue_wait_us = 0;      // worker-pickup latency after admission
-  int64_t admission_wait_us = 0;  // bounded-wait admission latency
-  CancelTokenPtr token;           // registered with the session at submit
+// What admission (runtime/admission.h) hands the engine about one
+// statement: the cancel token registered when the ticket was opened, the
+// absolute deadline, the Engine::CancelAll generation at opening, and when
+// the statement waited (docs/CONCURRENCY.md). It waits for a worker before
+// admission under msqld and after it under QueryScheduler; traces render
+// each wait where it happened. A default ticket means "not admitted": the
+// statement gets a fresh token and the session's timeout_ms.
+struct AdmissionTicket {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  CancelTokenPtr token;
   bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline{};
-  uint64_t cancel_generation = 0;  // Engine::CancelAll generation at submit
+  TimePoint deadline{};
+  uint64_t cancel_generation = 0;
+  TimePoint admission_start{};  // Admit() began waiting
+  TimePoint admitted_at{};      // Admit() returned
+  TimePoint queued_at{};        // handed to a worker queue
+  TimePoint dequeued_at{};      // picked up by a worker
+  // Set when Admit() reserved a slot, which Release() returns.
+  bool holds_slot = false;
+  // Set when admission shed the statement at the rate-limit gate.
+  bool rate_limited = false;
 };
 
 // One client's connection to an Engine: an options snapshot, a user, and a
@@ -35,17 +44,18 @@ struct ScheduledRun {
 //
 // `options()` / `SetUser` configure this session only, and — like their
 // engine-level counterparts — must not be called while this session has a
-// query in flight. The admission rate limit
-// (EngineOptions::admission_rate_limit_qps) is the exception: it is
-// snapshotted into the session's token bucket at CreateSession, so set it
-// on the engine's options before creating the session.
+// query in flight.
 class Session {
  public:
   // Session lifetime is tracked by the engine (msql_sessions_active).
   ~Session();
 
-  // Runs one statement as this session.
-  Result<ResultSet> Query(const std::string& sql);
+  // Runs one statement as this session. An admitted statement passes its
+  // ticket (Admission::Admit): its token, deadline, CancelAll generation and
+  // timeline carry into the query, and a cancel, CancelAll or deadline that
+  // landed since admission ends it before it starts.
+  Result<ResultSet> Query(const std::string& sql,
+                          const AdmissionTicket& ticket = {});
 
   // Runs one or more ';'-separated statements, discarding row results.
   Status Execute(const std::string& sql);
@@ -56,13 +66,15 @@ class Session {
   Result<PreparedPlanPtr> Prepare(const std::string& sql,
                                   std::vector<TypeKind> param_types);
 
-  // Executes a prepared plan with `params` bound to its `?` placeholders.
+  // Executes a prepared plan with `params` bound to its `?` placeholders;
+  // `ticket` as for Query.
   Result<ResultSet> QueryPrepared(const PreparedPlanPtr& prepared,
-                                  const Row& params);
+                                  const Row& params,
+                                  const AdmissionTicket& ticket = {});
 
   // Cancels every statement currently executing on this session (from any
-  // thread) — including statements still waiting in scheduler admission,
-  // which unwind with kCancelled without executing. Statements started
+  // thread) — including statements still waiting in admission, which
+  // unwind with kCancelled without executing. Statements started
   // after the call are unaffected.
   void Cancel();
 
@@ -84,38 +96,30 @@ class Session {
   void SetTraceId(std::string id) { trace_id_ = std::move(id); }
   const std::string& trace_id() const { return trace_id_; }
 
-  // Queries currently executing on this session (scheduler admission).
+  // Admitted statements of this session not yet released.
   int inflight() const { return inflight_.load(std::memory_order_acquire); }
 
  private:
   friend class Engine;
-  friend class QueryScheduler;
+  friend class Admission;
 
   Session(Engine* engine, uint64_t id, EngineOptions options,
           std::string user)
       : engine_(engine),
         id_(id),
         options_(std::move(options)),
-        user_(std::move(user)) {
-    rate_limiter_.Configure(options_.admission_rate_limit_qps,
-                            options_.admission_rate_limit_burst);
-  }
+        user_(std::move(user)) {}
 
-  // Builds the per-query context with a fresh cancel token, registered so
-  // Cancel() can reach it.
-  QueryContext MakeContext(CancelTokenPtr* token_out);
-
-  // Creates and registers a token without building a context yet: the
-  // scheduler acquires the token at submission time so Cancel() reaches
-  // statements still waiting for admission.
+  // Registered tokens are what Cancel() reaches; Admission::Open registers
+  // one before the statement queues or waits.
   CancelTokenPtr AcquireToken();
   void ReleaseToken(const CancelTokenPtr& token);
 
-  // Query() as dispatched by QueryScheduler: runs under the already
-  // registered token and carries the admission/queue waits (traced as
-  // spans) and the submission-time deadline into the query context.
-  Result<ResultSet> QueryScheduled(const std::string& sql,
-                                   const ScheduledRun& run);
+  // The one per-statement context builder: runs `fn(ctx)` under the
+  // ticket's token, deadline and waits, or under a fresh token registered
+  // for the call when the ticket is a default one.
+  template <typename Fn>
+  auto Run(const AdmissionTicket& ticket, Fn fn);
 
   Engine* engine_;
   uint64_t id_;
@@ -123,9 +127,6 @@ class Session {
   std::string user_;
   std::string peer_;
   std::string trace_id_;
-
-  // Admission token bucket; disabled unless admission_rate_limit_qps > 0.
-  RateLimiter rate_limiter_;
 
   std::mutex tokens_mu_;
   std::vector<CancelTokenPtr> active_tokens_;

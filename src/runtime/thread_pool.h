@@ -13,9 +13,10 @@ namespace msql {
 
 // A fixed-size worker pool executing submitted closures FIFO. The pool
 // itself is unbounded; its submitters bound their own load: QueryScheduler
-// (admission control: queue depth, per-session limits), msqld's statement
-// workers (per-user admission in the server) and the engine's measure pool
-// (one batch of morsel tasks per parallel build or probe). Shutdown()
+// (runtime/admission.h: pending and per-session slots, per-user rate
+// limit), msqld's statement workers (one statement in flight per
+// connection, per-user rate limit) and the engine's measure pool (one batch
+// of morsel tasks per parallel build or probe). Shutdown()
 // drains the queue and joins the workers; tasks submitted after Shutdown
 // are rejected.
 class ThreadPool {

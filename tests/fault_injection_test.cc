@@ -18,7 +18,6 @@
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "runtime/retry.h"
 #include "runtime/scheduler.h"
 
 namespace msql {
@@ -362,10 +361,9 @@ TEST_F(FaultInjectionTest, VectorizedKernelFaultDegradesToRowExecution) {
       << "the workload never crossed exec.vectorized_kernel";
 }
 
-TEST_F(FaultInjectionTest, AdmissionAndRetrySweep) {
-  // The runtime fault points (runtime.admission_wait at the head of
-  // Submit, runtime.retry_backoff before each retry sleep) are crossed
-  // deterministically through the scheduler, and each fires cleanly.
+TEST_F(FaultInjectionTest, AdmissionSweep) {
+  // The runtime.admission_wait fault point at the head of admission is
+  // crossed deterministically through the scheduler and fires cleanly.
   auto& fi = FaultInjector::Instance();
   Engine db;
   ASSERT_TRUE(db.ImportCsv("Orders", csv_path_).ok());
@@ -373,30 +371,23 @@ TEST_F(FaultInjectionTest, AdmissionAndRetrySweep) {
   SchedulerOptions opts;
   opts.num_threads = 1;
   opts.max_pending = 0;            // every submission is shed...
-  opts.max_admission_wait_ms = 0;  // ...immediately (instant reject)
+  opts.admission.max_admission_wait_ms = 0;  // ...immediately
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_ms = 1;
-  policy.max_backoff_ms = 1;
 
-  // Count-only pass: 3 attempts cross runtime.admission_wait, the 2
-  // retries cross runtime.retry_backoff; nothing executes.
+  // Count-only pass: the one submission crosses runtime.admission_wait
+  // once and is shed; nothing executes.
   fi.ArmAt(0);
   {
-    Result<ResultSet> r =
-        scheduler.SubmitWithRetry(session, "SELECT COUNT(*) FROM Orders",
-                                  policy);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), ErrorCode::kResourceExhausted);
+    auto f = scheduler.Submit(session, "SELECT COUNT(*) FROM Orders");
+    ASSERT_FALSE(f.ok());
+    EXPECT_EQ(f.status().code(), ErrorCode::kResourceExhausted);
   }
-  EXPECT_EQ(fi.hits(), 5);
+  EXPECT_EQ(fi.hits(), 1);
   fi.Reset();
 
   // Fire at admission: the submission fails with the injected fault before
-  // any waiting, and the rejection is not retried (kExecution is not
-  // retryable).
+  // any waiting.
   fi.ArmSite("runtime.admission_wait", 1);
   {
     auto f = scheduler.Submit(session, "SELECT COUNT(*) FROM Orders");
@@ -404,21 +395,6 @@ TEST_F(FaultInjectionTest, AdmissionAndRetrySweep) {
     EXPECT_NE(f.status().message().find("injected fault"), std::string::npos)
         << f.status().ToString();
     EXPECT_EQ(fi.fired_site(), "runtime.admission_wait");
-    EXPECT_EQ(fi.fire_count(), 1);
-  }
-  fi.Reset();
-
-  // Fire at the retry backoff: the first shed is retryable, the backoff
-  // checkpoint fires, and the retry loop unwinds with the injected fault.
-  fi.ArmSite("runtime.retry_backoff", 1);
-  {
-    Result<ResultSet> r =
-        scheduler.SubmitWithRetry(session, "SELECT COUNT(*) FROM Orders",
-                                  policy);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("injected fault"), std::string::npos)
-        << r.status().ToString();
-    EXPECT_EQ(fi.fired_site(), "runtime.retry_backoff");
     EXPECT_EQ(fi.fire_count(), 1);
   }
   fi.Reset();
@@ -509,6 +485,27 @@ TEST_F(FaultInjectionTest, NetFaultPointsFailCleanly) {
     EXPECT_EQ(r.status().code(), ErrorCode::kIo) << r.status().ToString();
     fi.Reset();
     probe_healthy("after-write");
+  }
+
+  // runtime.admission_wait: a wire Query fails in admission with a clean
+  // Error frame; the connection and the server keep serving.
+  {
+    net::Client victim;
+    net::ClientOptions options;
+    options.user = "victim";
+    options.io_timeout_ms = 5000;
+    ASSERT_TRUE(victim.Connect("127.0.0.1", server.port(), options).ok());
+    fi.ArmSite("runtime.admission_wait", 1);
+    auto r = victim.Query("SELECT COUNT(*) FROM T");
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find("injected fault"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(fi.fired_site(), "runtime.admission_wait");
+    fi.Reset();
+    auto again = victim.Query("SELECT COUNT(*) FROM T");
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().Get(0, 0).int_val(), 3);
+    probe_healthy("after-admission");
   }
 
   // net.plan_cache_fill: the cache fill fails inside Prepare; the client

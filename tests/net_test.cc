@@ -57,6 +57,31 @@ class NetTest : public ::testing::Test {
     return options;
   }
 
+  // Starts a statement on `client` that holds a statement worker until its
+  // own `timeout_ms` ends it, and returns once the server has it in flight.
+  // With num_worker_threads = 1, statements dispatched meanwhile queue.
+  std::thread HoldWorker(net::Client& client, uint32_t timeout_ms) {
+    if (engine_->Execute("CREATE TABLE T (v INTEGER)").ok()) {
+      std::vector<Row> rows;
+      for (int i = 0; i < 200; ++i) rows.push_back({Value::Int(i)});
+      EXPECT_TRUE(engine_->InsertRows("T", std::move(rows)).ok());
+    }
+    std::thread slow([&client, timeout_ms] {
+      client.Query("SELECT COUNT(*) FROM T a, T b, T c "
+                   "WHERE a.v + b.v + c.v < 0",
+                   timeout_ms);
+    });
+    bool busy = false;
+    for (int i = 0; i < 500 && !busy; ++i) {
+      for (const auto& conn : server_->SnapshotConnections()) {
+        if (conn.state == "busy") busy = true;
+      }
+      if (!busy) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(busy);
+    return slow;
+  }
+
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<net::MsqldServer> server_;
 };
@@ -384,9 +409,9 @@ TEST_F(NetTest, SlowClientIsShedWithResourceExhausted) {
 
 TEST_F(NetTest, PerUserAdmissionRateLimiting) {
   net::ServerOptions options;
-  options.per_user_rate_limit_qps = 1.0;
-  options.per_user_rate_limit_burst = 1;
-  options.max_admission_wait_ms = 5;
+  options.admission.per_user_rate_limit_qps = 1.0;
+  options.admission.per_user_rate_limit_burst = 1;
+  options.admission.max_admission_wait_ms = 5;
   StartServer(options);
 
   net::Client flooder;
@@ -426,6 +451,197 @@ TEST_F(NetTest, DeadlinePropagatesFromWire) {
       << r.status().ToString();
   // Connection unharmed.
   EXPECT_TRUE(client.Query("SELECT 1").ok());
+}
+
+// Reads one whole frame from a raw socket.
+Result<net::Frame> ReadRawFrame(int fd, int64_t timeout_ms) {
+  uint8_t header[net::kFrameHeaderBytes];
+  MSQL_RETURN_IF_ERROR(net::ReadExact(fd, header, sizeof(header), timeout_ms));
+  const uint32_t len = header[0] | (header[1] << 8) | (header[2] << 16) |
+                       (static_cast<uint32_t>(header[3]) << 24);
+  net::Frame frame;
+  frame.type = static_cast<net::FrameType>(header[4]);
+  frame.payload.resize(len);
+  MSQL_RETURN_IF_ERROR(
+      net::ReadExact(fd, frame.payload.data(), len, timeout_ms));
+  return frame;
+}
+
+Status SendRawFrame(int fd, net::FrameType type, const std::string& payload) {
+  std::string frames;
+  net::AppendFrame(&frames, type, payload);
+  return net::WriteAll(fd, frames.data(), frames.size(), 2000);
+}
+
+std::string QueryPayload(const std::string& sql) {
+  net::QueryMsg msg;
+  msg.sql = sql;
+  return net::EncodeQuery(msg);
+}
+
+// Connects a raw socket and completes the Hello handshake as `user`.
+Result<net::Socket> RawConnect(uint16_t port, const std::string& user) {
+  MSQL_ASSIGN_OR_RETURN(net::Socket sock,
+                        net::ConnectTo("127.0.0.1", port, 2000));
+  net::HelloMsg hello;
+  hello.user = user;
+  MSQL_RETURN_IF_ERROR(
+      SendRawFrame(sock.fd(), net::FrameType::kHello, net::EncodeHello(hello)));
+  MSQL_RETURN_IF_ERROR(ReadRawFrame(sock.fd(), 2000).status());
+  return sock;
+}
+
+TEST_F(NetTest, CancelReachesStatementWaitingInAdmission) {
+  net::ServerOptions options;
+  options.admission.per_user_rate_limit_qps = 0.2;  // a token every 5s
+  options.admission.per_user_rate_limit_burst = 1;
+  options.admission.max_admission_wait_ms = 10 * 1000;
+  StartServer(options);
+  auto sock = RawConnect(server_->port(), "patient");
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  const int fd = sock.value().fd();
+
+  // The first statement takes the burst token and runs.
+  ASSERT_TRUE(
+      SendRawFrame(fd, net::FrameType::kQuery, QueryPayload("SELECT 1")).ok());
+  auto first = ReadRawFrame(fd, 5000);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().type, net::FrameType::kResultBatch);
+
+  // The second waits for the next token, 5s away; the Cancel must end that
+  // wait instead of letting the statement run when the token arrives.
+  ASSERT_TRUE(
+      SendRawFrame(fd, net::FrameType::kQuery, QueryPayload("SELECT 2")).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(SendRawFrame(fd, net::FrameType::kCancel, "").ok());
+  auto second = ReadRawFrame(fd, 10000);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second.value().type, net::FrameType::kError);
+  auto error = net::DecodeError(second.value().payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(net::StatusFromError(error.value()).code(), ErrorCode::kCancelled)
+      << error.value().message;
+  EXPECT_LT(std::chrono::steady_clock::now() - cancelled_at,
+            std::chrono::milliseconds(2500));
+}
+
+TEST_F(NetTest, DeadlineStartsAtFrameDispatch) {
+  net::ServerOptions options;
+  options.num_worker_threads = 1;  // the second statement queues
+  StartServer(options);
+  net::Client slow_client;
+  ASSERT_TRUE(
+      slow_client.Connect("127.0.0.1", server_->port(), User("slow")).ok());
+  net::Client quick_client;
+  ASSERT_TRUE(
+      quick_client.Connect("127.0.0.1", server_->port(), User("quick")).ok());
+  std::thread slow = HoldWorker(slow_client, /*timeout_ms=*/1000);
+  // Its 20ms budget runs out while it waits for the worker.
+  auto r = quick_client.Query("SELECT 1", /*timeout_ms=*/20);
+  slow.join();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kDeadlineExceeded)
+      << r.status().ToString();
+  EXPECT_TRUE(quick_client.Query("SELECT 1").ok());
+}
+
+TEST_F(NetTest, CancelReachesStatementQueuedForWorker) {
+  net::ServerOptions options;
+  options.num_worker_threads = 1;
+  StartServer(options);
+  net::Client slow_client;
+  ASSERT_TRUE(
+      slow_client.Connect("127.0.0.1", server_->port(), User("slow")).ok());
+  std::thread slow = HoldWorker(slow_client, /*timeout_ms=*/500);
+
+  auto sock = RawConnect(server_->port(), "waiting");
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  const int fd = sock.value().fd();
+  ASSERT_TRUE(
+      SendRawFrame(fd, net::FrameType::kQuery, QueryPayload("SELECT 1")).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(SendRawFrame(fd, net::FrameType::kCancel, "").ok());
+  auto reply = ReadRawFrame(fd, 10000);
+  slow.join();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, net::FrameType::kError);
+  auto error = net::DecodeError(reply.value().payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(net::StatusFromError(error.value()).code(), ErrorCode::kCancelled)
+      << error.value().message;
+}
+
+TEST_F(NetTest, QueuedStatementOfClosedConnectionTakesNoToken) {
+  net::ServerOptions options;
+  options.num_worker_threads = 1;
+  options.admission.per_user_rate_limit_qps = 0.2;  // a token every 5s
+  options.admission.per_user_rate_limit_burst = 1;
+  options.admission.max_admission_wait_ms = 50;
+  StartServer(options);
+  net::Client slow_client;
+  ASSERT_TRUE(
+      slow_client.Connect("127.0.0.1", server_->port(), User("slow")).ok());
+  std::thread slow = HoldWorker(slow_client, /*timeout_ms=*/500);
+
+  // bob's statement queues behind the slow one; bob then goes away.
+  {
+    auto sock = RawConnect(server_->port(), "bob");
+    ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+    ASSERT_TRUE(SendRawFrame(sock.value().fd(), net::FrameType::kQuery,
+                             QueryPayload("SELECT 1"))
+                    .ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  slow.join();
+
+  // The abandoned statement must not have spent bob's only token.
+  net::Client bob;
+  ASSERT_TRUE(bob.Connect("127.0.0.1", server_->port(), User("bob")).ok());
+  auto r = bob.Query("SELECT 1");
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+}
+
+TEST_F(NetTest, TracedWireStatementShowsQueueThenAdmissionWait) {
+  net::ServerOptions options;
+  options.num_worker_threads = 1;
+  options.admission.per_user_rate_limit_qps = 1.0;  // a token every second
+  options.admission.per_user_rate_limit_burst = 1;
+  options.admission.max_admission_wait_ms = 10 * 1000;
+  StartServer(options);
+  net::Client slow_client;
+  ASSERT_TRUE(
+      slow_client.Connect("127.0.0.1", server_->port(), User("ann")).ok());
+  net::Client traced;
+  ASSERT_TRUE(traced.Connect("127.0.0.1", server_->port(), User("ann")).ok());
+  traced.SetTrace(true, "queue-then-admission");
+  // The slow statement takes ann's token and the worker for ~200ms; the
+  // traced one first waits for the worker, then for ann's next token.
+  std::thread slow = HoldWorker(slow_client, /*timeout_ms=*/200);
+  auto r = traced.Query("SELECT 1");
+  slow.join();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r.value().stats(), nullptr);
+  EXPECT_GT(r.value().stats()->queue_wait_us, 0);
+  EXPECT_GT(r.value().stats()->admission_wait_us, 0);
+
+  const obs::TraceSpan* queue = nullptr;
+  const obs::TraceSpan* admission = nullptr;
+  for (const auto& trace : engine_->RecentTraces()) {
+    if (trace->trace_id() != "queue-then-admission") continue;
+    for (const auto& span : trace->root().children) {
+      if (span->name == "queue-wait") queue = span.get();
+      if (span->name == "admission-wait") admission = span.get();
+    }
+  }
+  ASSERT_NE(queue, nullptr);
+  ASSERT_NE(admission, nullptr);
+  // Both ended before the trace clock started (offsets allow for µs
+  // rounding).
+  EXPECT_LT(queue->start_us, admission->start_us);
+  EXPECT_LE(queue->start_us + queue->duration_us, admission->start_us + 1);
+  EXPECT_LE(admission->start_us + admission->duration_us, 1);
 }
 
 TEST_F(NetTest, ConnectionLimitPerUser) {

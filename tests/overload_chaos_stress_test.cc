@@ -8,7 +8,7 @@
 // (docs/ROBUSTNESS.md).
 //
 // Determinism: the fault fires on a fixed named site with a fixed budget,
-// retry jitter is seeded, and every assertion is about invariants
+// and every assertion is about invariants
 // (status sets, conservation of completions, fallback counts, answers),
 // not about timing. On failure the test writes a repro artifact (the
 // configuration plus the observed status tally) to
@@ -117,8 +117,8 @@ TEST(OverloadChaosStressTest, SurvivesOverloadWithGroupedBuildFaults) {
 
   SchedulerOptions sopts;
   sopts.num_threads = 2;
-  sopts.max_pending = 4;           // well under the offered load
-  sopts.max_admission_wait_ms = 5; // sheds are part of the scenario
+  sopts.max_pending = 4;  // well under the offered load
+  sopts.admission.max_admission_wait_ms = 5;  // sheds are in the scenario
   QueryScheduler scheduler(sopts);
 
   std::vector<SessionPtr> sessions;
@@ -244,7 +244,7 @@ TEST(OverloadChaosStressTest, PureOverloadShedsCleanlyWithoutDegrading) {
   SchedulerOptions sopts;
   sopts.num_threads = 2;
   sopts.max_pending = 2;
-  sopts.max_admission_wait_ms = 1;
+  sopts.admission.max_admission_wait_ms = 1;
   QueryScheduler scheduler(sopts);
   SessionPtr session = db.CreateSession();
 

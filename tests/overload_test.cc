@@ -1,8 +1,8 @@
 // Overload resilience (docs/ROBUSTNESS.md, docs/CONCURRENCY.md): token-
-// bucket rate limiting, retry backoff, bounded-wait admission with deadline
-// propagation, cancellation reaching queued-but-unstarted work, and the
-// observability surface of all of it (metrics, trace spans, EXPLAIN
-// ANALYZE outcome lines).
+// bucket rate limiting, the retryability contract, bounded-wait admission
+// with deadline propagation, cancellation reaching queued-but-unstarted
+// work, and the observability surface of all of it (metrics, trace spans,
+// EXPLAIN ANALYZE outcome lines).
 
 #include <chrono>
 #include <string>
@@ -14,7 +14,6 @@
 #include "gtest/gtest.h"
 #include "obs/trace.h"
 #include "runtime/rate_limiter.h"
-#include "runtime/retry.h"
 #include "runtime/scheduler.h"
 #include "runtime/session.h"
 
@@ -69,29 +68,8 @@ TEST(RateLimiterTest, TokensRefillOverTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry policy
+// Retryability: the contract clients retry on
 // ---------------------------------------------------------------------------
-
-TEST(RetryTest, BackoffIsDeterministicCappedAndJittered) {
-  RetryPolicy policy;
-  policy.initial_backoff_ms = 4;
-  policy.max_backoff_ms = 32;
-  policy.multiplier = 2.0;
-  policy.jitter_seed = 7;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const int64_t a = RetryBackoffUs(policy, attempt);
-    const int64_t b = RetryBackoffUs(policy, attempt);
-    EXPECT_EQ(a, b) << "attempt " << attempt;  // seeded jitter: reproducible
-    const int64_t nominal_ms =
-        std::min<int64_t>(policy.max_backoff_ms, 4 << attempt);
-    EXPECT_GE(a, nominal_ms * 1000 / 2) << "attempt " << attempt;
-    EXPECT_LT(a, nominal_ms * 1000) << "attempt " << attempt;
-  }
-  // Different seeds decorrelate concurrent retriers.
-  RetryPolicy other = policy;
-  other.jitter_seed = 8;
-  EXPECT_NE(RetryBackoffUs(policy, 0), RetryBackoffUs(other, 0));
-}
 
 TEST(RetryTest, OnlyResourceExhaustedIsRetryable) {
   EXPECT_TRUE(Status(ErrorCode::kResourceExhausted, "shed").IsRetryable());
@@ -111,8 +89,8 @@ TEST(AdmissionTest, BoundedWaitRidesOutTransientSaturation) {
   LoadInts(&db, 120, 120);
   SchedulerOptions opts;
   opts.num_threads = 1;
-  opts.max_pending = 1;             // the slow query saturates the scheduler
-  opts.max_admission_wait_ms = 10 * 1000;
+  opts.max_pending = 1;  // the slow query saturates the scheduler
+  opts.admission.max_admission_wait_ms = 10 * 1000;
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
 
@@ -134,7 +112,7 @@ TEST(AdmissionTest, ShedsWithResourceExhaustedWhenWaitExpires) {
   LoadInts(&db, 10, 10);
   SchedulerOptions opts;
   opts.max_pending = 0;  // no slot will ever free up
-  opts.max_admission_wait_ms = 30;
+  opts.admission.max_admission_wait_ms = 30;
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
   auto f = scheduler.Submit(session, "SELECT COUNT(*) FROM T");
@@ -150,7 +128,7 @@ TEST(AdmissionTest, CancelReachesSubmissionWaitingForAdmission) {
   LoadInts(&db, 10, 10);
   SchedulerOptions opts;
   opts.max_pending = 0;
-  opts.max_admission_wait_ms = 10 * 1000;  // would wait 10s without cancel
+  opts.admission.max_admission_wait_ms = 10 * 1000;  // 10s without cancel
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
   std::thread canceller([&session] {
@@ -248,51 +226,6 @@ TEST(DeadlineTest, QueueWaitChargesTheDeadlineBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// SubmitWithRetry
-// ---------------------------------------------------------------------------
-
-TEST(RetryTest, SubmitWithRetryRidesOutShedding) {
-  Engine db;
-  LoadInts(&db, 150, 150);
-  SchedulerOptions opts;
-  opts.num_threads = 1;
-  opts.max_pending = 1;
-  opts.max_admission_wait_ms = 0;  // instant reject: every shed is a retry
-  QueryScheduler scheduler(opts);
-  SessionPtr session = db.CreateSession();
-
-  auto slow = scheduler.Submit(session, kSlowQuery);
-  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
-  // The slow query holds the worker for a couple of seconds; give the
-  // retry loop ample budget (it exits on the first success, so the bound
-  // is never reached in practice).
-  RetryPolicy policy;
-  policy.max_attempts = 1000;
-  policy.initial_backoff_ms = 5;
-  policy.max_backoff_ms = 10;
-  Result<ResultSet> r =
-      scheduler.SubmitWithRetry(session, "SELECT COUNT(*) FROM T", policy);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().Get(0, 0).int_val(), 150);
-  ASSERT_TRUE(slow.take().get().ok());
-  scheduler.Drain();
-  const std::string text = db.MetricsText();
-  EXPECT_NE(text.find("msql_retries_total"), std::string::npos);
-}
-
-TEST(RetryTest, NonRetryableFailureSurfacesImmediately) {
-  Engine db;
-  QueryScheduler scheduler;
-  SessionPtr session = db.CreateSession();
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  Result<ResultSet> r =
-      scheduler.SubmitWithRetry(session, "SELECT * FROM NoSuchTable", policy);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kCatalog);
-}
-
-// ---------------------------------------------------------------------------
 // Observability of admission
 // ---------------------------------------------------------------------------
 
@@ -300,35 +233,48 @@ TEST(ObsTest, RateLimitShedIsCountedAndLabelled) {
   Engine db;
   LoadInts(&db, 10, 10);
   SchedulerOptions opts;
-  opts.global_rate_limit_qps = 1.0;  // next token ~1s away
-  opts.global_rate_limit_burst = 1;
-  opts.max_admission_wait_ms = 5;    // far less than the token interval
+  opts.admission.per_user_rate_limit_qps = 1.0;  // next token ~1s away
+  opts.admission.per_user_rate_limit_burst = 1;
+  opts.admission.max_admission_wait_ms = 5;  // far less than the interval
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
+  session->SetUser("alice");
+  // A second session of the same user draws on the same bucket.
+  SessionPtr same_user = db.CreateSession();
+  same_user->SetUser("alice");
 
   auto first = scheduler.Submit(session, "SELECT COUNT(*) FROM T");
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(first.take().get().ok());
-  auto second = scheduler.Submit(session, "SELECT COUNT(*) FROM T");
+  auto second = scheduler.Submit(same_user, "SELECT COUNT(*) FROM T");
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_NE(second.status().message().find("rate limited"),
             std::string::npos)
       << second.status().ToString();
   const std::string text = db.MetricsText();
-  EXPECT_NE(text.find("msql_rate_limited_total"), std::string::npos);
+  EXPECT_NE(text.find("msql_rate_limited_total 1"), std::string::npos)
+      << text;
   EXPECT_NE(text.find("msql_admission_wait_seconds"), std::string::npos);
+
+  // Another user has a bucket of its own.
+  SessionPtr other = db.CreateSession();
+  other->SetUser("bob");
+  auto third = scheduler.Submit(other, "SELECT COUNT(*) FROM T");
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  ASSERT_TRUE(third.take().get().ok());
 }
 
 TEST(ObsTest, AdmissionWaitAppearsAsTraceSpan) {
   EngineOptions eopts;
   eopts.enable_tracing = true;
-  eopts.admission_rate_limit_qps = 100.0;  // 10ms per token
-  eopts.admission_rate_limit_burst = 1;
   Engine db(eopts);
   LoadInts(&db, 10, 10);
-  QueryScheduler scheduler;
-  SessionPtr session = db.CreateSession();  // snapshots the rate limit
+  SchedulerOptions opts;
+  opts.admission.per_user_rate_limit_qps = 100.0;  // 10ms per token
+  opts.admission.per_user_rate_limit_burst = 1;
+  QueryScheduler scheduler(opts);
+  SessionPtr session = db.CreateSession();
 
   // First submission takes the burst token; the second waits ~10ms in
   // admission, which the trace must record as an admission-wait span.

@@ -453,8 +453,8 @@ TEST(SchedulerTest, RejectsWhenQueueFull) {
   Engine db;
   SeedOrders(&db);
   SchedulerOptions opts;
-  opts.max_pending = 0;           // admit nothing: deterministic rejection
-  opts.max_admission_wait_ms = 0; // instant-reject mode (no bounded wait)
+  opts.max_pending = 0;  // admit nothing: deterministic rejection
+  opts.admission.max_admission_wait_ms = 0;  // instant reject (no wait)
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
   auto f = scheduler.Submit(session, "SELECT 1");
@@ -467,7 +467,7 @@ TEST(SchedulerTest, RejectsOverPerSessionLimit) {
   SeedOrders(&db);
   SchedulerOptions opts;
   opts.max_inflight_per_session = 0;
-  opts.max_admission_wait_ms = 0;  // instant-reject mode (no bounded wait)
+  opts.admission.max_admission_wait_ms = 0;  // instant reject (no wait)
   QueryScheduler scheduler(opts);
   SessionPtr session = db.CreateSession();
   auto f = scheduler.Submit(session, "SELECT 1");

@@ -92,11 +92,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--rate-limit-qps") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      server_options.per_user_rate_limit_qps = std::atof(v);
+      server_options.admission.per_user_rate_limit_qps = std::atof(v);
     } else if (arg == "--rate-limit-burst") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      server_options.per_user_rate_limit_burst = std::atoll(v);
+      server_options.admission.per_user_rate_limit_burst = std::atoll(v);
     } else if (arg == "--max-connections") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

@@ -24,13 +24,13 @@ namespace msql {
   X(measure_inline_evals, "msql_measure_inline_evals_total",                 \
     "Measure evaluations taking the row-id inline fast path")                \
   X(measure_grouped_builds, "msql_measure_grouped_builds_total",             \
-    "Grouped-strategy dimension-index builds")                               \
+    "Grouped-strategy partitions of a measure source built")                 \
   X(measure_grouped_probes, "msql_measure_grouped_probes_total",             \
-    "Measure evaluations answered by a grouped-index probe")                 \
+    "Measure evaluations answered by a grouped table lookup or probe")       \
   X(measure_grouped_fallbacks, "msql_measure_grouped_fallbacks_total",       \
-    "Grouped index builds degraded to the scan path (fault injection)")      \
+    "Grouped builds degraded to the scan path (fault injection)")            \
   X(measure_parallel_tasks, "msql_measure_parallel_tasks_total",             \
-    "Morsel-parallel measure evaluation worker tasks dispatched")            \
+    "Workers dispatched for parallel row-path key evaluation in builds")     \
   /* Correlated scalar subqueries (exec/executor.cc). */                     \
   X(subquery_execs, "msql_subquery_execs_total",                             \
     "Correlated subquery executions")                                        \

@@ -101,6 +101,17 @@ size_t HashRow(const Row& row, size_t n);
 // NotDistinct over all values of two equal-length rows.
 bool RowsNotDistinct(const Row& a, const Row& b);
 
+// Hash and equality for Row-keyed hash maps under GROUP BY key semantics
+// (IS NOT DISTINCT FROM, so NULL keys form a group like any other value).
+struct RowKeyHash {
+  size_t operator()(const Row& r) const { return HashRow(r, r.size()); }
+};
+struct RowKeyEq {
+  bool operator()(const Row& a, const Row& b) const {
+    return RowsNotDistinct(a, b);
+  }
+};
+
 }  // namespace msql
 
 #endif  // MSQL_COMMON_VALUE_H_

@@ -688,8 +688,8 @@ Result<ResultSet> Engine::ExecutePlanImpl(
     // dimension pinned to its row (the default per-row evaluation context).
     // Inside nested queries the placeholder NULLs are never read,
     // preserving closure. One batch per measure column: every row's
-    // context shares a shape, which the grouped strategy turns into one
-    // index build plus a probe (possibly morsel-parallel) per row.
+    // context shares a shape, which the grouped strategy answers from one
+    // key->value table with a lookup per row.
     for (const RtMeasure& m : rel->measures) {
       if (m.column < 0 || static_cast<size_t>(m.column) >= visible) continue;
       std::vector<EvalContext> contexts;

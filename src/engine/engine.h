@@ -336,11 +336,11 @@ class Engine {
   // Folds a finished query's counters into the metrics registry.
   void AccumulateStats(const ExecState& state);
 
-  // Worker pool for morsel-parallel grouped measure evaluation, created
-  // lazily on the first query that has a parallel-eligible index build or
-  // probe batch — small queries never pay for thread spawns. Sized once
-  // from the hardware; per-query width is capped separately with
-  // EngineOptions::measure_parallelism. Distinct from the sessions'
+  // Worker pool for morsel-parallel row-path key evaluation in grouped
+  // measure builds, created lazily on the first query that has a
+  // parallel-eligible build — small queries never pay for thread spawns.
+  // Sized once from the hardware; per-query width is capped separately
+  // with EngineOptions::measure_parallelism. Distinct from the sessions'
   // QueryScheduler pool: queries block on this pool's results, so sharing
   // would deadlock a fully-loaded scheduler.
   ThreadPool* MeasurePool();

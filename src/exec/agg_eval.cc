@@ -1,7 +1,9 @@
 #include "exec/agg_eval.h"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <unordered_map>
 
 #include "exec/vector_eval.h"
 
@@ -229,6 +231,79 @@ Result<Value> EvalAggCall(AggId agg, const std::vector<BoundExprPtr>& args,
     MSQL_RETURN_IF_ERROR(acc.Accumulate(arg_values));
   }
   return acc.Finish();
+}
+
+Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
+                      const std::vector<Row>& key_rows,
+                      const std::vector<int>& set, int64_t n, bool keep_map,
+                      ExecState* state, RowGroups* out) {
+  out->keys.clear();
+  out->map.clear();
+  out->rows.clear();
+  const bool columnar = !key_cols.empty();
+  if (columnar && set.size() == 1) {
+    // Single-key fast path over comparable codes: for BOOL/INT64/DATE the
+    // payload IS the value, and for a dedup'd dictionary the code equals
+    // the string. Code equality then coincides with IS NOT DISTINCT FROM
+    // (same-kind payload equality), so grouping hashes an int64 instead of
+    // a Value. DOUBLE is excluded: -0.0 == 0.0 yet differs bitwise. With
+    // `keep_map` each group's tuple is hashed once more into the map, so
+    // only a dictionary key takes this path there: its codes are bounded
+    // by the dictionary, and it saves copying a string per row. An
+    // unbounded integer key with `keep_map` would pay two maps per row.
+    const ColumnVector& c = *key_cols[static_cast<size_t>(set[0])];
+    const bool dict = c.kind == TypeKind::kString && c.dict_unique;
+    if (dict || (!keep_map && (c.kind == TypeKind::kBool ||
+                               c.kind == TypeKind::kInt64 ||
+                               c.kind == TypeKind::kDate ||
+                               c.kind == TypeKind::kNull))) {
+      std::unordered_map<int64_t, size_t> by_code;
+      size_t null_group = SIZE_MAX;
+      for (int64_t i = 0; i < n; ++i) {
+        if ((i & (kRowsPerBatch - 1)) == 0) {
+          MSQL_RETURN_IF_ERROR(state->guard.Check());
+        }
+        size_t* gi = &null_group;
+        if (c.IsValid(i)) {
+          gi = &by_code.try_emplace(c.ints[i], SIZE_MAX).first->second;
+        }
+        if (*gi == SIZE_MAX) {
+          *gi = out->rows.size();
+          if (keep_map) {
+            out->map.emplace(Row{c.At(i)}, *gi);
+          } else {
+            out->keys.push_back(Row{c.At(i)});
+          }
+          out->rows.emplace_back();
+        }
+        out->rows[*gi].push_back(i);
+      }
+      return Status::Ok();
+    }
+  }
+  RowGroupMap& map = out->map;
+  map.reserve(static_cast<size_t>(n / 4 + 1));
+  for (int64_t i = 0; i < n; ++i) {
+    MSQL_RETURN_IF_ERROR(state->guard.Check());
+    Row key;
+    key.reserve(set.size());
+    for (int k : set) {
+      key.push_back(columnar ? key_cols[static_cast<size_t>(k)]->At(i)
+                             : key_rows[static_cast<size_t>(i)][k]);
+    }
+    auto [it, inserted] = map.emplace(std::move(key), out->rows.size());
+    if (inserted) out->rows.emplace_back();
+    out->rows[it->second].push_back(i);
+  }
+  if (!keep_map) {
+    // Move each tuple out of the map into its first-seen position.
+    out->keys.resize(out->rows.size());
+    while (!map.empty()) {
+      auto node = map.extract(map.begin());
+      out->keys[node.mapped()] = std::move(node.key());
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace msql

@@ -3,8 +3,11 @@
 
 #include <vector>
 
+#include <unordered_map>
+
 #include "binder/bound_expr.h"
 #include "common/status.h"
+#include "exec/column_vector.h"
 #include "exec/eval.h"
 #include "exec/relation.h"
 
@@ -19,6 +22,32 @@ Result<Value> EvalAggCall(AggId agg, const std::vector<BoundExprPtr>& args,
                           const Relation& rel,
                           const std::vector<int64_t>& rows,
                           const RowStack& outer, ExecState* state);
+
+// Tuple -> group index under GROUP BY key semantics.
+using RowGroupMap = std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq>;
+
+// Rows [0, n) partitioned by a key tuple, groups in first-seen order:
+// rows[g] holds group g's row indexes, ascending. Group g's tuple is
+// keys[g], or — for a caller that keeps the map — the key that maps to g.
+struct RowGroups {
+  std::vector<Row> keys;
+  RowGroupMap map;
+  std::vector<std::vector<int64_t>> rows;
+};
+
+// Groups rows [0, n) by the key positions `set` selects, under IS NOT
+// DISTINCT FROM equality. Keys come from `key_cols` (one column per key
+// position) when it is non-empty, else from `key_rows` (row i's full key
+// tuple). A single deduplicated-dictionary key column — and, unless
+// `keep_map`, a single BOOL/INT64/DATE one — groups by its payload code,
+// which coincides with the Value equality. With `keep_map` the tuples are
+// returned in out->map, a lookup structure for the caller (out->keys stays
+// empty); otherwise out->keys holds them (out->map is empty). Shared by
+// the Aggregate operator and the grouped measure partition.
+Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
+                      const std::vector<Row>& key_rows,
+                      const std::vector<int>& set, int64_t n, bool keep_map,
+                      ExecState* state, RowGroups* out);
 
 }  // namespace msql
 

@@ -17,6 +17,7 @@ namespace msql {
 class SharedMeasureCache;  // runtime/shared_cache.h
 class ThreadPool;          // runtime/thread_pool.h
 struct GroupedIndex;       // measure/grouped.h
+class MeasureTable;        // measure/grouped.h
 struct LogicalPlan;        // plan/plan.h
 
 // How measure evaluations are executed. kNaive re-scans the measure source
@@ -24,9 +25,10 @@ struct LogicalPlan;        // plan/plan.h
 // the paper's "localized self-join" strategy (section 5.1), where per-group
 // results are probed from an in-memory cache instead of recomputed.
 // kGrouped (the default) additionally partitions the source once per
-// context *shape* with a dimension-tuple hash index, so a batch of G
-// same-shaped contexts (what GROUP BY produces) costs O(R + G) instead of
-// O(G x R); see docs/PERFORMANCE.md.
+// context *shape* by the dimension tuple and evaluates the formula at
+// most once per group, on first demand, into a key->value table, so a
+// batch of G same-shaped contexts (what GROUP BY produces) costs O(R + G)
+// instead of O(G x R); see docs/PERFORMANCE.md.
 enum class MeasureStrategy { kNaive, kMemoized, kGrouped };
 
 // How operators execute. kVectorized (the default) runs the hot operators
@@ -49,9 +51,10 @@ struct EngineOptions {
   // Cache correlated scalar subquery results by their free-variable values
   // (the WinMagic-adjacent optimization discussed in section 5.1).
   bool memoize_subqueries = true;
-  // Workers for morsel-parallel grouped index builds and probe batches.
-  // 0 = one worker per hardware thread (capped by the engine's measure
-  // pool); 1 = single-threaded.
+  // Workers for morsel-parallel row-path key evaluation in grouped builds
+  // (dimension expressions without a vector kernel). 0 = one worker per
+  // hardware thread (capped by the engine's measure pool); 1 =
+  // single-threaded.
   int measure_parallelism = 0;
   // Guard rails (see docs/ROBUSTNESS.md). Zero means unlimited. The depth
   // limit drives every recursion guard: plan execution, measure evaluation
@@ -116,8 +119,12 @@ struct ExecState : QueryCounters {
   std::unordered_map<std::string, Value> measure_cache;
   std::unordered_map<std::string, Value> subquery_cache;
 
-  // Per-query cache of grouped-strategy dimension indexes, keyed by
-  // (source identity, context-shape signature); see measure/grouped.h.
+  // Per-query caches of the grouped strategy (measure/grouped.h): value
+  // tables keyed by (source identity, formula identity, context-shape
+  // signature), and source partitions keyed by (source identity, shape
+  // signature), shared by every measure over that source.
+  std::unordered_map<std::string, std::shared_ptr<const MeasureTable>>
+      measure_table_cache;
   std::unordered_map<std::string, std::shared_ptr<const GroupedIndex>>
       grouped_index_cache;
 

@@ -17,16 +17,8 @@ namespace msql {
 
 namespace {
 
-// Hashable group key (IS NOT DISTINCT FROM equality).
-struct KeyHash {
-  size_t operator()(const Row& r) const { return HashRow(r, r.size()); }
-};
-struct KeyEq {
-  bool operator()(const Row& a, const Row& b) const {
-    return RowsNotDistinct(a, b);
-  }
-};
-using GroupMap = std::unordered_map<Row, std::vector<int64_t>, KeyHash, KeyEq>;
+using GroupMap =
+    std::unordered_map<Row, std::vector<int64_t>, RowKeyHash, RowKeyEq>;
 
 }  // namespace
 
@@ -592,73 +584,17 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
       }
     }
   }
-  auto key_at = [&](int64_t i, int k) {
-    return keys_columnar ? key_cols[static_cast<size_t>(k)]->At(i)
-                         : key_values[static_cast<size_t>(i)][k];
-  };
 
   for (const std::vector<int>& set : plan.grouping_sets) {
     // Group rows for this grouping set: parallel arrays in first-seen order
     // (identical to the row path's GroupMap + group_order, without the
     // repeated map lookups downstream).
-    std::vector<Row> group_keys;
-    std::vector<std::vector<int64_t>> group_rows;
-
-    bool grouped = false;
-    if (keys_columnar && set.size() == 1) {
-      // Single-key fast path over comparable codes: for BOOL/INT64/DATE the
-      // payload IS the value, and for a dedup'd dictionary the code equals
-      // the string. Code equality then coincides with IS NOT DISTINCT FROM
-      // (same-kind payload equality), so grouping hashes an int64 instead of
-      // a Value. DOUBLE is excluded: -0.0 == 0.0 yet differs bitwise.
-      const ColumnVector& c = *key_cols[static_cast<size_t>(set[0])];
-      if (c.kind == TypeKind::kBool || c.kind == TypeKind::kInt64 ||
-          c.kind == TypeKind::kDate || c.kind == TypeKind::kNull ||
-          (c.kind == TypeKind::kString && c.dict_unique)) {
-        grouped = true;
-        std::unordered_map<int64_t, size_t> by_code;
-        size_t null_group = SIZE_MAX;
-        for (int64_t i = 0; i < n; ++i) {
-          if ((i & (kRowsPerBatch - 1)) == 0) {
-            MSQL_RETURN_IF_ERROR(state_->guard.Check());
-          }
-          size_t gi;
-          if (!c.IsValid(i)) {
-            if (null_group == SIZE_MAX) {
-              null_group = group_keys.size();
-              group_keys.push_back(Row{Value::Null()});
-              group_rows.emplace_back();
-            }
-            gi = null_group;
-          } else {
-            auto [it, inserted] = by_code.emplace(c.ints[i],
-                                                  group_keys.size());
-            if (inserted) {
-              group_keys.push_back(Row{c.At(i)});
-              group_rows.emplace_back();
-            }
-            gi = it->second;
-          }
-          group_rows[gi].push_back(i);
-        }
-      }
-    }
-    if (!grouped) {
-      std::unordered_map<Row, size_t, KeyHash, KeyEq> index;
-      for (int64_t i = 0; i < n; ++i) {
-        MSQL_RETURN_IF_ERROR(state_->guard.Check());
-        Row key;
-        key.reserve(set.size());
-        for (int k : set) key.push_back(key_at(i, k));
-        auto [it, inserted] = index.emplace(std::move(key),
-                                            group_keys.size());
-        if (inserted) {
-          group_keys.push_back(it->first);
-          group_rows.emplace_back();
-        }
-        group_rows[it->second].push_back(i);
-      }
-    }
+    RowGroups groups;
+    MSQL_RETURN_IF_ERROR(GroupRowsByKey(
+        keys_columnar ? key_cols : std::vector<ColumnPtr>{}, key_values, set,
+        n, /*keep_map=*/false, state_, &groups));
+    std::vector<Row>& group_keys = groups.keys;
+    std::vector<std::vector<int64_t>>& group_rows = groups.rows;
     // The empty grouping set aggregates over all rows, producing one row
     // even for empty input (SQL scalar-aggregation semantics).
     if (set.empty() && group_keys.empty()) {
@@ -703,9 +639,9 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
 
     // Measure evaluations (context-sensitive expressions), batched one
     // column at a time: all groups of the set share the context *shape*
-    // (same dimension expressions, different pinned key values), which is
-    // exactly what the grouped strategy's batch evaluator exploits — one
-    // index build, G probes, morsel-parallel (measure/grouped.h).
+    // (same dimension expressions, different pinned key values), which the
+    // grouped strategy answers from one key->value table per shape
+    // (measure/grouped.h).
     for (const MeasureEvalDef& me : plan.measure_evals) {
       if (me.measure_slot < 0 ||
           static_cast<size_t>(me.measure_slot) >= child->measures.size()) {
@@ -721,47 +657,75 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
           state_->options.inline_visible_contexts &&
           me.modifiers.size() == 1 &&
           me.modifiers[0].kind == AtModifier::Kind::kVisible;
+      // What the modifiers read: VISIBLE needs each group's source row
+      // ids; SET values, WHERE predicates and ALL <dims> may reference the
+      // call site's row, so those need a representative row per group.
+      bool wants_visible = false, wants_rep = false;
+      for (const BoundAtModifier& mod : me.modifiers) {
+        if (mod.kind == AtModifier::Kind::kVisible) {
+          wants_visible = true;
+        } else if (mod.kind != AtModifier::Kind::kAll) {
+          wants_rep = true;
+        }
+      }
+
+      // Default group context: one dimension term per group key of this
+      // grouping set that has provenance onto the measure's source. The
+      // translation closes over the outer frames only, so it is the same
+      // for every group: translate once, pin per group.
+      struct KeyDim {
+        size_t pos;  // position in the grouping set's key tuple
+        std::string key;
+        std::shared_ptr<const BoundExpr> src;
+      };
+      std::vector<KeyDim> key_dims;
+      if (!visible_only) {
+        for (size_t si = 0; si < set.size(); ++si) {
+          auto translated = TranslateToSource(*plan.group_exprs[set[si]], m,
+                                              /*close_over=*/outer, nullptr,
+                                              state_);
+          if (!translated.ok()) continue;  // key is not a dimension of m
+          std::shared_ptr<const BoundExpr> src(std::move(translated.value()));
+          std::string key = src->ToString();
+          key_dims.push_back(KeyDim{si, std::move(key), std::move(src)});
+        }
+      }
 
       std::vector<EvalContext> contexts;
       contexts.reserve(group_keys.size());
+      Row rep_row;
       for (size_t g = 0; g < group_keys.size(); ++g) {
         MSQL_RETURN_IF_ERROR(state_->guard.Check());
         const Row& key = group_keys[g];
         const std::vector<int64_t>& rows = group_rows[g];
 
-        // Default group context: one dimension term per group key of this
-        // grouping set that has provenance onto the measure's source.
         EvalContext ctx;
+        for (const KeyDim& d : key_dims) ctx.SetDim(d.key, d.src, key[d.pos]);
+
+        // Representative row, for modifiers that close over the call
+        // site. Read from the columnar image when there is one: touching
+        // child->rows would force a lazy columnar child to materialize
+        // every row.
         RowStack call_stack;
-        // Representative row: group keys may be closed over by modifiers.
-        // Only needed when dimension terms are built — the VISIBLE-only
-        // path never dereferences it, and touching child->rows here would
-        // force a lazy columnar child to materialize its row vector.
         Frame rep;
-        if (!visible_only && !rows.empty()) {
-          rep = Frame{&child->rows[rows[0]], rows[0], child.get()};
+        if (wants_rep && !rows.empty()) {
+          const ColumnarRelation* cols = child->columns.get();
+          if (cols != nullptr && cols->Complete()) {
+            rep_row.resize(cols->cols.size());
+            for (size_t c = 0; c < cols->cols.size(); ++c) {
+              rep_row[c] = cols->cols[c]->At(rows[0]);
+            }
+            rep = Frame{&rep_row, rows[0], child.get()};
+          } else {
+            rep = Frame{&child->rows[rows[0]], rows[0], child.get()};
+          }
         }
         call_stack.push_back(rep);
         for (const Frame& f : outer) call_stack.push_back(f);
 
-        if (!visible_only) {
-          for (size_t si = 0; si < set.size(); ++si) {
-            int k = set[si];
-            auto translated = TranslateToSource(*plan.group_exprs[k], m,
-                                                /*close_over=*/
-                                                RowStack(call_stack.begin() + 1,
-                                                         call_stack.end()),
-                                                nullptr, state_);
-            if (!translated.ok()) continue;  // key is not a dimension of m
-            std::shared_ptr<const BoundExpr> src(
-                std::move(translated.value()));
-            ctx.SetDim(src->ToString(), src, key[si]);
-          }
-        }
-
         // VISIBLE: the distinct source rows reachable from this group.
         std::shared_ptr<const std::vector<int64_t>> visible;
-        if (m.rowid_col >= 0) {
+        if (wants_visible && m.rowid_col >= 0) {
           MSQL_ASSIGN_OR_RETURN(visible, CollectRowIds(m, *child, rows));
         }
         MSQL_RETURN_IF_ERROR(ApplyModifiers(m, me.modifiers, call_stack,

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/date.h"
 #include "common/fault_injection.h"
@@ -539,6 +540,84 @@ Result<ColumnPtr> EvalFuncVec(const BoundExpr& e, const Relation& rel,
   }
 }
 
+// x [NOT] IN (c1, ..., ck) when every item is a literal or a bound `?`
+// parameter. The row arm evaluates items in order and short-circuits, so a
+// non-constant item (which could error or depend on the row) stays on the
+// row path; with constant items its result depends only on the operand:
+// NULL operand -> NULL; an item NotDistinct from it -> !negated; otherwise
+// NULL when some item is NULL, else negated. A string operand whose
+// dictionary is no larger than the batch tests each entry once, then reads
+// one membership bit per row; a larger dictionary (a gather after a
+// selective filter shares its base's) is tested row by row instead.
+Result<ColumnPtr> EvalInListVec(const BoundExpr& e, const Relation& rel,
+                                const std::shared_ptr<Arena>& arena,
+                                ExecState* state) {
+  const int64_t n = rel.rows.size();
+  std::vector<Value> items;
+  bool saw_null = false;
+  for (const auto& item : e.args) {
+    const Value* v = nullptr;
+    if (item->kind == BoundExprKind::kLiteral) {
+      v = &item->literal;
+    } else if (item->kind == BoundExprKind::kParam &&
+               state->params != nullptr && item->param_index >= 0 &&
+               static_cast<size_t>(item->param_index) <
+                   state->params->size()) {
+      v = &(*state->params)[item->param_index];
+    } else {
+      return Result<ColumnPtr>(nullptr);
+    }
+    if (v->is_null()) {
+      saw_null = true;
+    } else {
+      items.push_back(*v);
+    }
+  }
+  MSQL_ASSIGN_OR_RETURN(ColumnPtr operand,
+                        EvalVec(*e.operand, rel, arena, state));
+  if (operand == nullptr) return Result<ColumnPtr>(nullptr);
+  const ColumnVector& a = *operand;
+  if (a.kind == TypeKind::kNull) return AllNullColumn(n, arena);
+
+  auto is_member = [&](const Value& v) {
+    for (const Value& item : items) {
+      if (Value::NotDistinct(v, item)) return true;
+    }
+    return false;
+  };
+  // NotDistinct(string, item) holds only for a string item with equal
+  // text, so dictionary entries compare against the string items alone.
+  std::vector<uint8_t> dict_member;
+  const bool by_dict = a.kind == TypeKind::kString &&
+                       static_cast<int64_t>(a.dict->size()) <= n;
+  if (by_dict) {
+    dict_member.assign(a.dict->size(), 0);
+    for (size_t k = 0; k < a.dict->size(); ++k) {
+      for (const Value& item : items) {
+        if (item.kind() == TypeKind::kString && item.str() == (*a.dict)[k]) {
+          dict_member[k] = 1;
+          break;
+        }
+      }
+    }
+  }
+  MSQL_ASSIGN_OR_RETURN(ColOut out, NewCol(TypeKind::kBool, n, arena));
+  for (int64_t i = 0; i < n; ++i) {
+    if ((i & (kRowsPerBatch - 1)) == 0) {
+      MSQL_RETURN_IF_ERROR(state->guard.Check());
+    }
+    if (!a.IsValid(i)) continue;
+    const bool hit = by_dict
+                         ? dict_member[static_cast<size_t>(a.ints[i])] != 0
+                         : is_member(a.At(i));
+    if (hit || !saw_null) {
+      SetValid(out.valid, i);
+      out.ints[i] = hit != e.negated ? 1 : 0;
+    }
+  }
+  return Freeze(out);
+}
+
 Result<ColumnPtr> EvalVec(const BoundExpr& e, const Relation& rel,
                           const std::shared_ptr<Arena>& arena,
                           ExecState* state) {
@@ -583,8 +662,11 @@ Result<ColumnPtr> EvalVec(const BoundExpr& e, const Relation& rel,
     }
     case BoundExprKind::kFunc:
       return EvalFuncVec(e, rel, arena, state);
+    case BoundExprKind::kInList:
+      return EvalInListVec(e, rel, arena, state);
     default:
-      // CASE, CAST, LIKE, IN, subqueries, measures, GROUPING: row path.
+      // CASE, CAST, LIKE, IN over non-constant items, subqueries, measures,
+      // GROUPING: row path.
       return Result<ColumnPtr>(nullptr);
   }
 }

@@ -32,8 +32,9 @@ VectorGate VectorizedGate(ExecState* state);
 // Kernels mirror Evaluator/EvalScalarFunction bit for bit: Kleene
 // three-valued AND/OR/NOT over validity+truth bitmaps, IS [NOT] DISTINCT
 // FROM and `=` via Value::NotDistinct, ordering via Value::Compare, arith-
-// metic with the same INT64/DOUBLE/DATE promotion rules. Column references
-// are zero-copy when `rel` carries a columnar sidecar.
+// metic with the same INT64/DOUBLE/DATE promotion rules, `x [NOT] IN` over
+// literal and parameter items with the row arm's three-valued result.
+// Column references are zero-copy when `rel` carries a columnar sidecar.
 Result<ColumnPtr> EvalVector(const BoundExpr& e, const Relation& rel,
                              const std::shared_ptr<Arena>& arena,
                              ExecState* state);

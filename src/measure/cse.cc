@@ -177,11 +177,16 @@ Status ApplyModifiers(const RtMeasure& m,
   return Status::Ok();
 }
 
+namespace {
+
+// Per-query memo key: pointer identities, stable within one bind.
 std::string MeasureMemoKey(const RtMeasure& m, const std::string& signature) {
   return StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
                 reinterpret_cast<uintptr_t>(m.formula.get()), "|", signature);
 }
 
+// Cross-query SharedMeasureCache key; empty when the evaluation is not
+// shareable.
 std::string MeasureSharedKey(const RtMeasure& m, const ExecState& state,
                              const std::string& signature) {
   // Cross-query layer (docs/CONCURRENCY.md): the fingerprint replaces the
@@ -199,6 +204,8 @@ std::string MeasureSharedKey(const RtMeasure& m, const ExecState& state,
                 *m.fingerprint, "|", signature);
 }
 
+// Publishes a computed value under a MeasureSharedKey (no-op on an empty
+// key), charging the entry against the query's byte budget.
 Status PublishSharedMeasure(const std::string& shared_key, const Value& result,
                             ExecState* state) {
   if (shared_key.empty() || !AdmitSharedCacheFill()) return Status::Ok();
@@ -207,6 +214,8 @@ Status PublishSharedMeasure(const std::string& shared_key, const Value& result,
   state->shared_cache->Insert(shared_key, result, state->catalog_generation);
   return Status::Ok();
 }
+
+}  // namespace
 
 Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
                               ExecState* state) {
@@ -222,6 +231,26 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
     ExecState* s;
     ~DepthGuard() { --s->depth; }
   } guard{state};
+
+  // Grouped strategy: an all-dimension context is one lookup in its
+  // shape's key->value table (measure/grouped.h), shared by every
+  // same-shaped context in the query and, via the shared cache, across
+  // queries; a group's value is computed on its first lookup. The table is the cache, so nothing is memoized per
+  // context. Formulas the table cannot take probe a row-id index below.
+  // A null table or index means the build was degraded by fault injection
+  // — fall through to the scan.
+  ContextShape shape;
+  if (state->options.measure_strategy == MeasureStrategy::kGrouped) {
+    shape = ShapeOf(ctx);
+  }
+  const bool table = shape.groupable() && UsesMeasureTable(m, *state);
+  if (table) {
+    MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const MeasureTable> values,
+                          GetOrBuildMeasureTable(m, shape, state));
+    if (values != nullptr) {
+      return values->Lookup(m, shape.Key(), state);
+    }
+  }
 
   // Grouped probes memoize too: a probe answers one context, and later
   // evaluations of the same context (e.g. across grouping sets) should hit
@@ -280,23 +309,15 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
     return result;
   }
 
-  // Grouped strategy: an all-dimension context is one probe into a hash
-  // partition of the source, built once per context shape and reused by
-  // every same-shaped context in the query (and, via the shared cache,
-  // across queries). A null index means the build was degraded by fault
-  // injection — fall through to the scan.
-  if (state->options.measure_strategy == MeasureStrategy::kGrouped) {
-    const ContextShape shape = ShapeOf(ctx);
-    if (shape.groupable()) {
-      MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
-                            GetOrBuildGroupedIndex(m, shape, state));
-      if (index != nullptr) {
-        MSQL_ASSIGN_OR_RETURN(Value result,
-                              EvalGroupedProbe(*index, m, shape, state));
-        MSQL_RETURN_IF_ERROR(PublishSharedMeasure(shared_key, result, state));
-        state->measure_cache.emplace(std::move(key), result);
-        return result;
-      }
+  if (shape.groupable() && !table) {
+    MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
+                          GetOrBuildGroupedIndex(m, shape, state));
+    if (index != nullptr) {
+      MSQL_ASSIGN_OR_RETURN(Value result,
+                            EvalGroupedProbe(*index, m, shape, state));
+      MSQL_RETURN_IF_ERROR(PublishSharedMeasure(shared_key, result, state));
+      state->measure_cache.emplace(std::move(key), result);
+      return result;
     }
   }
 

@@ -46,24 +46,11 @@ Status ApplyModifiers(const RtMeasure& m,
 // Evaluates the measure in a context: selects the admitted source rows and
 // evaluates the formula over them, memoizing by context signature when the
 // engine strategy allows. Under MeasureStrategy::kGrouped, all-dimension
-// contexts are answered by a probe into a per-shape hash index of the
-// source (measure/grouped.h) instead of a scan.
+// contexts are answered by a lookup in a per-shape key->value table of the
+// measure (or, for formulas the table cannot take, a probe into a per-shape
+// row-id index) instead of a scan; see measure/grouped.h.
 Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
                               ExecState* state);
-
-// Cache-key builders shared between the per-context evaluator above and the
-// batch evaluator in measure/grouped.cc, so both layers stay key-compatible.
-// MeasureMemoKey: per-query memo key (pointer identities, stable within one
-// bind). MeasureSharedKey: cross-query SharedMeasureCache key; empty when
-// the evaluation is not shareable (no shared cache, no fingerprint, or a
-// non-injective subquery rendering in the signature). PublishSharedMeasure:
-// publishes a computed value under a MeasureSharedKey (no-op on empty key),
-// charging the entry against the query's byte budget.
-std::string MeasureMemoKey(const RtMeasure& m, const std::string& signature);
-std::string MeasureSharedKey(const RtMeasure& m, const ExecState& state,
-                             const std::string& signature);
-Status PublishSharedMeasure(const std::string& shared_key, const Value& result,
-                            ExecState* state);
 
 // Evaluates a measure formula (aggregates, nested measure refs, scalar
 // combinators) over an explicit set of source rows.

@@ -1,10 +1,12 @@
 #include "measure/grouped.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
+#include "exec/agg_eval.h"
 #include "exec/eval.h"
 #include "exec/vector_eval.h"
 #include "measure/cse.h"
@@ -45,62 +47,28 @@ ThreadPool* MeasurePoolOrNull(ExecState* state) {
   return state->measure_pool_provider();
 }
 
-// Evaluates the index's dimension tuple for source row `i` into *key.
-Status EvalKeyRow(const GroupedIndex& index, const Relation& src, int64_t i,
+using DimExprs = std::vector<std::shared_ptr<const BoundExpr>>;
+
+// Evaluates the dimension tuple for source row `i` into *key.
+Status EvalKeyRow(const DimExprs& dims, const Relation& src, int64_t i,
                   Evaluator* ev, RowStack* stack, Row* key) {
   (*stack)[0] = Frame{&src.rows[i], i, &src};
-  key->resize(index.dim_exprs.size());
-  for (size_t d = 0; d < index.dim_exprs.size(); ++d) {
-    MSQL_ASSIGN_OR_RETURN((*key)[d], ev->Eval(*index.dim_exprs[d], *stack));
+  key->resize(dims.size());
+  for (size_t d = 0; d < dims.size(); ++d) {
+    MSQL_ASSIGN_OR_RETURN((*key)[d], ev->Eval(*dims[d], *stack));
   }
   return Status::Ok();
 }
 
-// Phase 1 of the build: one dimension tuple per source row, evaluated
+// Row-path key evaluation: one dimension tuple per source row, evaluated
 // morsel-parallel when a pool is available and the expressions allow it.
 // Output is position-indexed (keys[i]), so scheduling cannot affect it.
-Status EvalAllKeyRows(const GroupedIndex& index, const Relation& src,
+Status EvalAllKeyRows(const DimExprs& dims, const Relation& src,
                       std::vector<Row>* keys, ExecState* state) {
   const int64_t n = static_cast<int64_t>(src.rows.size());
-
-  // Columnar fast path: when every dimension expression has a vector
-  // kernel, evaluate each once over the whole source and transpose into the
-  // position-indexed key rows. Same values in the same positions as the
-  // scalar loop, no per-row stack churn.
-  if (VectorizedGate(state) == VectorGate::kOk) {
-    auto arena = std::make_shared<Arena>();
-    std::vector<ColumnPtr> dim_cols;
-    dim_cols.reserve(index.dim_exprs.size());
-    bool all = true;
-    for (const auto& e : index.dim_exprs) {
-      auto col = EvalVector(*e, src, arena, state);
-      MSQL_RETURN_IF_ERROR(col.status());
-      if (col.value() == nullptr) {
-        all = false;
-        break;
-      }
-      dim_cols.push_back(col.take());
-    }
-    if (all) {
-      state->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(n));
-      for (int64_t i = 0; i < n; ++i) {
-        if ((i & (kRowsPerBatch - 1)) == 0) {
-          MSQL_RETURN_IF_ERROR(state->guard.Check());
-        }
-        Row& key = (*keys)[i];
-        key.resize(dim_cols.size());
-        for (size_t d = 0; d < dim_cols.size(); ++d) {
-          key[d] = dim_cols[d]->At(i);
-        }
-      }
-      return Status::Ok();
-    }
-    ++state->exec_row_fallbacks;
-  }
-
   ThreadPool* pool = MeasurePoolOrNull(state);
   if (pool != nullptr) {
-    for (const auto& e : index.dim_exprs) {
+    for (const auto& e : dims) {
       if (!IsParallelSafe(*e)) {
         pool = nullptr;
         break;
@@ -115,7 +83,7 @@ Status EvalAllKeyRows(const GroupedIndex& index, const Relation& src,
     RowStack stack(1);
     for (int64_t i = 0; i < n; ++i) {
       MSQL_RETURN_IF_ERROR(state->guard.Check());
-      MSQL_RETURN_IF_ERROR(EvalKeyRow(index, src, i, &ev, &stack, &(*keys)[i]));
+      MSQL_RETURN_IF_ERROR(EvalKeyRow(dims, src, i, &ev, &stack, &(*keys)[i]));
     }
     return Status::Ok();
   }
@@ -132,7 +100,7 @@ Status EvalAllKeyRows(const GroupedIndex& index, const Relation& src,
         for (int64_t i = begin; i < end; ++i) {
           MSQL_RETURN_IF_ERROR(wstate.guard.Check());
           MSQL_RETURN_IF_ERROR(
-              EvalKeyRow(index, src, i, &ev, &stack, &(*keys)[i]));
+              EvalKeyRow(dims, src, i, &ev, &stack, &(*keys)[i]));
         }
         return Status::Ok();
       });
@@ -144,16 +112,139 @@ Status EvalAllKeyRows(const GroupedIndex& index, const Relation& src,
   return st;
 }
 
-// Rough residency of a built index, for guard charging and the shared
-// cache's byte budget: row-id payload plus per-group key and node costs.
-uint64_t ApproxIndexBytes(const GroupedIndex& index, int64_t rows) {
-  uint64_t bytes = sizeof(GroupedIndex) + rows * sizeof(int64_t);
-  for (const auto& [key, ids] : index.groups) {
-    bytes += sizeof(void*) * 8;  // node, bucket and vector bookkeeping
-    for (const Value& v : key) bytes += sizeof(Value) + v.str().size();
-    (void)ids;
+// Groups the source rows by the shape's dimension tuple, keeping the tuple
+// map for lookups. Keys are whole columns when every dimension has a
+// kernel; otherwise the row path evaluates them.
+Status PartitionSource(const ContextShape& shape, const Relation& src,
+                       ExecState* state, RowGroups* out) {
+  const int64_t n = static_cast<int64_t>(src.rows.size());
+  DimExprs dims;
+  dims.reserve(shape.dims.size());
+  for (const ContextTerm* t : shape.dims) dims.push_back(t->src_expr);
+  std::vector<int> set(dims.size());
+  for (size_t d = 0; d < dims.size(); ++d) set[d] = static_cast<int>(d);
+
+  if (VectorizedGate(state) == VectorGate::kOk) {
+    auto arena = std::make_shared<Arena>();
+    std::vector<ColumnPtr> cols;
+    cols.reserve(dims.size());
+    for (const auto& e : dims) {
+      MSQL_ASSIGN_OR_RETURN(ColumnPtr col, EvalVector(*e, src, arena, state));
+      if (col == nullptr) break;
+      cols.push_back(std::move(col));
+    }
+    if (cols.size() == dims.size()) {
+      state->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(n));
+      return GroupRowsByKey(cols, {}, set, n, /*keep_map=*/true, state, out);
+    }
+    ++state->exec_row_fallbacks;
   }
+  std::vector<Row> keys(static_cast<size_t>(n));
+  MSQL_RETURN_IF_ERROR(EvalAllKeyRows(dims, src, &keys, state));
+  return GroupRowsByKey({}, keys, set, n, /*keep_map=*/true, state, out);
+}
+
+// Rough residency of one key tuple in a hash map node, for guard charging
+// and the shared cache's byte budget.
+uint64_t ApproxKeyBytes(const Row& key) {
+  uint64_t bytes = sizeof(void*) * 8;  // node, bucket and vector bookkeeping
+  for (const Value& v : key) bytes += sizeof(Value) + v.str().size();
   return bytes;
+}
+
+// The partition as a GroupedIndex: groups in first-seen order, then the
+// empty group that absent tuples read.
+GroupedIndex MakeIndex(RowGroups groups, int64_t n) {
+  GroupedIndex index;
+  uint64_t bytes = sizeof(GroupedIndex) + n * sizeof(int64_t) +
+                   (groups.rows.size() + 1) * sizeof(std::vector<int64_t>);
+  for (const auto& [key, g] : groups.map) bytes += ApproxKeyBytes(key);
+  index.groups = std::move(groups.map);
+  index.rows = std::move(groups.rows);
+  index.rows.emplace_back();
+  index.approx_bytes = bytes;
+  return index;
+}
+
+// The query's partition of m's source for `shape`, shared by every
+// measure over that source (per-query cache keyed by the source's pointer
+// identity, stable within one bind). A cached null marks a degraded build:
+// an injected fault at this checkpoint abandons the partition (the
+// fallback counter records it) and the query stays on the scan path
+// instead of re-tripping the checkpoint per context — grouped evaluation
+// is an optimization, so its build must never fail a query.
+Result<std::shared_ptr<const GroupedIndex>> PartitionFor(
+    const RtMeasure& m, const ContextShape& shape, ExecState* state) {
+  const std::string key = StrCat(reinterpret_cast<uintptr_t>(m.source.get()),
+                                 "|", shape.signature);
+  auto it = state->grouped_index_cache.find(key);
+  if (it != state->grouped_index_cache.end()) return it->second;
+
+  FaultInjector& faults = FaultInjector::Instance();
+  if (faults.active() &&
+      !faults.Checkpoint("measure.grouped_index_build").ok()) {
+    ++state->measure_grouped_fallbacks;
+    state->grouped_index_cache.emplace(key, nullptr);
+    return std::shared_ptr<const GroupedIndex>();
+  }
+  RowGroups groups;
+  MSQL_RETURN_IF_ERROR(PartitionSource(shape, *m.source, state, &groups));
+  const int64_t n = static_cast<int64_t>(m.source->rows.size());
+  auto index =
+      std::make_shared<const GroupedIndex>(MakeIndex(std::move(groups), n));
+  ++state->measure_grouped_builds;
+  state->grouped_index_cache.emplace(key, index);
+  return index;
+}
+
+uint64_t ResidentBytes(const GroupedIndex& index) {
+  return index.approx_bytes;
+}
+uint64_t ResidentBytes(const MeasureTable& table) {
+  return table.approx_bytes();
+}
+
+// The cross-query layer shared by tables and indexes: a per-query entry
+// under `local_key`, else the SharedMeasureCache entry keyed by
+// generation, parameter signature, structural fingerprint and shape, else
+// `wrap` applied to the query's partition (published for later queries).
+template <typename T, typename Wrap>
+Result<std::shared_ptr<const T>> GetOrBuild(
+    std::unordered_map<std::string, std::shared_ptr<const T>>* local,
+    const std::string& local_key, const char* prefix, const RtMeasure& m,
+    const ContextShape& shape, ExecState* state, Wrap wrap) {
+  auto it = local->find(local_key);
+  if (it != local->end()) return it->second;
+
+  // Shape signatures never embed subquery renderings — TranslateToSource
+  // rejects subqueries in dimension predicates — so the key is injective.
+  std::string shared_key;
+  if (state->shared_cache != nullptr && m.fingerprint != nullptr) {
+    shared_key = StrCat(prefix, state->catalog_generation, "|",
+                        state->param_sig, "|", *m.fingerprint, "|",
+                        shape.signature);
+    std::shared_ptr<const void> obj;
+    if (state->shared_cache->LookupObject(shared_key, &obj)) {
+      ++state->shared_cache_hits;
+      auto cached = std::static_pointer_cast<const T>(obj);
+      local->emplace(local_key, cached);
+      return cached;
+    }
+    ++state->shared_cache_misses;
+  }
+
+  MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
+                        PartitionFor(m, shape, state));
+  std::shared_ptr<const T> built;
+  if (index != nullptr) built = wrap(std::move(index));
+  local->emplace(local_key, built);
+  if (built != nullptr && !shared_key.empty() && AdmitSharedCacheFill()) {
+    const uint64_t bytes = ResidentBytes(*built);
+    MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(bytes));
+    state->shared_cache->InsertObject(shared_key, built, bytes,
+                                      state->catalog_generation);
+  }
+  return built;
 }
 
 }  // namespace
@@ -161,103 +252,99 @@ uint64_t ApproxIndexBytes(const GroupedIndex& index, int64_t rows) {
 ContextShape ShapeOf(const EvalContext& ctx) {
   ContextShape shape;
   if (ctx.empty()) return shape;
-  for (const ContextTerm& t : ctx.terms()) {
-    if (t.kind != ContextTerm::Kind::kDimEq) return ContextShape{};
-    shape.dims.push_back(&t);
+  const std::vector<ContextTerm>& terms = ctx.terms();
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (terms[i].kind != ContextTerm::Kind::kDimEq) return ContextShape{};
+    shape.positions.push_back(i);
   }
-  std::sort(shape.dims.begin(), shape.dims.end(),
-            [](const ContextTerm* a, const ContextTerm* b) {
-              return a->key < b->key;
-            });
+  std::sort(shape.positions.begin(), shape.positions.end(),
+            [&](size_t a, size_t b) { return terms[a].key < terms[b].key; });
   std::vector<std::string> keys;
-  keys.reserve(shape.dims.size());
-  for (const ContextTerm* t : shape.dims) keys.push_back(t->key);
+  keys.reserve(terms.size());
+  for (size_t i : shape.positions) {
+    shape.dims.push_back(&terms[i]);
+    keys.push_back(terms[i].key);
+  }
   shape.signature = StrCat("g:", Join(keys, "&"));
   return shape;
 }
 
+Row ContextShape::Key() const {
+  Row key;
+  key.reserve(dims.size());
+  for (const ContextTerm* t : dims) key.push_back(t->value);
+  return key;
+}
+
+bool UsesMeasureTable(const RtMeasure& m, const ExecState& state) {
+  return state.options.measure_strategy == MeasureStrategy::kGrouped &&
+         IsParallelSafe(*m.formula);
+}
+
+size_t GroupedIndex::GroupOf(const Row& key) const {
+  auto it = groups.find(key);
+  return it == groups.end() ? rows.size() - 1 : it->second;
+}
+
+MeasureTable::MeasureTable(std::shared_ptr<const GroupedIndex> index)
+    : index_(std::move(index)),
+      values_(index_->rows.size()),
+      approx_bytes_(index_->approx_bytes +
+                    values_.size() * (sizeof(std::atomic<const Value*>) +
+                                      sizeof(Value))) {}
+
+MeasureTable::~MeasureTable() {
+  for (std::atomic<const Value*>& v : values_) delete v.load();
+}
+
+Result<Value> MeasureTable::Lookup(const RtMeasure& m, const Row& key,
+                                   ExecState* state) const {
+  ++state->measure_grouped_probes;
+  const size_t g = index_->GroupOf(key);
+  if (const Value* v = values_[g].load(std::memory_order_acquire)) return *v;
+  // The first ask: the formula over the group's rows in ascending order —
+  // the very evaluation a per-context scan would run, so results are
+  // bit-identical. A failure (an error of the formula, or this query's
+  // guard) is returned and nothing is published.
+  MSQL_ASSIGN_OR_RETURN(Value v, EvalFormulaOverRows(*m.formula, *m.source,
+                                                     index_->rows[g], state));
+  auto fresh = std::make_unique<const Value>(v);
+  const Value* expected = nullptr;
+  if (values_[g].compare_exchange_strong(expected, fresh.get(),
+                                         std::memory_order_acq_rel)) {
+    fresh.release();
+  }
+  return v;
+}
+
+Result<std::shared_ptr<const MeasureTable>> GetOrBuildMeasureTable(
+    const RtMeasure& m, const ContextShape& shape, ExecState* state) {
+  return GetOrBuild<MeasureTable>(
+      &state->measure_table_cache,
+      StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
+             reinterpret_cast<uintptr_t>(m.formula.get()), "|",
+             shape.signature),
+      "mt|", m, shape, state, [](std::shared_ptr<const GroupedIndex> index) {
+        return std::make_shared<const MeasureTable>(std::move(index));
+      });
+}
+
 Result<std::shared_ptr<const GroupedIndex>> GetOrBuildGroupedIndex(
     const RtMeasure& m, const ContextShape& shape, ExecState* state) {
-  // Per-query layer: source pointer identity is stable within one bind. A
-  // cached null marks a degraded build — stay on the scan path for the rest
-  // of the query instead of re-tripping the checkpoint per context.
-  const std::string local_key =
-      StrCat("gi|", reinterpret_cast<uintptr_t>(m.source.get()), "|",
-             shape.signature);
-  auto it = state->grouped_index_cache.find(local_key);
-  if (it != state->grouped_index_cache.end()) return it->second;
-
-  // Cross-query layer: same keying discipline as scalar measure values
-  // (generation + structural fingerprint), under a "gi|" prefix. Shape
-  // signatures never embed subquery renderings — TranslateToSource rejects
-  // subqueries in dimension predicates — so the key is injective.
-  std::string shared_key;
-  if (state->shared_cache != nullptr && m.fingerprint != nullptr) {
-    shared_key = StrCat("gi|", state->catalog_generation, "|",
-                        state->param_sig, "|", *m.fingerprint, "|",
-                        shape.signature);
-    std::shared_ptr<const void> obj;
-    if (state->shared_cache->LookupObject(shared_key, &obj)) {
-      ++state->shared_cache_hits;
-      auto index = std::static_pointer_cast<const GroupedIndex>(obj);
-      state->grouped_index_cache.emplace(local_key, index);
-      return index;
-    }
-    ++state->shared_cache_misses;
-  }
-
-  // Degradable checkpoint: an injected fault here abandons the index (the
-  // fallback counter records it) and the caller scans instead — grouped
-  // evaluation is an optimization, so its build must never fail a query.
-  FaultInjector& faults = FaultInjector::Instance();
-  if (faults.active() &&
-      !faults.Checkpoint("measure.grouped_index_build").ok()) {
-    ++state->measure_grouped_fallbacks;
-    state->grouped_index_cache.emplace(local_key, nullptr);
-    return std::shared_ptr<const GroupedIndex>();
-  }
-
-  const Relation& src = *m.source;
-  const int64_t n = static_cast<int64_t>(src.rows.size());
-  auto index = std::make_shared<GroupedIndex>();
-  index->dim_exprs.reserve(shape.dims.size());
-  for (const ContextTerm* t : shape.dims) {
-    index->dim_exprs.push_back(t->src_expr);
-  }
-
-  // Phase 1 (parallel): dimension tuples, position-indexed. Phase 2
-  // (serial, row order): the hash partition — group discovery order and the
-  // ascending row-id lists are therefore scheduling-independent.
-  std::vector<Row> keys(n);
-  MSQL_RETURN_IF_ERROR(EvalAllKeyRows(*index, src, &keys, state));
-  index->groups.reserve(static_cast<size_t>(n / 4 + 1));
-  for (int64_t i = 0; i < n; ++i) {
-    index->groups.try_emplace(std::move(keys[i])).first->second.push_back(i);
-  }
-  index->approx_bytes = ApproxIndexBytes(*index, n);
-  ++state->measure_grouped_builds;
-
-  std::shared_ptr<const GroupedIndex> result = std::move(index);
-  state->grouped_index_cache.emplace(local_key, result);
-  if (!shared_key.empty() && AdmitSharedCacheFill()) {
-    MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(result->approx_bytes));
-    state->shared_cache->InsertObject(shared_key, result, result->approx_bytes,
-                                      state->catalog_generation);
-  }
-  return result;
+  // The per-query layer is the partition cache itself.
+  return GetOrBuild<GroupedIndex>(
+      &state->grouped_index_cache,
+      StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
+             shape.signature),
+      "gi|", m, shape, state,
+      [](std::shared_ptr<const GroupedIndex> index) { return index; });
 }
 
 Result<Value> EvalGroupedProbe(const GroupedIndex& index, const RtMeasure& m,
                                const ContextShape& shape, ExecState* state) {
   ++state->measure_grouped_probes;
-  Row key;
-  key.reserve(shape.dims.size());
-  for (const ContextTerm* t : shape.dims) key.push_back(t->value);
-  static const std::vector<int64_t> kNoRows;
-  auto it = index.groups.find(key);
-  const std::vector<int64_t>& rows =
-      it == index.groups.end() ? kNoRows : it->second;
-  return EvalFormulaOverRows(*m.formula, *m.source, rows, state);
+  return EvalFormulaOverRows(*m.formula, *m.source,
+                             index.rows[index.GroupOf(shape.Key())], state);
 }
 
 bool IsParallelSafe(const BoundExpr& e) {
@@ -287,130 +374,56 @@ bool IsParallelSafe(const BoundExpr& e) {
   return true;
 }
 
+namespace {
+
+// Whether `ctx` has exactly the terms of `first` — same kinds and keys in
+// the same positions — so `first`'s shape positions read its tuple.
+bool SameTerms(const EvalContext& ctx, const EvalContext& first) {
+  const std::vector<ContextTerm>& a = ctx.terms();
+  const std::vector<ContextTerm>& b = first.terms();
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].kind != b[i].kind || a[i].key != b[i].key) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<std::vector<Value>> EvaluateMeasureBatch(
     const RtMeasure& m, const std::vector<EvalContext>& contexts,
     ExecState* state) {
   std::vector<Value> out(contexts.size());
-  const size_t n = contexts.size();
-  auto serial = [&](const std::vector<int64_t>& positions) -> Status {
-    for (int64_t i : positions) {
-      MSQL_ASSIGN_OR_RETURN(out[i], EvaluateMeasure(m, contexts[i], state));
+  // A call site's contexts normally share one shape: fetch the table once
+  // and answer each context with one lookup, counted as an evaluation
+  // exactly as EvaluateMeasure would.
+  if (!contexts.empty() && UsesMeasureTable(m, *state)) {
+    const ContextShape shape = ShapeOf(contexts[0]);
+    bool same = shape.groupable();
+    for (size_t i = 1; same && i < contexts.size(); ++i) {
+      same = SameTerms(contexts[i], contexts[0]);
     }
-    return Status::Ok();
-  };
-  std::vector<int64_t> all(n);
-  for (size_t i = 0; i < n; ++i) all[i] = static_cast<int64_t>(i);
-
-  // The batch fast path exists for parallel probes; everything else goes
-  // through EvaluateMeasure one context at a time (which still builds and
-  // probes the shared index under kGrouped — just on the calling thread).
-  constexpr size_t kMinParallelProbes = 8;
-  const bool eligible =
-      state->options.measure_strategy == MeasureStrategy::kGrouped &&
-      n >= kMinParallelProbes && MeasurePoolOrNull(state) != nullptr &&
-      IsParallelSafe(*m.formula);
-  if (!eligible) {
-    MSQL_RETURN_IF_ERROR(serial(all));
-    return out;
-  }
-
-  // One shape per batch or bust: mixed shapes mean mixed indexes, which the
-  // per-context path already handles.
-  std::vector<ContextShape> shapes;
-  shapes.reserve(n);
-  for (const EvalContext& ctx : contexts) {
-    shapes.push_back(ShapeOf(ctx));
-    if (!shapes.back().groupable() ||
-        shapes.back().signature != shapes[0].signature) {
-      MSQL_RETURN_IF_ERROR(serial(all));
-      return out;
-    }
-  }
-
-  MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
-                        GetOrBuildGroupedIndex(m, shapes[0], state));
-  if (index == nullptr) {  // degraded build: scan per context
-    MSQL_RETURN_IF_ERROR(serial(all));
-    return out;
-  }
-
-  // Serve memo hits serially (the per-query cache is not thread-safe),
-  // mirroring EvaluateMeasure's counting for each.
-  std::vector<std::string> memo_keys(n);
-  std::vector<std::string> shared_keys(n);
-  std::vector<int64_t> pending;
-  pending.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    MSQL_RETURN_IF_ERROR(state->guard.Check());
-    ++state->measure_evals;
-    const std::string signature = contexts[i].Signature();
-    memo_keys[i] = MeasureMemoKey(m, signature);
-    auto hit = state->measure_cache.find(memo_keys[i]);
-    if (hit != state->measure_cache.end()) {
-      ++state->measure_cache_hits;
-      out[i] = hit->second;
-      continue;
-    }
-    shared_keys[i] = MeasureSharedKey(m, *state, signature);
-    if (!shared_keys[i].empty()) {
-      Value v;
-      if (state->shared_cache->Lookup(shared_keys[i], &v)) {
-        ++state->shared_cache_hits;
-        state->measure_cache.emplace(memo_keys[i], v);
-        out[i] = std::move(v);
-        continue;
-      }
-      ++state->shared_cache_misses;
-    }
-    pending.push_back(static_cast<int64_t>(i));
-  }
-  if (pending.size() < kMinParallelProbes) {
-    // Too few probes to pay the fork/join; counters for these contexts were
-    // already recorded, so probe directly instead of via EvaluateMeasure.
-    for (int64_t i : pending) {
-      MSQL_ASSIGN_OR_RETURN(out[i],
-                            EvalGroupedProbe(*index, m, shapes[i], state));
-      MSQL_RETURN_IF_ERROR(
-          PublishSharedMeasure(shared_keys[i], out[i], state));
-      state->measure_cache.emplace(memo_keys[i], out[i]);
-    }
-    return out;
-  }
-
-  // Morsel-parallel probes: one context per morsel (a probe aggregates a
-  // whole group, so per-element scheduling is the right granularity).
-  // Results land position-indexed; memo and shared-cache publication happen
-  // serially after the join.
-  ThreadPool* pool = MeasurePoolOrNull(state);
-  ParallelForOptions popts;
-  popts.morsel_rows = 1;
-  popts.max_workers = state->options.measure_parallelism;
-  const int workers =
-      PlanParallelWorkers(pool, static_cast<int64_t>(pending.size()), popts);
-  std::vector<ExecState> ws;
-  ws.reserve(workers);
-  for (int w = 0; w < workers; ++w) ws.push_back(ForkWorkerState(*state));
-  Status st = ParallelFor(
-      pool, static_cast<int64_t>(pending.size()), workers, popts,
-      [&](int w, int64_t begin, int64_t end) -> Status {
-        ExecState& wstate = ws[w];
-        for (int64_t j = begin; j < end; ++j) {
-          MSQL_RETURN_IF_ERROR(wstate.guard.Check());
-          const int64_t i = pending[j];
-          MSQL_ASSIGN_OR_RETURN(
-              out[i], EvalGroupedProbe(*index, m, shapes[i], &wstate));
+    if (same) {
+      MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const MeasureTable> table,
+                            GetOrBuildMeasureTable(m, shape, state));
+      if (table != nullptr) {
+        Row key(shape.positions.size());
+        for (size_t i = 0; i < contexts.size(); ++i) {
+          MSQL_FAULT_POINT("measure.eval");
+          MSQL_RETURN_IF_ERROR(state->guard.Check());
+          ++state->measure_evals;
+          const std::vector<ContextTerm>& terms = contexts[i].terms();
+          for (size_t d = 0; d < key.size(); ++d) {
+            key[d] = terms[shape.positions[d]].value;
+          }
+          MSQL_ASSIGN_OR_RETURN(out[i], table->Lookup(m, key, state));
         }
-        return Status::Ok();
-      });
-  state->measure_parallel_tasks += workers;
-  for (const ExecState& w : ws) {
-    Status merged = JoinWorkerState(state, w);
-    if (st.ok() && !merged.ok()) st = merged;
+        return out;
+      }
+    }
   }
-  MSQL_RETURN_IF_ERROR(st);
-  for (int64_t i : pending) {
-    MSQL_RETURN_IF_ERROR(PublishSharedMeasure(shared_keys[i], out[i], state));
-    state->measure_cache.emplace(memo_keys[i], out[i]);
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    MSQL_ASSIGN_OR_RETURN(out[i], EvaluateMeasure(m, contexts[i], state));
   }
   return out;
 }

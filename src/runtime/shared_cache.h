@@ -67,8 +67,8 @@ class SharedMeasureCache {
   void Insert(const std::string& key, const Value& value,
               uint64_t generation);
 
-  // Type-erased immutable objects — e.g. the grouped strategy's dimension
-  // indexes (measure/grouped.h) — share the same budget, LRU and
+  // Type-erased immutable objects — the grouped strategy's per-shape value
+  // tables and row-id indexes (measure/grouped.h) — share the same budget, LRU and
   // generation-invalidation machinery as scalar entries. Objects are
   // opaque to the cache, so the caller supplies the byte estimate at
   // insert time and uses disjoint key prefixes per object type.
@@ -119,7 +119,7 @@ class SharedMeasureCache {
 };
 
 // Gate shared by every cross-query cache fill site (measure values, grouped
-// indexes, subquery memos): the degradable `runtime.shared_cache_fill`
+// tables and indexes, subquery memos): the degradable `runtime.shared_cache_fill`
 // fault point. A false return means "skip the fill and move on" — the
 // query still returns correct (uncached) results, so a failed fill
 // degrades that one query instead of failing it.

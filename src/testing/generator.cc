@@ -171,8 +171,19 @@ class Generator {
     return StrCat(rng_.Range(2022, 2025));  // y2
   }
 
+  // `d0 [NOT] IN (...)` over string literals, NULL items included, so every
+  // oracle leg checks the IN kernel's three-valued logic against the row
+  // path: a NULL item that nothing matches makes the test NULL, not FALSE.
+  std::string D0InList(const std::string& q) {
+    std::vector<std::string> items;
+    const int64_t k = rng_.Range(1, 3);
+    for (int64_t i = 0; i < k; ++i) items.push_back(D0Lit());
+    return StrCat(q, "d0 ", rng_.Chance(40) ? "NOT IN (" : "IN (",
+                  Join(items, ", "), ")");
+  }
+
   std::string PredAtom(const std::string& q) {
-    switch (rng_.Range(0, 6)) {
+    switch (rng_.Range(0, 7)) {
       case 0: return StrCat(q, "d0 = ", D0Lit(false));
       case 1: return StrCat(q, "d0 <> 'A'");
       case 2: return StrCat(q, "d0 IS NULL");
@@ -180,6 +191,7 @@ class Generator {
       case 4: return StrCat(q, "d1 IN (", rng_.Range(0, 2), ", ",
                             rng_.Range(2, 4), ")");
       case 5: return StrCat(q, "v0 > ", rng_.Range(-50, 50));
+      case 6: return D0InList(q);
       default:
         if (info_.has_d2 && rng_.Chance(50)) {
           return StrCat(q, "d2 >= ", kDates[rng_.Range(0, 3)]);

@@ -2,7 +2,8 @@
 // workload concurrently must produce exactly the serial results; CancelAll
 // under load unwinds cleanly; concurrent INSERTs never let a reader observe
 // a stale or torn measure value (snapshot isolation + generation-based
-// cache invalidation).
+// cache invalidation); sessions racing to fill one shared measure value
+// table agree with the naive strategy.
 
 #include <atomic>
 #include <set>
@@ -110,6 +111,71 @@ TEST(ConcurrencyStressTest, EightSessionsMatchSerialResults) {
             static_cast<uint64_t>(kSessions) * 20);
   // The repeat workload must actually exercise the cross-query cache.
   EXPECT_GT(stats.shared_cache_hits, 0u);
+}
+
+TEST(ConcurrencyStressTest, SessionsFillOneSharedValueTableConcurrently) {
+  // Every query below has the same measure and context shape (custName,
+  // orderYear), so all sessions share one value table through the
+  // cross-query cache and fill its slots on first lookup. Each query asks
+  // for a different, overlapping slice of the groups, so fills of the same
+  // slot race. Every answer must equal the naive strategy's.
+  auto seed = [](Engine* db) {
+    std::string sql =
+        "CREATE TABLE Big (custName VARCHAR, orderYear INTEGER, "
+        "revenue INTEGER); INSERT INTO Big VALUES ";
+    for (int i = 0; i < 3000; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "('c" + std::to_string(i % 300) + "', " +
+             std::to_string(2000 + i % 7) + ", " + std::to_string(i % 13) +
+             ")";
+    }
+    sql += "; CREATE VIEW BV AS SELECT *, SUM(revenue) AS MEASURE r FROM Big";
+    ASSERT_TRUE(db->Execute(sql).ok());
+  };
+  auto query = [](int slice) {
+    return "SELECT custName, orderYear, r FROM BV WHERE orderYear = " +
+           std::to_string(2000 + slice % 7) +
+           " GROUP BY custName, orderYear ORDER BY custName";
+  };
+
+  Engine db;
+  seed(&db);
+  std::vector<std::string> expected;
+  {
+    Engine ref;
+    ref.options().measure_strategy = MeasureStrategy::kNaive;
+    seed(&ref);
+    for (int slice = 0; slice < 7; ++slice) {
+      auto r = ref.Query(query(slice));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected.push_back(r.value().ToCsv());
+    }
+  }
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) {
+    threads.emplace_back([&, t] {
+      SessionPtr session = db.CreateSession();
+      for (int round = 0; round < 14; ++round) {
+        const int slice = (t + round) % 7;
+        auto r = session->Query(query(slice));
+        if (!r.ok()) {
+          ++failures;
+          continue;
+        }
+        if (r.value().ToCsv() != expected[slice]) ++mismatches;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  const EngineStats stats = db.stats();
+  EXPECT_GT(stats.shared_cache_hits, 0u);
+  EXPECT_GT(stats.measure_grouped_probes, 0u);
+  EXPECT_EQ(stats.measure_source_scans, 0u);
 }
 
 TEST(ConcurrencyStressTest, SchedulerRunsMixedSessionLoad) {

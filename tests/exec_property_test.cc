@@ -5,6 +5,7 @@
 // agreement: the batch kernels (exec/vector_eval.cc) must match the
 // row-at-a-time Evaluator bit for bit on randomized nullable batches.
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <vector>
@@ -221,6 +222,151 @@ TEST_P(ExecPropertyTest, RowAndVectorizedModesAgree) {
     EXPECT_GT(vec.stats()->exec_vectorized_batches, 0u) << q;
   }
 }
+
+// `x [NOT] IN (c1, ..., ck)` has a batch kernel when every item is a
+// literal or a bound `?` parameter. Each case runs under both exec modes
+// and must agree with the row path cell for cell, including the three-
+// valued results (a NULL operand, or a NULL item with no match, is NULL).
+class InListKernelTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  void SetUp() override {
+    std::mt19937 rng(GetParam());
+    std::uniform_int_distribution<int> pct(0, 99);
+    std::uniform_int_distribution<int> small(0, 5);
+    const char* names[] = {"'alpha'", "'beta'", "'gamma'", "''"};
+    const char* dates[] = {"DATE '2024-01-01'", "DATE '2024-02-01'",
+                           "DATE '2024-03-01'"};
+    MustExecute(&db_,
+                "CREATE TABLE t (name VARCHAR, d DATE, x DOUBLE, k INTEGER)");
+    auto maybe = [&](std::string v) { return pct(rng) < 15 ? "NULL" : v; };
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int64_t i = 0; i < kRowsPerBatch + 300; ++i) {
+      if (i > 0) sql += ", ";
+      sql += StrCat("(", maybe(names[small(rng) % 4]), ", ",
+                    maybe(dates[small(rng) % 3]), ", ",
+                    maybe(StrCat(small(rng) * 0.5)), ", ",
+                    maybe(StrCat(small(rng))), ")");
+    }
+    MustExecute(&db_, sql);
+  }
+
+  // Runs `sql` under both exec modes; returns the vectorized run's stats.
+  std::shared_ptr<const QueryStats> ExpectModesAgree(const std::string& sql) {
+    db_.options().exec_mode = ExecMode::kVectorized;
+    ResultSet vec = MustQuery(&db_, sql);
+    db_.options().exec_mode = ExecMode::kRow;
+    ResultSet row = MustQuery(&db_, sql);
+    db_.options().exec_mode = ExecMode::kVectorized;
+    EXPECT_TRUE(testing::ResultsAgree(vec, row)) << sql;
+    EXPECT_GT(vec.num_rows(), 0u) << sql;
+    return vec.stats();
+  }
+
+  // The kernel ran: batches processed, no operator fell back to rows.
+  void ExpectKernel(const std::string& sql) {
+    auto stats = ExpectModesAgree(sql);
+    ASSERT_NE(stats, nullptr);
+    EXPECT_GT(stats->exec_vectorized_batches, 0u) << sql;
+    EXPECT_EQ(stats->exec_row_fallbacks, 0u) << sql;
+  }
+
+  Engine db_;
+};
+
+TEST_P(InListKernelTest, NullOperandAndNullItems) {
+  // NULL operand rows (15% of `name`) project NULL under every list.
+  ExpectKernel("SELECT k, name, name IN ('alpha', 'gamma') AS r FROM t");
+  // A NULL item with no match: NULL for every non-matching row.
+  ExpectKernel("SELECT k, name, name IN ('zeta', NULL) AS r FROM t");
+  ExpectKernel("SELECT k, name, name IN ('alpha', NULL) AS r FROM t");
+  // NOT IN with a NULL item: FALSE on a match, NULL otherwise.
+  ExpectKernel("SELECT k, name, name NOT IN ('alpha', NULL) AS r FROM t");
+  ExpectKernel("SELECT k, name, name NOT IN ('beta', '') AS r FROM t");
+  // In a WHERE, NULL and FALSE both drop the row.
+  ExpectKernel("SELECT k, name FROM t WHERE name NOT IN ('alpha', NULL) "
+               "OR k IN (1, NULL)");
+  ExpectKernel("SELECT k, name FROM t WHERE name IN ('beta', 'gamma') "
+               "AND k NOT IN (0, 5)");
+}
+
+TEST_P(InListKernelTest, NumericAndDateKinds) {
+  // INT operand against INT and DOUBLE items (cross-kind numeric equality).
+  ExpectKernel("SELECT k, k IN (1, 2.0, 3.5) AS r FROM t");
+  // DOUBLE operand against INT items.
+  ExpectKernel("SELECT x, x IN (1, 2.5, NULL) AS r FROM t");
+  ExpectKernel("SELECT x, x NOT IN (0, 1.5) AS r FROM t");
+  // DATE operands: equal only to DATE items, never to numbers.
+  ExpectKernel("SELECT d, d IN (DATE '2024-01-01', DATE '2024-03-01') AS r "
+               "FROM t");
+  ExpectKernel("SELECT d, d IN (1, 2) AS r, d NOT IN ('2024-01-01') AS s "
+               "FROM t");
+}
+
+TEST_P(InListKernelTest, ParametersThroughPrepareExecute) {
+  const std::string sql =
+      "SELECT k, name, name IN (?, ?) AS r, k NOT IN (?, 3) AS s FROM t";
+  const std::vector<Row> bindings = {
+      {Value::String("alpha"), Value::String("beta"), Value::Int(1)},
+      {Value::String("gamma"), Value::Null(), Value::Null()},
+      {Value::Null(), Value::Null(), Value::Int(4)},
+  };
+  for (const Row& params : bindings) {
+    ResultSet results[2];
+    for (int mode = 0; mode < 2; ++mode) {
+      db_.options().exec_mode = mode == 0 ? ExecMode::kVectorized
+                                          : ExecMode::kRow;
+      auto prepared = db_.PrepareSelect(
+          sql, {TypeKind::kString, TypeKind::kString, TypeKind::kInt64});
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      auto r = db_.QueryPlanned(prepared.value(), params);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      results[mode] = std::move(r.value());
+    }
+    db_.options().exec_mode = ExecMode::kVectorized;
+    EXPECT_TRUE(testing::ResultsAgree(results[0], results[1]));
+    ASSERT_NE(results[0].stats(), nullptr);
+    EXPECT_EQ(results[0].stats()->exec_row_fallbacks, 0u);
+  }
+}
+
+TEST_P(InListKernelTest, DegradedDictionaryStringColumn) {
+  // Past ColumnBuilder::kMaxDictCodes distinct strings the dictionary
+  // degrades to one inline entry per row: codes stop being comparable, so
+  // membership must be tested per entry, never per code.
+  MustExecute(&db_, "CREATE TABLE wide (name VARCHAR, k INTEGER)");
+  const int64_t distinct =
+      static_cast<int64_t>(ColumnBuilder::kMaxDictCodes) + 1000;
+  for (int64_t begin = 0; begin < distinct; begin += 4000) {
+    std::string sql = "INSERT INTO wide VALUES ";
+    for (int64_t i = begin; i < std::min(distinct, begin + 4000); ++i) {
+      if (i > begin) sql += ", ";
+      sql += i % 97 == 0 ? std::string("(NULL, 0)")
+                         : StrCat("('n", i % (distinct - 50), "', ", i, ")");
+    }
+    MustExecute(&db_, sql);
+  }
+  ExpectKernel("SELECT k, name FROM wide "
+               "WHERE name IN ('n5', 'n16000', 'n3')");
+  ExpectKernel("SELECT k, name NOT IN ('n1', NULL, 'n16001') AS r "
+               "FROM wide WHERE k < 20 OR k > 16500");
+
+  const auto entry = db_.catalog().Find("wide");
+  ASSERT_NE(entry, nullptr);
+  const auto cols = entry->table->ColumnsFor(entry->table->snapshot());
+  ASSERT_NE(cols, nullptr);
+  EXPECT_FALSE(cols->cols[0]->dict_unique);
+}
+
+TEST_P(InListKernelTest, NonConstantItemStaysOnRowPath) {
+  // An item that reads the row could error or short-circuit differently
+  // per row, so the filter keeps the row arm (and still agrees).
+  auto stats = ExpectModesAgree("SELECT k, x FROM t WHERE k IN (x, 3)");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_GT(stats->exec_row_fallbacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InListKernelTest,
+                         ::testing::Values(5u, 2718u));
 
 // Direct kernel-vs-Evaluator agreement on hand-built columnar batches. The
 // batch spans several 1024-row boundaries and every column carries NULLs.

@@ -116,9 +116,10 @@ TEST_F(ExplainAnalyzeTest, AnalyzeListing4ReportsPerOperatorActuals) {
 
 TEST_F(ExplainAnalyzeTest, AnalyzeGroupedStrategyReportsBuildsAndProbes) {
   // A bare measure under GROUP BY produces one all-dimension context per
-  // group; the grouped strategy partitions the source once and answers
-  // each group with an index probe. ANALYZE attributes the build and the
-  // per-group probes to the Aggregate operator.
+  // group; the grouped strategy partitions the source in one pass and
+  // answers each group with a lookup in the measure's value table. ANALYZE
+  // attributes the build and the per-group probes to the Aggregate
+  // operator.
   std::string text = Render(
       "EXPLAIN ANALYZE SELECT prodName, sumRevenue AS r "
       "FROM (SELECT *, SUM(revenue) AS MEASURE sumRevenue FROM Orders) AS o "
@@ -130,6 +131,49 @@ TEST_F(ExplainAnalyzeTest, AnalyzeGroupedStrategyReportsBuildsAndProbes) {
   EXPECT_NE(agg.find("fired=grouped"), std::string::npos) << agg;
   EXPECT_NE(agg.find("scans=0"), std::string::npos) << agg;
   EXPECT_NE(text.find("strategy=grouped+inline"), std::string::npos);
+}
+
+TEST_F(ExplainAnalyzeTest, InListFilterOverMeasureViewRunsVectorized) {
+  // `prodName IN (...)` has a batch kernel, so the Filter over the
+  // measure view's columnar projection never falls back to rows.
+  MustExecute(&db_,
+              "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE sumRevenue "
+              "FROM Orders");
+  std::string text = Render(
+      "EXPLAIN ANALYZE SELECT prodName, AGGREGATE(sumRevenue) AS r FROM EO "
+      "WHERE prodName IN ('Happy', 'Whizz') GROUP BY prodName");
+  std::string filter = LineWith(text, "Filter");
+  ASSERT_FALSE(filter.empty()) << text;
+  EXPECT_NE(filter.find("IN ("), std::string::npos) << filter;
+  EXPECT_NE(filter.find("exec=vectorized"), std::string::npos) << filter;
+  EXPECT_NE(filter.find("fallbacks=0"), std::string::npos) << filter;
+}
+
+TEST_F(ExplainAnalyzeTest, WarmBareMeasuresHitOneTablePerMeasureColumn) {
+  // Each bare measure column of a GROUP BY is answered from one value
+  // table: cold, one partition of the source (shared by both columns) and
+  // one shared-cache miss per column; warm, one shared-cache hit per
+  // column — not one per group.
+  MustExecute(&db_,
+              "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE sumRevenue, "
+              "COUNT(*) AS MEASURE orderCount FROM Orders");
+  const std::string query =
+      "SELECT custName, sumRevenue AS r, orderCount AS c FROM EO "
+      "GROUP BY custName";
+  std::string cold = LineWith(Render("EXPLAIN ANALYZE " + query), "[measures:");
+  ASSERT_FALSE(cold.empty());
+  EXPECT_NE(cold.find("grouped_builds=1"), std::string::npos) << cold;
+  EXPECT_NE(cold.find("grouped_probes=6"), std::string::npos) << cold;
+  EXPECT_NE(cold.find("shared_misses=2"), std::string::npos) << cold;
+
+  std::string warm = LineWith(Render("EXPLAIN ANALYZE " + query), "[measures:");
+  ASSERT_FALSE(warm.empty());
+  EXPECT_NE(warm.find("evals=6"), std::string::npos) << warm;
+  EXPECT_NE(warm.find("grouped_builds=0"), std::string::npos) << warm;
+  EXPECT_NE(warm.find("grouped_probes=6"), std::string::npos) << warm;
+  EXPECT_NE(warm.find("shared_hits=2"), std::string::npos) << warm;
+  EXPECT_NE(warm.find("shared_misses=0"), std::string::npos) << warm;
+  EXPECT_NE(warm.find("scans=0"), std::string::npos) << warm;
 }
 
 TEST_F(ExplainAnalyzeTest, AnalyzeListing8CountsRollupGroupsAndScans) {

@@ -187,6 +187,75 @@ TEST_F(MeasureTest, CountStarMeasure) {
   EXPECT_EQ(rs.Get(0, "total").int_val(), 5);
 }
 
+TEST_F(MeasureTest, GroupedValueTableAbsentKeysAndPerGroupErrors) {
+  // The grouped strategy answers a bare measure from its shape's key->value
+  // table. A pinned value no source row has takes the formula over zero
+  // rows (COUNT 0, SUM NULL), and a group whose formula fails (Whizz:
+  // SUM(cost - 1) = 0) fails only the queries that ask for that group.
+  MustExecute(&db_, R"sql(
+    CREATE VIEW V AS SELECT *, COUNT(*) AS MEASURE n,
+      SUM(revenue) AS MEASURE r,
+      SUM(revenue) / SUM(cost - 1) AS MEASURE q
+    FROM Orders
+  )sql");
+  for (MeasureStrategy s : {MeasureStrategy::kGrouped,
+                            MeasureStrategy::kNaive}) {
+    db_.options().measure_strategy = s;
+    ResultSet rs = MustQuery(&db_, R"sql(
+      SELECT prodName, n AT (SET prodName = 'Nope') AS n0,
+             r AT (SET prodName = 'Nope') AS r0
+      FROM V GROUP BY prodName ORDER BY prodName
+    )sql");
+    ASSERT_EQ(rs.num_rows(), 3u);
+    ASSERT_FALSE(rs.Get(0, "n0").is_null());
+    EXPECT_EQ(rs.Get(0, "n0").int_val(), 0);
+    EXPECT_TRUE(rs.Get(0, "r0").is_null());
+
+    ResultSet ok = MustQuery(&db_, R"sql(
+      SELECT prodName, q FROM V WHERE prodName <> 'Whizz'
+      GROUP BY prodName ORDER BY prodName
+    )sql");
+    ASSERT_EQ(ok.num_rows(), 2u);
+    EXPECT_NEAR(ok.Get(0, "q").double_val(), 5.0, 1e-9);   // Acme 5 / 1
+    EXPECT_NEAR(ok.Get(1, "q").double_val(), 17.0 / 6, 1e-9);
+
+    auto bad = db_.Query("SELECT prodName, q FROM V GROUP BY prodName");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_NE(bad.status().message().find("division by zero"),
+              std::string::npos);
+  }
+}
+
+TEST_F(MeasureTest, GroupedValueTableKeepsEveryFormulaErrorPerGroup) {
+  // A malformed CAST fails with kInvalidArgument, not kExecution. It too
+  // belongs to the one group whose rows hold the bad string: a query whose
+  // WHERE excludes that group succeeds, and one that asks for it fails.
+  MustExecute(&db_, R"sql(
+    CREATE VIEW D AS SELECT prodName,
+      CASE WHEN prodName = 'Whizz' THEN 'not a date' ELSE '2024-01-05' END
+        AS s
+    FROM Orders
+  )sql");
+  MustExecute(&db_, R"sql(
+    CREATE VIEW V AS SELECT *, MAX(CAST(s AS DATE)) AS MEASURE md FROM D
+  )sql");
+  for (MeasureStrategy s : {MeasureStrategy::kGrouped,
+                            MeasureStrategy::kNaive}) {
+    db_.options().measure_strategy = s;
+    ResultSet ok = MustQuery(&db_, R"sql(
+      SELECT prodName, md FROM V WHERE prodName <> 'Whizz'
+      GROUP BY prodName ORDER BY prodName
+    )sql");
+    ASSERT_EQ(ok.num_rows(), 2u);
+    EXPECT_FALSE(ok.Get(0, "md").is_null());
+    EXPECT_FALSE(ok.Get(1, "md").is_null());
+
+    auto bad = db_.Query("SELECT prodName, md FROM V GROUP BY prodName");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);
+  }
+}
+
 TEST_F(MeasureTest, MeasureWithCaseFormula) {
   MustExecute(&db_, R"sql(
     CREATE VIEW V AS SELECT *,

@@ -302,7 +302,7 @@ TEST(ObsCounterTableTest, EveryCounterAgreesAcrossSurfaces) {
       // Inline evaluation; the repeat is served by the shared cache.
       {"SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName", false},
       {"SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName", false},
-      // Grouped-index build and probes (parallel where the host allows).
+      // Grouped value-table build and lookups.
       {"SELECT prodName, r AS v FROM EO GROUP BY prodName", false},
       // A source scan and per-query memo hits.
       {"SELECT custName, AGGREGATE(r) / (r AT (ALL)) FROM EO "

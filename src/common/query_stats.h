@@ -26,7 +26,7 @@ namespace msql {
   X(measure_grouped_builds, "msql_measure_grouped_builds_total",             \
     "Grouped-strategy partitions of a measure source built")                 \
   X(measure_grouped_probes, "msql_measure_grouped_probes_total",             \
-    "Measure evaluations answered by a grouped table lookup or probe")       \
+    "Measure evaluations answered by a grouped value-table lookup")          \
   X(measure_grouped_fallbacks, "msql_measure_grouped_fallbacks_total",       \
     "Grouped builds degraded to the scan path (fault injection)")            \
   X(measure_parallel_tasks, "msql_measure_parallel_tasks_total",             \

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/query_guard.h"
@@ -16,8 +18,8 @@ namespace msql {
 
 class SharedMeasureCache;  // runtime/shared_cache.h
 class ThreadPool;          // runtime/thread_pool.h
-struct GroupedIndex;       // measure/grouped.h
-class MeasureTable;        // measure/grouped.h
+struct GroupedIndex;       // measure/grouped.cc
+class MeasureTable;        // measure/grouped.cc
 struct LogicalPlan;        // plan/plan.h
 
 // How measure evaluations are executed. kNaive re-scans the measure source
@@ -136,8 +138,9 @@ struct ExecState : QueryCounters {
   std::function<ThreadPool*()> measure_pool_provider;
 
   // Engine-wide cross-query result cache (may be null: uncached engine or
-  // naive strategy). Consulted by the measure evaluator and the subquery
-  // memoizer on a local-cache miss; fills are tagged with
+  // naive strategy). Consulted through SharedCacheSlot by the measure
+  // evaluator, the grouped value tables and the subquery memoizer on a
+  // local-cache miss; fills are tagged with
   // `catalog_generation`, the catalog data version snapshotted when this
   // query started, so entries computed against concurrently mutated data
   // are rejected by the cache.
@@ -155,8 +158,8 @@ struct ExecState : QueryCounters {
   int depth = 0;
 
   // Positional parameter values for prepared-statement execution (null =
-  // no parameters). `param_sig` is the rendered value tuple; non-empty, it
-  // is appended to every *cross-query* shared-cache key so results
+  // no parameters). `param_sig` is the rendered value tuple; every
+  // *cross-query* shared-cache key (SharedCacheSlot) carries it so results
   // computed under one parameter binding are never replayed under another
   // (structural fingerprints render `?` placeholders identically).
   const Row* params = nullptr;
@@ -165,6 +168,35 @@ struct ExecState : QueryCounters {
   // How this statement interacted with the engine's prepared-plan cache
   // (0 = not consulted, 1 = miss, 2 = hit); copied into QueryStats.
   int plan_cache_outcome = 0;
+};
+
+// One query's handle on one cross-query SharedMeasureCache entry
+// (docs/CONCURRENCY.md), and the only place such keys are built:
+// `prefix|catalog generation|parameter signature|part|part...`. The
+// generation pins the data version the entry was computed at; the
+// parameter signature pins the bound `?` values, which structural
+// fingerprints render identically. An inactive slot (default-constructed,
+// or on a query without a shared cache) misses every lookup uncounted and
+// ignores fills.
+class SharedCacheSlot {
+ public:
+  SharedCacheSlot() = default;
+  SharedCacheSlot(ExecState* state, std::string_view prefix,
+                  std::initializer_list<std::string_view> parts);
+
+  // On an active slot, counts a shared-cache hit or miss on the query.
+  bool Lookup(Value* out) const;
+  bool Lookup(std::shared_ptr<const void>* out) const;
+
+  // Publishes an entry computed by this query, charged to its byte budget.
+  // The `runtime.shared_cache_fill` fault point may skip the fill: the
+  // query's answer stays correct, only its result goes uncached.
+  Status Fill(const Value& value) const;
+  Status Fill(std::shared_ptr<const void> object, uint64_t bytes) const;
+
+ private:
+  ExecState* state_ = nullptr;
+  std::string key_;
 };
 
 }  // namespace msql

@@ -11,7 +11,6 @@
 #include "measure/cse.h"
 #include "measure/grouped.h"
 #include "runtime/fingerprint.h"
-#include "runtime/shared_cache.h"
 
 namespace msql {
 
@@ -1066,11 +1065,13 @@ Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
   MSQL_RETURN_IF_ERROR(state->guard.Check());
   ++state->subquery_execs;
 
+  // Only scalar and EXISTS results are memoized: an IN result depends on
+  // the probe value too.
+  const bool memoize = state->options.memoize_subqueries &&
+                       (e.kind == BoundExprKind::kSubquery ||
+                        e.kind == BoundExprKind::kExists);
   std::string cache_key;
-  const bool memoize = state->options.memoize_subqueries;
-  const bool scalar_like = e.kind == BoundExprKind::kSubquery ||
-                           e.kind == BoundExprKind::kExists;
-  std::string shared_key;
+  SharedCacheSlot shared;
   if (memoize) {
     cache_key = StrCat(reinterpret_cast<uintptr_t>(e.subplan.get()), "|");
     std::string literals;
@@ -1083,38 +1084,30 @@ Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
     auto it = state->subquery_cache.find(cache_key);
     if (it != state->subquery_cache.end()) {
       ++state->subquery_cache_hits;
-      if (scalar_like) return it->second;
-      // IN-subquery results depend on the probe value too; skip caching.
+      return it->second;
     }
     // Cross-query layer: free-variable *values* are part of the key, so
     // even correlated subqueries share safely under a structural plan
     // fingerprint (pointer keys above are meaningless across binds).
-    if (scalar_like && state->shared_cache != nullptr) {
+    if (state->shared_cache != nullptr) {
       auto [fp, inserted] =
           state->plan_fingerprints.emplace(e.subplan.get(), std::string());
       if (inserted) fp->second = FingerprintPlan(*e.subplan);
-      shared_key = StrCat("q|", state->catalog_generation, "|",
-                          state->param_sig, "|",
-                          e.kind == BoundExprKind::kExists ? "e" : "s",
-                          e.negated ? "!" : "", "|", fp->second, "|", literals);
+      const char* kind = e.kind == BoundExprKind::kExists
+                             ? (e.negated ? "e!" : "e")
+                             : (e.negated ? "s!" : "s");
+      shared = SharedCacheSlot(state, "q", {kind, fp->second, literals});
       Value v;
-      if (state->shared_cache->Lookup(shared_key, &v)) {
-        ++state->shared_cache_hits;
+      if (shared.Lookup(&v)) {
         state->subquery_cache.emplace(cache_key, v);
         return v;
       }
-      ++state->shared_cache_misses;
     }
   }
 
   auto publish = [&](const Value& v) -> Status {
     state->subquery_cache.emplace(cache_key, v);
-    if (!shared_key.empty() && AdmitSharedCacheFill()) {
-      MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(
-          SharedMeasureCache::ApproxEntryBytes(shared_key, v)));
-      state->shared_cache->Insert(shared_key, v, state->catalog_generation);
-    }
-    return Status::Ok();
+    return shared.Fill(v);
   };
 
   Executor exec(state);

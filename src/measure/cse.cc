@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "exec/agg_eval.h"
 #include "measure/grouped.h"
-#include "runtime/shared_cache.h"
 
 namespace msql {
 
@@ -185,146 +184,11 @@ std::string MeasureMemoKey(const RtMeasure& m, const std::string& signature) {
                 reinterpret_cast<uintptr_t>(m.formula.get()), "|", signature);
 }
 
-// Cross-query SharedMeasureCache key; empty when the evaluation is not
-// shareable.
-std::string MeasureSharedKey(const RtMeasure& m, const ExecState& state,
-                             const std::string& signature) {
-  // Cross-query layer (docs/CONCURRENCY.md): the fingerprint replaces the
-  // per-bind pointers with a structural identity stable across queries, and
-  // the catalog generation pins the data version. Signatures that render an
-  // embedded subquery are skipped — that rendering is not injective, so two
-  // different predicates could alias one key.
-  if (state.shared_cache == nullptr || m.fingerprint == nullptr ||
-      signature.find("<subquery>") != std::string::npos) {
-    return std::string();
-  }
-  // Parameter values are invisible to the structural fingerprint, so a
-  // parameterized query keys its entries by its bound value tuple too.
-  return StrCat("m|", state.catalog_generation, "|", state.param_sig, "|",
-                *m.fingerprint, "|", signature);
-}
-
-// Publishes a computed value under a MeasureSharedKey (no-op on an empty
-// key), charging the entry against the query's byte budget.
-Status PublishSharedMeasure(const std::string& shared_key, const Value& result,
-                            ExecState* state) {
-  if (shared_key.empty() || !AdmitSharedCacheFill()) return Status::Ok();
-  MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(
-      SharedMeasureCache::ApproxEntryBytes(shared_key, result)));
-  state->shared_cache->Insert(shared_key, result, state->catalog_generation);
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
-                              ExecState* state) {
-  MSQL_FAULT_POINT("measure.eval");
-  MSQL_RETURN_IF_ERROR(state->guard.Check());
-  ++state->measure_evals;
-  if (++state->depth > state->options.max_recursion_depth) {
-    --state->depth;
-    return RecursionLimitExceeded("measure evaluation",
-                                  state->options.max_recursion_depth);
-  }
-  struct DepthGuard {
-    ExecState* s;
-    ~DepthGuard() { --s->depth; }
-  } guard{state};
-
-  // Grouped strategy: an all-dimension context is one lookup in its
-  // shape's key->value table (measure/grouped.h), shared by every
-  // same-shaped context in the query and, via the shared cache, across
-  // queries; a group's value is computed on its first lookup. The table is the cache, so nothing is memoized per
-  // context. Formulas the table cannot take probe a row-id index below.
-  // A null table or index means the build was degraded by fault injection
-  // — fall through to the scan.
-  ContextShape shape;
-  if (state->options.measure_strategy == MeasureStrategy::kGrouped) {
-    shape = ShapeOf(ctx);
-  }
-  const bool table = shape.groupable() && UsesMeasureTable(m, *state);
-  if (table) {
-    MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const MeasureTable> values,
-                          GetOrBuildMeasureTable(m, shape, state));
-    if (values != nullptr) {
-      return values->Lookup(m, shape.Key(), state);
-    }
-  }
-
-  // Grouped probes memoize too: a probe answers one context, and later
-  // evaluations of the same context (e.g. across grouping sets) should hit
-  // the memo rather than re-aggregate the group.
-  const bool memoize =
-      state->options.measure_strategy == MeasureStrategy::kMemoized ||
-      state->options.measure_strategy == MeasureStrategy::kGrouped;
-  std::string key;
-  std::string shared_key;
-  if (memoize) {
-    const std::string signature = ctx.Signature();
-    key = MeasureMemoKey(m, signature);
-    auto it = state->measure_cache.find(key);
-    if (it != state->measure_cache.end()) {
-      ++state->measure_cache_hits;
-      return it->second;
-    }
-    shared_key = MeasureSharedKey(m, *state, signature);
-    if (!shared_key.empty()) {
-      Value v;
-      if (state->shared_cache->Lookup(shared_key, &v)) {
-        ++state->shared_cache_hits;
-        state->measure_cache.emplace(std::move(key), v);
-        return v;
-      }
-      ++state->shared_cache_misses;
-    }
-  }
-
-  const Relation& src = *m.source;
-
-  // Fast path (paper section 6.4, "inline the measure definition"): when
-  // every term is a row-id restriction, the admitted rows are just the
-  // intersection of the id sets — no scan of the source required.
-  bool rowids_only = state->options.inline_visible_contexts;
-  for (const ContextTerm& term : ctx.terms()) {
-    if (term.kind != ContextTerm::Kind::kRowIds) rowids_only = false;
-  }
-  if (rowids_only && !ctx.terms().empty()) {
-    ++state->measure_inline_evals;
-    std::vector<int64_t> selected = *ctx.terms()[0].rowids;
-    for (size_t t = 1; t < ctx.terms().size(); ++t) {
-      const auto& other = *ctx.terms()[t].rowids;
-      std::vector<int64_t> merged;
-      std::set_intersection(selected.begin(), selected.end(), other.begin(),
-                            other.end(), std::back_inserter(merged));
-      selected = std::move(merged);
-    }
-    MSQL_ASSIGN_OR_RETURN(Value result,
-                          EvalFormulaOverRows(*m.formula, src, selected,
-                                              state));
-    if (memoize) {
-      MSQL_RETURN_IF_ERROR(PublishSharedMeasure(shared_key, result, state));
-      state->measure_cache.emplace(std::move(key), result);
-    }
-    return result;
-  }
-
-  if (shape.groupable() && !table) {
-    MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
-                          GetOrBuildGroupedIndex(m, shape, state));
-    if (index != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(Value result,
-                            EvalGroupedProbe(*index, m, shape, state));
-      MSQL_RETURN_IF_ERROR(PublishSharedMeasure(shared_key, result, state));
-      state->measure_cache.emplace(std::move(key), result);
-      return result;
-    }
-  }
-
-  // Select the admitted source rows.
+// Selects the source rows `ctx` admits by scanning the source.
+Status ScanAdmitted(const EvalContext& ctx, const Relation& src,
+                    ExecState* state, std::vector<int64_t>* selected) {
   ++state->measure_source_scans;
   Evaluator ev(state);
-  std::vector<int64_t> selected;
   RowStack stack(1);
   for (int64_t i = 0; i < static_cast<int64_t>(src.rows.size()); ++i) {
     MSQL_RETURN_IF_ERROR(state->guard.Check());
@@ -352,13 +216,94 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
       }
       if (!admit) break;
     }
-    if (admit) selected.push_back(i);
+    if (admit) selected->push_back(i);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
+                              ExecState* state) {
+  MSQL_FAULT_POINT("measure.eval");
+  MSQL_RETURN_IF_ERROR(state->guard.Check());
+  ++state->measure_evals;
+  if (++state->depth > state->options.max_recursion_depth) {
+    --state->depth;
+    return RecursionLimitExceeded("measure evaluation",
+                                  state->options.max_recursion_depth);
+  }
+  struct DepthGuard {
+    ExecState* s;
+    ~DepthGuard() { --s->depth; }
+  } guard{state};
+
+  // Grouped strategy: an all-dimension context is one lookup in its
+  // shape's key->value table (measure/grouped.h), shared by every
+  // same-shaped context in the query and, via the shared cache, across
+  // queries; a group's value is computed on its first lookup. The table is
+  // the cache, so nothing is memoized per context. A null table means the
+  // build was degraded by fault injection — fall through to the scan.
+  MSQL_ASSIGN_OR_RETURN(TableRoute route, RouteToTable(m, ctx, state));
+  if (route.table != nullptr) return route.Lookup(m, ctx, state);
+
+  const bool memoize =
+      state->options.measure_strategy == MeasureStrategy::kMemoized ||
+      state->options.measure_strategy == MeasureStrategy::kGrouped;
+  std::string key;
+  SharedCacheSlot shared;
+  if (memoize) {
+    const std::string signature = ctx.Signature();
+    key = MeasureMemoKey(m, signature);
+    auto it = state->measure_cache.find(key);
+    if (it != state->measure_cache.end()) {
+      ++state->measure_cache_hits;
+      return it->second;
+    }
+    // Cross-query layer (docs/CONCURRENCY.md): the fingerprint replaces the
+    // per-bind pointers with a structural identity stable across queries.
+    // Signatures that render an embedded subquery are skipped — that
+    // rendering is not injective, so two different predicates could alias
+    // one key.
+    if (m.fingerprint != nullptr &&
+        signature.find("<subquery>") == std::string::npos) {
+      shared = SharedCacheSlot(state, "m", {*m.fingerprint, signature});
+    }
+    Value v;
+    if (shared.Lookup(&v)) {
+      state->measure_cache.emplace(std::move(key), v);
+      return v;
+    }
+  }
+
+  const Relation& src = *m.source;
+  std::vector<int64_t> selected;
+
+  // Fast path (paper section 6.4, "inline the measure definition"): when
+  // every term is a row-id restriction, the admitted rows are just the
+  // intersection of the id sets — no scan of the source required.
+  bool rowids_only = state->options.inline_visible_contexts;
+  for (const ContextTerm& term : ctx.terms()) {
+    if (term.kind != ContextTerm::Kind::kRowIds) rowids_only = false;
+  }
+  if (rowids_only && !ctx.terms().empty()) {
+    ++state->measure_inline_evals;
+    selected = *ctx.terms()[0].rowids;
+    for (size_t t = 1; t < ctx.terms().size(); ++t) {
+      const auto& other = *ctx.terms()[t].rowids;
+      std::vector<int64_t> merged;
+      std::set_intersection(selected.begin(), selected.end(), other.begin(),
+                            other.end(), std::back_inserter(merged));
+      selected = std::move(merged);
+    }
+  } else {
+    MSQL_RETURN_IF_ERROR(ScanAdmitted(ctx, src, state, &selected));
   }
 
   MSQL_ASSIGN_OR_RETURN(Value result,
                         EvalFormulaOverRows(*m.formula, src, selected, state));
   if (memoize) {
-    MSQL_RETURN_IF_ERROR(PublishSharedMeasure(shared_key, result, state));
+    MSQL_RETURN_IF_ERROR(shared.Fill(result));
     state->measure_cache.emplace(std::move(key), result);
   }
   return result;

@@ -47,8 +47,7 @@ Status ApplyModifiers(const RtMeasure& m,
 // evaluates the formula over them, memoizing by context signature when the
 // engine strategy allows. Under MeasureStrategy::kGrouped, all-dimension
 // contexts are answered by a lookup in a per-shape key->value table of the
-// measure (or, for formulas the table cannot take, a probe into a per-shape
-// row-id index) instead of a scan; see measure/grouped.h.
+// measure instead of a scan; see measure/grouped.h.
 Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
                               ExecState* state);
 

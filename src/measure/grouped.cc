@@ -1,6 +1,7 @@
 #include "measure/grouped.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -11,10 +12,74 @@
 #include "exec/vector_eval.h"
 #include "measure/cse.h"
 #include "runtime/parallel.h"
-#include "runtime/shared_cache.h"
 #include "runtime/thread_pool.h"
 
 namespace msql {
+
+// Immutable dimension-tuple partition of a measure source for one context
+// shape, the part of a MeasureTable shared by every measure over that
+// source: each distinct tuple maps to a group whose ascending source row
+// indexes are rows[group]. The last group is empty; it stands for every
+// tuple no source row has.
+struct GroupedIndex {
+  RowGroupMap groups;
+  std::vector<std::vector<int64_t>> rows;
+  uint64_t approx_bytes = 0;
+
+  size_t GroupOf(const Row& key) const {
+    auto it = groups.find(key);
+    return it == groups.end() ? rows.size() - 1 : it->second;
+  }
+};
+
+// One measure's values over a GroupedIndex, one slot per group. A value is
+// published once (compare-and-swap), so lookups from concurrent queries
+// sharing the table never block; two racing fillers compute the same value
+// and one copy is kept.
+class MeasureTable {
+ public:
+  explicit MeasureTable(std::shared_ptr<const GroupedIndex> index)
+      : index_(std::move(index)),
+        values_(index_->rows.size()),
+        approx_bytes_(index_->approx_bytes +
+                      values_.size() * (sizeof(std::atomic<const Value*>) +
+                                        sizeof(Value))) {}
+  ~MeasureTable() {
+    for (std::atomic<const Value*>& v : values_) delete v.load();
+  }
+  MeasureTable(const MeasureTable&) = delete;
+  MeasureTable& operator=(const MeasureTable&) = delete;
+
+  // The value of `m` (the measure the table was built for) for the
+  // dimension tuple `key`, in shape order.
+  Result<Value> Lookup(const RtMeasure& m, const Row& key,
+                       ExecState* state) const {
+    ++state->measure_grouped_probes;
+    const size_t g = index_->GroupOf(key);
+    if (const Value* v = values_[g].load(std::memory_order_acquire)) return *v;
+    // The first ask: the formula over the group's rows in ascending order —
+    // the very evaluation a per-context scan would run, so results are
+    // bit-identical. A failure (an error of the formula, or this query's
+    // guard) is returned and nothing is published.
+    MSQL_ASSIGN_OR_RETURN(Value v, EvalFormulaOverRows(*m.formula, *m.source,
+                                                       index_->rows[g], state));
+    auto fresh = std::make_unique<const Value>(v);
+    const Value* expected = nullptr;
+    if (values_[g].compare_exchange_strong(expected, fresh.get(),
+                                           std::memory_order_acq_rel)) {
+      fresh.release();
+    }
+    return v;
+  }
+
+  // Residency estimate: the partition plus one Value per slot.
+  uint64_t approx_bytes() const { return approx_bytes_; }
+
+ private:
+  std::shared_ptr<const GroupedIndex> index_;
+  mutable std::vector<std::atomic<const Value*>> values_;
+  uint64_t approx_bytes_;
+};
 
 namespace {
 
@@ -45,6 +110,36 @@ ThreadPool* MeasurePoolOrNull(ExecState* state) {
   if (state->options.measure_parallelism == 1) return nullptr;
   if (!state->measure_pool_provider) return nullptr;
   return state->measure_pool_provider();
+}
+
+// True when `e` can be evaluated on a worker thread against a private
+// ExecState: no subqueries, nested measure references or CURRENT nodes
+// (those reach through shared per-query state).
+bool IsParallelSafe(const BoundExpr& e) {
+  switch (e.kind) {
+    case BoundExprKind::kSubquery:
+    case BoundExprKind::kInSubquery:
+    case BoundExprKind::kExists:
+    case BoundExprKind::kMeasureEval:
+    case BoundExprKind::kCurrent:
+      return false;
+    default:
+      break;
+  }
+  for (const auto& a : e.args) {
+    if (a != nullptr && !IsParallelSafe(*a)) return false;
+  }
+  if (e.filter != nullptr && !IsParallelSafe(*e.filter)) return false;
+  for (const auto& [when, then] : e.when_clauses) {
+    if (when != nullptr && !IsParallelSafe(*when)) return false;
+    if (then != nullptr && !IsParallelSafe(*then)) return false;
+  }
+  if (e.else_expr != nullptr && !IsParallelSafe(*e.else_expr)) return false;
+  if (e.operand != nullptr && !IsParallelSafe(*e.operand)) return false;
+  if (e.current_dim != nullptr && !IsParallelSafe(*e.current_dim)) {
+    return false;
+  }
+  return true;
 }
 
 using DimExprs = std::vector<std::shared_ptr<const BoundExpr>>;
@@ -110,6 +205,39 @@ Status EvalAllKeyRows(const DimExprs& dims, const Relation& src,
     if (st.ok() && !merged.ok()) st = merged;
   }
   return st;
+}
+
+// The batchable skeleton of an evaluation context: its dimension terms in
+// canonical (key-sorted) order, and a signature that keeps the dimension
+// keys while stripping the pinned values. Two contexts share a table iff
+// their signatures match.
+struct ContextShape {
+  std::vector<const ContextTerm*> dims;  // borrowed from the EvalContext
+  std::vector<size_t> positions;  // dims[d] == &ctx.terms()[positions[d]]
+  std::string signature;          // "g:k1&k2&..."; empty = ungroupable
+  bool groupable() const { return !signature.empty(); }
+};
+
+// Shape of `ctx`: groupable iff it is non-empty and every term is a
+// dimension equality.
+ContextShape ShapeOf(const EvalContext& ctx) {
+  ContextShape shape;
+  if (ctx.empty()) return shape;
+  const std::vector<ContextTerm>& terms = ctx.terms();
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (terms[i].kind != ContextTerm::Kind::kDimEq) return ContextShape{};
+    shape.positions.push_back(i);
+  }
+  std::sort(shape.positions.begin(), shape.positions.end(),
+            [&](size_t a, size_t b) { return terms[a].key < terms[b].key; });
+  std::vector<std::string> keys;
+  keys.reserve(terms.size());
+  for (size_t i : shape.positions) {
+    shape.dims.push_back(&terms[i]);
+    keys.push_back(terms[i].key);
+  }
+  shape.signature = StrCat("g:", Join(keys, "&"));
+  return shape;
 }
 
 // Groups the source rows by the shape's dimension tuple, keeping the tuple
@@ -197,187 +325,47 @@ Result<std::shared_ptr<const GroupedIndex>> PartitionFor(
   return index;
 }
 
-uint64_t ResidentBytes(const GroupedIndex& index) {
-  return index.approx_bytes;
-}
-uint64_t ResidentBytes(const MeasureTable& table) {
-  return table.approx_bytes();
-}
-
-// The cross-query layer shared by tables and indexes: a per-query entry
-// under `local_key`, else the SharedMeasureCache entry keyed by
-// generation, parameter signature, structural fingerprint and shape, else
-// `wrap` applied to the query's partition (published for later queries).
-template <typename T, typename Wrap>
-Result<std::shared_ptr<const T>> GetOrBuild(
-    std::unordered_map<std::string, std::shared_ptr<const T>>* local,
-    const std::string& local_key, const char* prefix, const RtMeasure& m,
-    const ContextShape& shape, ExecState* state, Wrap wrap) {
-  auto it = local->find(local_key);
-  if (it != local->end()) return it->second;
+// The table for (m, shape): a per-query entry, else the SharedMeasureCache
+// entry keyed by structural fingerprint and shape, else the query's
+// partition with empty value slots (published for later queries).
+Result<std::shared_ptr<const MeasureTable>> TableFor(const RtMeasure& m,
+                                                     const ContextShape& shape,
+                                                     ExecState* state) {
+  const std::string local_key =
+      StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
+             reinterpret_cast<uintptr_t>(m.formula.get()), "|",
+             shape.signature);
+  auto it = state->measure_table_cache.find(local_key);
+  if (it != state->measure_table_cache.end()) return it->second;
 
   // Shape signatures never embed subquery renderings — TranslateToSource
   // rejects subqueries in dimension predicates — so the key is injective.
-  std::string shared_key;
-  if (state->shared_cache != nullptr && m.fingerprint != nullptr) {
-    shared_key = StrCat(prefix, state->catalog_generation, "|",
-                        state->param_sig, "|", *m.fingerprint, "|",
-                        shape.signature);
-    std::shared_ptr<const void> obj;
-    if (state->shared_cache->LookupObject(shared_key, &obj)) {
-      ++state->shared_cache_hits;
-      auto cached = std::static_pointer_cast<const T>(obj);
-      local->emplace(local_key, cached);
-      return cached;
-    }
-    ++state->shared_cache_misses;
+  SharedCacheSlot shared;
+  if (m.fingerprint != nullptr) {
+    shared = SharedCacheSlot(state, "mt", {*m.fingerprint, shape.signature});
+  }
+  std::shared_ptr<const void> cached;
+  if (shared.Lookup(&cached)) {
+    auto table = std::static_pointer_cast<const MeasureTable>(cached);
+    state->measure_table_cache.emplace(local_key, table);
+    return table;
   }
 
   MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
                         PartitionFor(m, shape, state));
-  std::shared_ptr<const T> built;
-  if (index != nullptr) built = wrap(std::move(index));
-  local->emplace(local_key, built);
-  if (built != nullptr && !shared_key.empty() && AdmitSharedCacheFill()) {
-    const uint64_t bytes = ResidentBytes(*built);
-    MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(bytes));
-    state->shared_cache->InsertObject(shared_key, built, bytes,
-                                      state->catalog_generation);
+  std::shared_ptr<const MeasureTable> table;
+  if (index != nullptr) {
+    table = std::make_shared<const MeasureTable>(std::move(index));
   }
-  return built;
-}
-
-}  // namespace
-
-ContextShape ShapeOf(const EvalContext& ctx) {
-  ContextShape shape;
-  if (ctx.empty()) return shape;
-  const std::vector<ContextTerm>& terms = ctx.terms();
-  for (size_t i = 0; i < terms.size(); ++i) {
-    if (terms[i].kind != ContextTerm::Kind::kDimEq) return ContextShape{};
-    shape.positions.push_back(i);
+  state->measure_table_cache.emplace(local_key, table);
+  if (table != nullptr) {
+    MSQL_RETURN_IF_ERROR(shared.Fill(table, table->approx_bytes()));
   }
-  std::sort(shape.positions.begin(), shape.positions.end(),
-            [&](size_t a, size_t b) { return terms[a].key < terms[b].key; });
-  std::vector<std::string> keys;
-  keys.reserve(terms.size());
-  for (size_t i : shape.positions) {
-    shape.dims.push_back(&terms[i]);
-    keys.push_back(terms[i].key);
-  }
-  shape.signature = StrCat("g:", Join(keys, "&"));
-  return shape;
+  return table;
 }
-
-Row ContextShape::Key() const {
-  Row key;
-  key.reserve(dims.size());
-  for (const ContextTerm* t : dims) key.push_back(t->value);
-  return key;
-}
-
-bool UsesMeasureTable(const RtMeasure& m, const ExecState& state) {
-  return state.options.measure_strategy == MeasureStrategy::kGrouped &&
-         IsParallelSafe(*m.formula);
-}
-
-size_t GroupedIndex::GroupOf(const Row& key) const {
-  auto it = groups.find(key);
-  return it == groups.end() ? rows.size() - 1 : it->second;
-}
-
-MeasureTable::MeasureTable(std::shared_ptr<const GroupedIndex> index)
-    : index_(std::move(index)),
-      values_(index_->rows.size()),
-      approx_bytes_(index_->approx_bytes +
-                    values_.size() * (sizeof(std::atomic<const Value*>) +
-                                      sizeof(Value))) {}
-
-MeasureTable::~MeasureTable() {
-  for (std::atomic<const Value*>& v : values_) delete v.load();
-}
-
-Result<Value> MeasureTable::Lookup(const RtMeasure& m, const Row& key,
-                                   ExecState* state) const {
-  ++state->measure_grouped_probes;
-  const size_t g = index_->GroupOf(key);
-  if (const Value* v = values_[g].load(std::memory_order_acquire)) return *v;
-  // The first ask: the formula over the group's rows in ascending order —
-  // the very evaluation a per-context scan would run, so results are
-  // bit-identical. A failure (an error of the formula, or this query's
-  // guard) is returned and nothing is published.
-  MSQL_ASSIGN_OR_RETURN(Value v, EvalFormulaOverRows(*m.formula, *m.source,
-                                                     index_->rows[g], state));
-  auto fresh = std::make_unique<const Value>(v);
-  const Value* expected = nullptr;
-  if (values_[g].compare_exchange_strong(expected, fresh.get(),
-                                         std::memory_order_acq_rel)) {
-    fresh.release();
-  }
-  return v;
-}
-
-Result<std::shared_ptr<const MeasureTable>> GetOrBuildMeasureTable(
-    const RtMeasure& m, const ContextShape& shape, ExecState* state) {
-  return GetOrBuild<MeasureTable>(
-      &state->measure_table_cache,
-      StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
-             reinterpret_cast<uintptr_t>(m.formula.get()), "|",
-             shape.signature),
-      "mt|", m, shape, state, [](std::shared_ptr<const GroupedIndex> index) {
-        return std::make_shared<const MeasureTable>(std::move(index));
-      });
-}
-
-Result<std::shared_ptr<const GroupedIndex>> GetOrBuildGroupedIndex(
-    const RtMeasure& m, const ContextShape& shape, ExecState* state) {
-  // The per-query layer is the partition cache itself.
-  return GetOrBuild<GroupedIndex>(
-      &state->grouped_index_cache,
-      StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
-             shape.signature),
-      "gi|", m, shape, state,
-      [](std::shared_ptr<const GroupedIndex> index) { return index; });
-}
-
-Result<Value> EvalGroupedProbe(const GroupedIndex& index, const RtMeasure& m,
-                               const ContextShape& shape, ExecState* state) {
-  ++state->measure_grouped_probes;
-  return EvalFormulaOverRows(*m.formula, *m.source,
-                             index.rows[index.GroupOf(shape.Key())], state);
-}
-
-bool IsParallelSafe(const BoundExpr& e) {
-  switch (e.kind) {
-    case BoundExprKind::kSubquery:
-    case BoundExprKind::kInSubquery:
-    case BoundExprKind::kExists:
-    case BoundExprKind::kMeasureEval:
-    case BoundExprKind::kCurrent:
-      return false;
-    default:
-      break;
-  }
-  for (const auto& a : e.args) {
-    if (a != nullptr && !IsParallelSafe(*a)) return false;
-  }
-  if (e.filter != nullptr && !IsParallelSafe(*e.filter)) return false;
-  for (const auto& [when, then] : e.when_clauses) {
-    if (when != nullptr && !IsParallelSafe(*when)) return false;
-    if (then != nullptr && !IsParallelSafe(*then)) return false;
-  }
-  if (e.else_expr != nullptr && !IsParallelSafe(*e.else_expr)) return false;
-  if (e.operand != nullptr && !IsParallelSafe(*e.operand)) return false;
-  if (e.current_dim != nullptr && !IsParallelSafe(*e.current_dim)) {
-    return false;
-  }
-  return true;
-}
-
-namespace {
 
 // Whether `ctx` has exactly the terms of `first` — same kinds and keys in
-// the same positions — so `first`'s shape positions read its tuple.
+// the same positions — so `first`'s route reads its tuple.
 bool SameTerms(const EvalContext& ctx, const EvalContext& first) {
   const std::vector<ContextTerm>& a = ctx.terms();
   const std::vector<ContextTerm>& b = first.terms();
@@ -390,36 +378,49 @@ bool SameTerms(const EvalContext& ctx, const EvalContext& first) {
 
 }  // namespace
 
+Result<Value> TableRoute::Lookup(const RtMeasure& m, const EvalContext& ctx,
+                                 ExecState* state) {
+  const std::vector<ContextTerm>& terms = ctx.terms();
+  key.resize(positions.size());
+  for (size_t d = 0; d < key.size(); ++d) key[d] = terms[positions[d]].value;
+  return table->Lookup(m, key, state);
+}
+
+Result<TableRoute> RouteToTable(const RtMeasure& m, const EvalContext& ctx,
+                                ExecState* state) {
+  TableRoute route;
+  if (state->options.measure_strategy != MeasureStrategy::kGrouped) {
+    return route;
+  }
+  ContextShape shape = ShapeOf(ctx);
+  if (!shape.groupable()) return route;
+  MSQL_ASSIGN_OR_RETURN(route.table, TableFor(m, shape, state));
+  route.positions = std::move(shape.positions);
+  return route;
+}
+
 Result<std::vector<Value>> EvaluateMeasureBatch(
     const RtMeasure& m, const std::vector<EvalContext>& contexts,
     ExecState* state) {
   std::vector<Value> out(contexts.size());
-  // A call site's contexts normally share one shape: fetch the table once
+  // A call site's contexts normally share one shape: fetch the route once
   // and answer each context with one lookup, counted as an evaluation
   // exactly as EvaluateMeasure would.
-  if (!contexts.empty() && UsesMeasureTable(m, *state)) {
-    const ContextShape shape = ShapeOf(contexts[0]);
-    bool same = shape.groupable();
+  if (!contexts.empty()) {
+    MSQL_ASSIGN_OR_RETURN(TableRoute route,
+                          RouteToTable(m, contexts[0], state));
+    bool same = route.table != nullptr;
     for (size_t i = 1; same && i < contexts.size(); ++i) {
       same = SameTerms(contexts[i], contexts[0]);
     }
     if (same) {
-      MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const MeasureTable> table,
-                            GetOrBuildMeasureTable(m, shape, state));
-      if (table != nullptr) {
-        Row key(shape.positions.size());
-        for (size_t i = 0; i < contexts.size(); ++i) {
-          MSQL_FAULT_POINT("measure.eval");
-          MSQL_RETURN_IF_ERROR(state->guard.Check());
-          ++state->measure_evals;
-          const std::vector<ContextTerm>& terms = contexts[i].terms();
-          for (size_t d = 0; d < key.size(); ++d) {
-            key[d] = terms[shape.positions[d]].value;
-          }
-          MSQL_ASSIGN_OR_RETURN(out[i], table->Lookup(m, key, state));
-        }
-        return out;
+      for (size_t i = 0; i < contexts.size(); ++i) {
+        MSQL_FAULT_POINT("measure.eval");
+        MSQL_RETURN_IF_ERROR(state->guard.Check());
+        ++state->measure_evals;
+        MSQL_ASSIGN_OR_RETURN(out[i], route.Lookup(m, contexts[i], state));
       }
+      return out;
     }
   }
   for (size_t i = 0; i < contexts.size(); ++i) {

@@ -1,7 +1,5 @@
 #include "runtime/shared_cache.h"
 
-#include "common/fault_injection.h"
-
 namespace msql {
 
 bool SharedMeasureCache::Lookup(const std::string& key, Value* out) {
@@ -127,12 +125,6 @@ void SharedMeasureCache::RemoveLocked(LruList::iterator it) {
   index_.erase(it->key);
   bytes_ -= it->bytes;
   lru_.erase(it);
-}
-
-bool AdmitSharedCacheFill() {
-  FaultInjector& faults = FaultInjector::Instance();
-  return !faults.active() ||
-         faults.Checkpoint("runtime.shared_cache_fill").ok();
 }
 
 }  // namespace msql

@@ -21,9 +21,11 @@ namespace msql {
 // value instead of re-scanning the measure source — the same reuse the Data
 // Cube line of work gets from materializing group-by results once.
 //
-// Keys are built by the caller from three stable components:
+// Keys are built by SharedCacheSlot (exec/exec_state.h) from stable
+// components:
 //   * the catalog data generation at which the value was computed (any DDL
-//     or DML bumps it, so stale entries can never be observed),
+//     or DML bumps it, so stale entries can never be observed), and the
+//     query's parameter signature,
 //   * a structural fingerprint of the measure source plan and formula (see
 //     runtime/fingerprint.h) — stable across queries, unlike the pointer
 //     identities used by the per-query caches,
@@ -67,8 +69,8 @@ class SharedMeasureCache {
   void Insert(const std::string& key, const Value& value,
               uint64_t generation);
 
-  // Type-erased immutable objects — the grouped strategy's per-shape value
-  // tables and row-id indexes (measure/grouped.h) — share the same budget, LRU and
+  // Type-erased objects — the grouped strategy's per-shape value tables
+  // (measure/grouped.h) — share the same budget, LRU and
   // generation-invalidation machinery as scalar entries. Objects are
   // opaque to the cache, so the caller supplies the byte estimate at
   // insert time and uses disjoint key prefixes per object type.
@@ -117,13 +119,6 @@ class SharedMeasureCache {
   uint64_t min_generation_ = 0;
   Stats counters_;
 };
-
-// Gate shared by every cross-query cache fill site (measure values, grouped
-// tables and indexes, subquery memos): the degradable `runtime.shared_cache_fill`
-// fault point. A false return means "skip the fill and move on" — the
-// query still returns correct (uncached) results, so a failed fill
-// degrades that one query instead of failing it.
-bool AdmitSharedCacheFill();
 
 }  // namespace msql
 

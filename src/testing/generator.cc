@@ -20,6 +20,7 @@ struct SchemaInfo {
   bool has_v1 = false;    // DOUBLE value column
   bool has_y2 = false;    // derived YEAR(d2) dimension in the view
   bool has_join = false;  // dim table t1(d0, attr) exists
+  bool has_level2 = false;  // view V1 over V0, measure n0 composing m0
   int d0_domain = 3;      // 'A'.. up to 'E'
   int d1_domain = 3;      // 0 .. d1_domain
   std::vector<MeasureDef> measures;
@@ -157,6 +158,14 @@ class Generator {
     view += " FROM t0";
     spec->setup.push_back(std::move(view));
 
+    // Paper section 5.4 composition: a measure whose formula references a
+    // measure of its input view.
+    info_.has_level2 = rng_.Chance(30);
+    if (info_.has_level2) {
+      spec->setup.push_back(
+          "CREATE VIEW V1 AS SELECT *, m0 - SUM(v0) AS MEASURE n0 FROM V0");
+    }
+
     info_.dims = {"d0", "d1"};
     if (info_.has_d2) info_.dims.push_back("d2");
     if (info_.has_y2) info_.dims.push_back("y2");
@@ -282,8 +291,9 @@ class Generator {
     return StrCat(expr, " AS x", alias_no);
   }
 
-  // A differential query over the measure view (sometimes joined to the
-  // dim table, sometimes over an inline measure provider).
+  // A differential query over the measure view (sometimes over the
+  // second-level view, joined to the dim table, or over an inline measure
+  // provider).
   std::string GenQuery() {
     bool join = info_.has_join && rng_.Chance(20);
     bool inline_provider = !join && rng_.Chance(15);
@@ -300,7 +310,9 @@ class Generator {
              "FROM t0) AS s";
       measures = {"q0", "q1"};
     } else {
-      from = "V0";
+      const bool level2 = info_.has_level2 && rng_.Chance(40);
+      from = level2 ? "V1" : "V0";
+      if (level2) measures.push_back("n0");
       for (const auto& m : info_.measures) measures.push_back(m.name);
     }
 

@@ -22,9 +22,10 @@ struct GeneratorOptions {
 // Deterministically generates a full test case from a seed: a randomized
 // star-ish schema (NULL-heavy dimension columns, optional date dimension,
 // optional join table, extreme numerics, sometimes an empty table), a
-// measure view over the fact table, and a batch of queries exercising AT
-// modifiers (ALL / ALL dim / SET / VISIBLE / WHERE), CURRENT dim, joins,
-// inline measure providers, and GROUP BY. The same (seed, options) pair
+// measure view over the fact table (sometimes with a second-level view
+// whose measure composes a first-level one), and a batch of queries
+// exercising AT modifiers (ALL / ALL dim / SET / VISIBLE / WHERE), CURRENT
+// dim, joins, inline measure providers, and GROUP BY. The same (seed, options) pair
 // always produces the identical CaseSpec on every platform.
 CaseSpec GenerateCase(uint64_t seed, const GeneratorOptions& options = {});
 

@@ -114,11 +114,12 @@ TEST(ConcurrencyStressTest, EightSessionsMatchSerialResults) {
 }
 
 TEST(ConcurrencyStressTest, SessionsFillOneSharedValueTableConcurrently) {
-  // Every query below has the same measure and context shape (custName,
-  // orderYear), so all sessions share one value table through the
-  // cross-query cache and fill its slots on first lookup. Each query asks
-  // for a different, overlapping slice of the groups, so fills of the same
-  // slot race. Every answer must equal the naive strategy's.
+  // Every query below has the same measures and context shape (custName,
+  // orderYear), so all sessions share one value table per measure through
+  // the cross-query cache and fill its slots on first lookup; `n`'s
+  // formula references the input measure `r` (paper section 5.4). Each
+  // query asks for a different, overlapping slice of the groups, so fills
+  // of the same slot race. Every answer must equal the naive strategy's.
   auto seed = [](Engine* db) {
     std::string sql =
         "CREATE TABLE Big (custName VARCHAR, orderYear INTEGER, "
@@ -129,11 +130,12 @@ TEST(ConcurrencyStressTest, SessionsFillOneSharedValueTableConcurrently) {
              std::to_string(2000 + i % 7) + ", " + std::to_string(i % 13) +
              ")";
     }
-    sql += "; CREATE VIEW BV AS SELECT *, SUM(revenue) AS MEASURE r FROM Big";
+    sql += "; CREATE VIEW BV AS SELECT *, SUM(revenue) AS MEASURE r FROM Big"
+           "; CREATE VIEW BV2 AS SELECT *, r - COUNT(*) AS MEASURE n FROM BV";
     ASSERT_TRUE(db->Execute(sql).ok());
   };
   auto query = [](int slice) {
-    return "SELECT custName, orderYear, r FROM BV WHERE orderYear = " +
+    return "SELECT custName, orderYear, r, n FROM BV2 WHERE orderYear = " +
            std::to_string(2000 + slice % 7) +
            " GROUP BY custName, orderYear ORDER BY custName";
   };

@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "parser/parser.h"
 #include "tests/paper_fixture.h"
+#include "tests/testing_matchers.h"
 
 namespace msql {
 namespace {
@@ -151,29 +152,62 @@ TEST_F(ExplainAnalyzeTest, InListFilterOverMeasureViewRunsVectorized) {
 
 TEST_F(ExplainAnalyzeTest, WarmBareMeasuresHitOneTablePerMeasureColumn) {
   // Each bare measure column of a GROUP BY is answered from one value
-  // table: cold, one partition of the source (shared by both columns) and
-  // one shared-cache miss per column; warm, one shared-cache hit per
-  // column — not one per group.
-  MustExecute(&db_,
-              "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE sumRevenue, "
-              "COUNT(*) AS MEASURE orderCount FROM Orders");
-  const std::string query =
-      "SELECT custName, sumRevenue AS r, orderCount AS c FROM EO "
-      "GROUP BY custName";
-  std::string cold = LineWith(Render("EXPLAIN ANALYZE " + query), "[measures:");
-  ASSERT_FALSE(cold.empty());
-  EXPECT_NE(cold.find("grouped_builds=1"), std::string::npos) << cold;
-  EXPECT_NE(cold.find("grouped_probes=6"), std::string::npos) << cold;
-  EXPECT_NE(cold.find("shared_misses=2"), std::string::npos) << cold;
+  // table: cold, one partition of the source (shared by every column);
+  // warm, one shared-cache hit per column — not one per group. That holds
+  // for a formula over an input measure (paper section 5.4) too.
+  MustExecute(&db_, R"sql(
+    CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE sumRevenue,
+                             COUNT(*) AS MEASURE orderCount FROM Orders;
+    CREATE VIEW L1 AS SELECT *, SUM(revenue) AS MEASURE rev FROM Orders;
+    CREATE VIEW L2 AS SELECT *, rev - SUM(cost) AS MEASURE profit FROM L1;
+  )sql");
+  struct Input {
+    std::string query;
+    int groups;
+    int columns;
+    int cold_misses;  // tables, plus the inner measure's per-context entries
+  };
+  const Input inputs[] = {
+      {"SELECT custName, sumRevenue AS r, orderCount AS c FROM EO "
+       "GROUP BY custName",
+       6, 2, 2},
+      {"SELECT prodName, profit FROM L2 GROUP BY prodName", 3, 1, 4},
+  };
+  for (const Input& in : inputs) {
+    for (ExecMode mode : {ExecMode::kVectorized, ExecMode::kRow}) {
+      SCOPED_TRACE(in.query);
+      db_.shared_cache().Clear();
+      db_.options().exec_mode = mode;
+      db_.options().measure_strategy = MeasureStrategy::kGrouped;
+      const std::string probes = "grouped_probes=" + std::to_string(in.groups);
+      std::string cold =
+          LineWith(Render("EXPLAIN ANALYZE " + in.query), "[measures:");
+      ASSERT_FALSE(cold.empty());
+      EXPECT_NE(cold.find("grouped_builds=1"), std::string::npos) << cold;
+      EXPECT_NE(cold.find(probes), std::string::npos) << cold;
+      EXPECT_NE(cold.find("shared_misses=" + std::to_string(in.cold_misses)),
+                std::string::npos)
+          << cold;
 
-  std::string warm = LineWith(Render("EXPLAIN ANALYZE " + query), "[measures:");
-  ASSERT_FALSE(warm.empty());
-  EXPECT_NE(warm.find("evals=6"), std::string::npos) << warm;
-  EXPECT_NE(warm.find("grouped_builds=0"), std::string::npos) << warm;
-  EXPECT_NE(warm.find("grouped_probes=6"), std::string::npos) << warm;
-  EXPECT_NE(warm.find("shared_hits=2"), std::string::npos) << warm;
-  EXPECT_NE(warm.find("shared_misses=0"), std::string::npos) << warm;
-  EXPECT_NE(warm.find("scans=0"), std::string::npos) << warm;
+      std::string warm =
+          LineWith(Render("EXPLAIN ANALYZE " + in.query), "[measures:");
+      ASSERT_FALSE(warm.empty());
+      EXPECT_NE(warm.find("evals=" + std::to_string(in.groups)),
+                std::string::npos)
+          << warm;
+      EXPECT_NE(warm.find("grouped_builds=0"), std::string::npos) << warm;
+      EXPECT_NE(warm.find(probes), std::string::npos) << warm;
+      EXPECT_NE(warm.find("shared_hits=" + std::to_string(in.columns)),
+                std::string::npos)
+          << warm;
+      EXPECT_NE(warm.find("shared_misses=0"), std::string::npos) << warm;
+      EXPECT_NE(warm.find("scans=0"), std::string::npos) << warm;
+
+      ResultSet grouped = MustQuery(&db_, in.query);
+      db_.options().measure_strategy = MeasureStrategy::kNaive;
+      EXPECT_TRUE(testing::ResultsAgree(grouped, MustQuery(&db_, in.query)));
+    }
+  }
 }
 
 TEST_F(ExplainAnalyzeTest, AnalyzeListing8CountsRollupGroupsAndScans) {

@@ -250,61 +250,78 @@ TEST_F(FaultInjectionTest, ObsSweepDegradesGracefully) {
 TEST_F(FaultInjectionTest, GroupedIndexBuildFaultDegradesToScan) {
   // A fault while building the grouped hash index must never fail the
   // query: the evaluator caches the failure, falls back to the per-context
-  // scan path, and bumps msql_measure_grouped_fallbacks_total.
-  const char* sql =
-      "SELECT prodName, r AS v FROM EO GROUP BY prodName ORDER BY prodName";
-  // Fresh engine per run so the shared measure cache never short-circuits
-  // the build checkpoint out of the run.
-  auto run = [&](ResultSet* out, std::shared_ptr<const QueryStats>* stats) {
-    Engine db;
-    Status import = db.ImportCsv("Orders", csv_path_);
-    if (!import.ok()) return import;
-    Status view = db.Execute(
-        "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE r FROM Orders");
-    if (!view.ok()) return view;
-    auto r = db.Query(sql);
-    if (!r.ok()) return r.status();
-    *stats = r.value().stats();
-    *out = std::move(r.value());
-    return Status::Ok();
+  // scan path, and bumps msql_measure_grouped_fallbacks_total. The second
+  // input's formula references an input measure (paper section 5.4).
+  struct Input {
+    const char* views;
+    const char* sql;
+    int64_t want[3];  // Acme, Happy, Whizz
   };
+  const Input inputs[] = {
+      {"CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE r FROM Orders",
+       "SELECT prodName, r AS v FROM EO GROUP BY prodName ORDER BY prodName",
+       {5, 17, 3}},  // Happy: 6 + 7 + 4
+      {"CREATE VIEW L1 AS SELECT *, SUM(revenue) AS MEASURE rev FROM Orders;"
+       "CREATE VIEW L2 AS SELECT *, rev - COUNT(*) AS MEASURE profit "
+       "FROM L1",
+       "SELECT prodName, profit AS v FROM L2 GROUP BY prodName "
+       "ORDER BY prodName",
+       {4, 14, 2}},  // Happy: 17 - 3
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.sql);
+    // Fresh engine per run so the shared measure cache never
+    // short-circuits the build checkpoint out of the run.
+    auto run = [&](ResultSet* out, std::shared_ptr<const QueryStats>* stats) {
+      Engine db;
+      Status import = db.ImportCsv("Orders", csv_path_);
+      if (!import.ok()) return import;
+      Status view = db.Execute(in.views);
+      if (!view.ok()) return view;
+      auto r = db.Query(in.sql);
+      if (!r.ok()) return r.status();
+      *stats = r.value().stats();
+      *out = std::move(r.value());
+      return Status::Ok();
+    };
 
-  auto& fi = FaultInjector::Instance();
-  fi.ArmAt(0);  // count-only
-  {
-    ResultSet rs;
-    std::shared_ptr<const QueryStats> stats;
-    ASSERT_TRUE(run(&rs, &stats).ok());
-    ASSERT_NE(stats, nullptr);
-    EXPECT_GE(stats->measure_grouped_builds, 1u);
-  }
-  const int64_t n = fi.hits();
-  fi.Reset();
-  ASSERT_GT(n, 0);
-
-  bool exercised = false;
-  for (int64_t i = 1; i <= n; ++i) {
-    fi.ArmAt(i);
-    ResultSet rs;
-    std::shared_ptr<const QueryStats> stats;
-    Status st = run(&rs, &stats);
-    const std::string fired_site = fi.fired_site();
+    auto& fi = FaultInjector::Instance();
+    fi.ArmAt(0);  // count-only
+    {
+      ResultSet rs;
+      std::shared_ptr<const QueryStats> stats;
+      ASSERT_TRUE(run(&rs, &stats).ok());
+      ASSERT_NE(stats, nullptr);
+      EXPECT_GE(stats->measure_grouped_builds, 1u);
+    }
+    const int64_t n = fi.hits();
     fi.Reset();
-    if (fired_site != "measure.grouped_index_build") continue;
-    exercised = true;
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    ASSERT_NE(stats, nullptr);
-    EXPECT_GE(stats->measure_grouped_fallbacks, 1u);
-    EXPECT_EQ(stats->measure_grouped_builds, 0u);
-    EXPECT_GT(stats->measure_source_scans, 0u);
-    // Degraded results are still the listing's correct totals.
-    ASSERT_EQ(rs.num_rows(), 3u);
-    EXPECT_EQ(rs.Get(0, "v").int_val(), 5);    // Acme
-    EXPECT_EQ(rs.Get(1, "v").int_val(), 17);   // Happy: 6 + 7 + 4
-    EXPECT_EQ(rs.Get(2, "v").int_val(), 3);    // Whizz
+    ASSERT_GT(n, 0);
+
+    bool exercised = false;
+    for (int64_t i = 1; i <= n; ++i) {
+      fi.ArmAt(i);
+      ResultSet rs;
+      std::shared_ptr<const QueryStats> stats;
+      Status st = run(&rs, &stats);
+      const std::string fired_site = fi.fired_site();
+      fi.Reset();
+      if (fired_site != "measure.grouped_index_build") continue;
+      exercised = true;
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ASSERT_NE(stats, nullptr);
+      EXPECT_GE(stats->measure_grouped_fallbacks, 1u);
+      EXPECT_EQ(stats->measure_grouped_builds, 0u);
+      EXPECT_GT(stats->measure_source_scans, 0u);
+      // Degraded results are still the correct totals.
+      ASSERT_EQ(rs.num_rows(), 3u);
+      for (size_t row = 0; row < 3; ++row) {
+        EXPECT_EQ(rs.Get(row, "v").int_val(), in.want[row]) << row;
+      }
+    }
+    EXPECT_TRUE(exercised)
+        << "the workload never crossed measure.grouped_index_build";
   }
-  EXPECT_TRUE(exercised)
-      << "the workload never crossed measure.grouped_index_build";
 }
 
 TEST_F(FaultInjectionTest, VectorizedKernelFaultDegradesToRowExecution) {

@@ -168,7 +168,6 @@ class Binder {
     std::chrono::steady_clock::time_point start_;
   };
 
-  static std::vector<PlanMeasure> PropagateSameSchema(const LogicalPlan& child);
   Status CheckAccessAndGet(const std::string& name, const CatalogEntry** out);
 
   const Catalog* catalog_;

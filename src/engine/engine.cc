@@ -17,12 +17,30 @@
 #include "measure/grouped.h"
 #include "parser/parser.h"
 #include "parser/unparser.h"
+#include "plan/rewrite.h"
 #include "runtime/fingerprint.h"
 #include "runtime/session.h"
 
 namespace msql {
 
 namespace {
+
+// Plans run rewritten (plan/rewrite.h) under every strategy but kNaive: the
+// naive oracle legs run the literal plan, so the other legs check the
+// rewrite. Plan-cache keys record the form, so a session never runs a
+// cached plan of the other form.
+bool RewritesPlans(const EngineOptions& options) {
+  return options.measure_strategy != MeasureStrategy::kNaive;
+}
+
+// Binds a SELECT the engine is about to run or explain. CREATE VIEW
+// validation, DESCRIBE and ExpandSql bind without the rewrite.
+Result<PlanPtr> BindToRun(Binder* binder, const SelectStmt& select,
+                          const EngineOptions& options) {
+  MSQL_ASSIGN_OR_RETURN(PlanPtr plan, binder->Bind(select));
+  if (RewritesPlans(options)) plan = PushFiltersBelowJoins(std::move(plan));
+  return plan;
+}
 
 int64_t ElapsedUsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -271,7 +289,8 @@ Result<ResultSet> Engine::QueryWith(const std::string& sql,
     // it (RunSelectImpl), warming the path for the next identical call.
     cctx.plan_cache_text = TrimStatementText(sql);
     if (PreparedPlanPtr cached = plan_cache_.Lookup(
-            PlanCacheKey(ctx.user, cctx.plan_cache_text, {}),
+            PlanCacheKey(ctx.user, cctx.plan_cache_text, {},
+                         RewritesPlans(ctx.options)),
             catalog_.generation())) {
       return QueryPlanned(cached, {}, ctx);
     }
@@ -550,7 +569,8 @@ Result<ResultSet> Engine::RunSelectImpl(const SelectStmt& select,
   const uint64_t bind_generation = catalog_.generation();
   std::string canonical_key;
   if (ctx.options.enable_plan_cache) {
-    canonical_key = PlanCacheKey(ctx.user, Unparse(select), {});
+    canonical_key = PlanCacheKey(ctx.user, Unparse(select), {},
+                                 RewritesPlans(ctx.options));
     if (PreparedPlanPtr cached =
             plan_cache_.Lookup(canonical_key, bind_generation)) {
       state->plan_cache_outcome = 2;
@@ -558,7 +578,8 @@ Result<ResultSet> Engine::RunSelectImpl(const SelectStmt& select,
       if (!ctx.plan_cache_text.empty()) {
         // A differently-spelled statement canonicalized onto this entry:
         // alias its raw text too so the pre-parse fast path hits next time.
-        plan_cache_.Insert(PlanCacheKey(ctx.user, ctx.plan_cache_text, {}),
+        plan_cache_.Insert(PlanCacheKey(ctx.user, ctx.plan_cache_text, {},
+                                        RewritesPlans(ctx.options)),
                            cached);
       }
       return ExecutePlanImpl(cached->plan, ctx, state, nullptr);
@@ -575,7 +596,7 @@ Result<ResultSet> Engine::RunSelectImpl(const SelectStmt& select,
     if (ctx.trace != nullptr) {
       binder.set_measure_expand_accumulator(&expand_us);
     }
-    Result<PlanPtr> bound = binder.Bind(select);
+    Result<PlanPtr> bound = BindToRun(&binder, select, ctx.options);
     if (!bound.ok()) {
       span.set_status(bound.status());
       return bound.status();
@@ -611,13 +632,15 @@ Result<ResultSet> Engine::RunSelectImpl(const SelectStmt& select,
     entry->fingerprint = FingerprintPlan(*plan);
     entry->approx_bytes = PlanCache::ApproxPlanBytes(*entry);
     after_arm = [this, state, entry, canonical_key,
-                 raw_text = ctx.plan_cache_text]() -> Status {
+                 raw_text = ctx.plan_cache_text,
+                 rewritten = RewritesPlans(ctx.options)]() -> Status {
       MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(entry->approx_bytes));
       plan_cache_.Insert(canonical_key, entry);
       if (!raw_text.empty()) {
         // Raw-text alias: the pre-parse fast path in QueryWith probes by
         // the trimmed statement text before a parser ever runs.
-        plan_cache_.Insert(PlanCacheKey(entry->user, raw_text, {}), entry);
+        plan_cache_.Insert(PlanCacheKey(entry->user, raw_text, {}, rewritten),
+                           entry);
       }
       return Status::Ok();
     };
@@ -717,7 +740,8 @@ Result<PreparedPlanPtr> Engine::PrepareSelect(
     const std::string& sql, std::vector<TypeKind> param_types,
     const QueryContext& ctx) {
   const std::string trimmed = TrimStatementText(sql);
-  const std::string key = PlanCacheKey(ctx.user, trimmed, param_types);
+  const std::string key = PlanCacheKey(ctx.user, trimmed, param_types,
+                                       RewritesPlans(ctx.options));
   // Snapshot before binding: an entry bound during a concurrent catalog
   // mutation records the older generation and self-invalidates on probe.
   const uint64_t bind_generation = catalog_.generation();
@@ -737,7 +761,8 @@ Result<PreparedPlanPtr> Engine::PrepareSelect(
   Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth,
                 SystemTablesFor(ctx.options));
   binder.set_param_types(param_types);
-  MSQL_ASSIGN_OR_RETURN(PlanPtr plan, binder.Bind(*stmt->select));
+  MSQL_ASSIGN_OR_RETURN(PlanPtr plan,
+                        BindToRun(&binder, *stmt->select, ctx.options));
   if (binder.used_system_tables()) {
     // A prepared plan over a system table would freeze one telemetry
     // snapshot and serve it forever (their contents change without a
@@ -777,7 +802,8 @@ Result<PreparedPlanPtr> Engine::PrepareSelect(
     // Canonical alias: a differently-spelled but structurally identical
     // Prepare from another connection reuses this bound plan.
     plan_cache_.Insert(
-        PlanCacheKey(entry->user, entry->canonical, entry->param_types),
+        PlanCacheKey(entry->user, entry->canonical, entry->param_types,
+                     RewritesPlans(ctx.options)),
         entry);
   }
   return PreparedPlanPtr(std::move(entry));
@@ -915,7 +941,8 @@ Status Engine::ExecuteStmt(const Stmt& stmt, ResultSet* out,
         if (!rs.ok()) text += obs::RenderAnalyzeOutcome(rs.status());
       } else {
         Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth);
-        MSQL_ASSIGN_OR_RETURN(PlanPtr plan, binder.Bind(*stmt.select));
+        MSQL_ASSIGN_OR_RETURN(PlanPtr plan,
+                              BindToRun(&binder, *stmt.select, ctx.options));
         text = obs::RenderPlanTree(*plan, eopts);
       }
       std::vector<Row> rows;
@@ -1070,7 +1097,7 @@ Result<std::string> Engine::Explain(const std::string& sql) {
   }
   Binder binder(&catalog_, user_, options_.max_recursion_depth,
                 SystemTablesFor(options_));
-  MSQL_ASSIGN_OR_RETURN(PlanPtr plan, binder.Bind(*select));
+  MSQL_ASSIGN_OR_RETURN(PlanPtr plan, BindToRun(&binder, *select, options_));
   obs::ExplainOptions eopts;
   eopts.strategy = options_.measure_strategy;
   eopts.inline_visible_contexts = options_.inline_visible_contexts;

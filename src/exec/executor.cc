@@ -10,6 +10,7 @@
 #include "exec/vector_eval.h"
 #include "measure/cse.h"
 #include "measure/grouped.h"
+#include "plan/rewrite.h"
 #include "runtime/fingerprint.h"
 
 namespace msql {
@@ -315,49 +316,13 @@ Result<RelationPtr> Executor::ExecFilter(const LogicalPlan& plan,
 namespace {
 
 // Extracts hash-join keys from a conjunction of equalities where one side
-// references only left columns and the other only right columns (in the
-// combined schema layout: left visible [0, lv), right visible [lv, lv+rv),
-// left hidden [lv+rv, lv+rv+lh), right hidden after).
+// references only left columns and the other only right columns (SideOf,
+// plan/rewrite.h, over the join's combined layout).
 struct JoinKeys {
   std::vector<const BoundExpr*> left;   // evaluated against combined-left row
   std::vector<const BoundExpr*> right;
   std::vector<const BoundExpr*> residual;
 };
-
-enum class Side { kLeft, kRight, kBoth, kNeither };
-
-Side SideOf(const BoundExpr& e, size_t lv, size_t rv, size_t lh) {
-  Side side = Side::kNeither;
-  bool poisoned = false;
-  VisitNodes(e, [&](const BoundExpr& n) {
-    if (n.kind == BoundExprKind::kSubquery ||
-        n.kind == BoundExprKind::kInSubquery ||
-        n.kind == BoundExprKind::kExists ||
-        n.kind == BoundExprKind::kMeasureEval) {
-      poisoned = true;
-    }
-    if (n.kind != BoundExprKind::kColumnRef || n.depth != 0) return;
-    size_t c = static_cast<size_t>(n.column);
-    Side s = (c < lv || (c >= lv + rv && c < lv + rv + lh)) ? Side::kLeft
-                                                            : Side::kRight;
-    if (side == Side::kNeither) {
-      side = s;
-    } else if (side != s) {
-      side = Side::kBoth;
-    }
-  });
-  if (poisoned) return Side::kBoth;
-  return side;
-}
-
-void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
-  if (e.kind == BoundExprKind::kFunc && e.func == FunctionId::kOpAnd) {
-    CollectConjuncts(*e.args[0], out);
-    CollectConjuncts(*e.args[1], out);
-    return;
-  }
-  out->push_back(&e);
-}
 
 JoinKeys AnalyzeJoin(const BoundExpr* cond, size_t lv, size_t rv, size_t lh) {
   JoinKeys keys;
@@ -367,16 +332,17 @@ JoinKeys AnalyzeJoin(const BoundExpr* cond, size_t lv, size_t rv, size_t lh) {
   for (const BoundExpr* c : conjuncts) {
     if (c->kind == BoundExprKind::kFunc && c->func == FunctionId::kOpEq &&
         c->args.size() == 2) {
-      Side s0 = SideOf(*c->args[0], lv, rv, lh);
-      Side s1 = SideOf(*c->args[1], lv, rv, lh);
-      if ((s0 == Side::kLeft || s0 == Side::kNeither) &&
-          (s1 == Side::kRight || s1 == Side::kNeither) &&
-          !(s0 == Side::kNeither && s1 == Side::kNeither)) {
+      JoinSide s0 = SideOf(*c->args[0], lv, rv, lh);
+      JoinSide s1 = SideOf(*c->args[1], lv, rv, lh);
+      if ((s0 == JoinSide::kLeft || s0 == JoinSide::kNeither) &&
+          (s1 == JoinSide::kRight || s1 == JoinSide::kNeither) &&
+          !(s0 == JoinSide::kNeither && s1 == JoinSide::kNeither)) {
         keys.left.push_back(c->args[0].get());
         keys.right.push_back(c->args[1].get());
         continue;
       }
-      if (s0 == Side::kRight && (s1 == Side::kLeft || s1 == Side::kNeither)) {
+      if (s0 == JoinSide::kRight &&
+          (s1 == JoinSide::kLeft || s1 == JoinSide::kNeither)) {
         keys.left.push_back(c->args[1].get());
         keys.right.push_back(c->args[0].get());
         continue;

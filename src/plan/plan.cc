@@ -25,6 +25,24 @@ const char* PlanKindName(PlanKind kind) {
 
 }  // namespace
 
+std::vector<PlanMeasure> PropagateSameSchema(const LogicalPlan& child) {
+  std::vector<PlanMeasure> out;
+  for (size_t i = 0; i < child.measures.size(); ++i) {
+    const PlanMeasure& cm = child.measures[i];
+    PlanMeasure pm;
+    pm.define = false;
+    pm.child_index = 0;
+    pm.child_slot = static_cast<int>(i);
+    pm.name = cm.name;
+    pm.value_type = cm.value_type;
+    pm.column = cm.column;
+    pm.rowid_col = cm.rowid_col;
+    pm.provenance = cm.provenance;
+    out.push_back(std::move(pm));
+  }
+  return out;
+}
+
 std::string LogicalPlan::NodeLabel() const {
   std::string s = PlanKindName(kind);
   switch (kind) {

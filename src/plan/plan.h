@@ -151,6 +151,10 @@ struct LogicalPlan {
 
 using PlanPtr = std::shared_ptr<LogicalPlan>;
 
+// Measures of a node whose output schema is its only child's (Filter, Sort,
+// Limit): each child measure propagates to the same slot and columns.
+std::vector<PlanMeasure> PropagateSameSchema(const LogicalPlan& child);
+
 }  // namespace msql
 
 #endif  // MSQL_PLAN_PLAN_H_

@@ -17,10 +17,11 @@ size_t CountPlanNodes(const LogicalPlan& plan) {
 }  // namespace
 
 std::string PlanCacheKey(const std::string& user, const std::string& sql,
-                         const std::vector<TypeKind>& param_types) {
+                         const std::vector<TypeKind>& param_types,
+                         bool rewritten) {
   // '\x1f' (unit separator) cannot appear in identifiers or SQL text the
   // lexer accepts, so the concatenation is injective.
-  std::string key = StrCat(user, "\x1f", sql, "\x1f");
+  std::string key = StrCat(user, "\x1f", sql, "\x1f", rewritten ? "r" : "l");
   for (TypeKind t : param_types) {
     key.push_back(static_cast<char>('0' + static_cast<int>(t)));
   }

@@ -32,13 +32,15 @@ struct PreparedPlan {
 };
 using PreparedPlanPtr = std::shared_ptr<const PreparedPlan>;
 
-// Cache key for one (user, statement text, parameter-type signature)
-// triple. The same bound plan is typically indexed twice: under the raw
-// text a client sent and under the canonical unparse, so Engine::Query
-// (raw text, pre-parse probe) and EXPLAIN ANALYZE (AST in hand, canonical
-// probe) hit the same entry.
+// Cache key for one (user, statement text, parameter-type signature, plan
+// form) tuple. `rewritten` tells the rewritten plan (plan/rewrite.h) from
+// the literal one the naive strategy runs. The same bound plan is typically
+// indexed twice: under the raw text a client sent and under the canonical
+// unparse, so Engine::Query (raw text, pre-parse probe) and EXPLAIN ANALYZE
+// (AST in hand, canonical probe) hit the same entry.
 std::string PlanCacheKey(const std::string& user, const std::string& sql,
-                         const std::vector<TypeKind>& param_types);
+                         const std::vector<TypeKind>& param_types,
+                         bool rewritten);
 
 // Engine-wide, thread-safe LRU cache of prepared plans keyed by statement
 // text (docs/NETWORKING.md). A hit skips parse, bind and measure expansion

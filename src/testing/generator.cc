@@ -218,6 +218,34 @@ class Generator {
     return p;
   }
 
+  // An atom over the dim table `c` of a join query; under a LEFT join its
+  // columns are NULL on padded rows.
+  std::string DimTableAtom() {
+    switch (rng_.Range(0, 3)) {
+      case 0: return StrCat("c.attr >= ", D1Lit(false));
+      case 1: return "c.d0 IS NULL";
+      case 2: return "c.attr IS NULL";
+      default: return StrCat("c.d0 = ", D0Lit(false));
+    }
+  }
+
+  // WHERE of a join query. Besides fact-side predicates it mixes in dim
+  // table atoms, AND-ed conjunctions of both sides, an OR across the sides
+  // (which must stay above the join), and an atom that can raise: division
+  // by zero on a fact row the join drops must not become an error.
+  std::string JoinPred() {
+    switch (rng_.Range(0, 5)) {
+      case 0: return Pred("o.");
+      case 1: return DimTableAtom();
+      case 2: return StrCat(PredAtom("o."), " AND ", DimTableAtom());
+      case 3: return StrCat(PredAtom("o."), " OR ", DimTableAtom());
+      case 4: return "100 / o.v0 > 1";
+      default:
+        return StrCat(DimTableAtom(), " AND ", PredAtom("o."),
+                      rng_.Chance(50) ? " AND 100 / o.v0 > 1" : "");
+    }
+  }
+
   // ---- AT modifiers -------------------------------------------------------
 
   // `q` prefixes every dimension reference ("o." in join queries);
@@ -295,14 +323,15 @@ class Generator {
   // second-level view, joined to the dim table, or over an inline measure
   // provider).
   std::string GenQuery() {
-    bool join = info_.has_join && rng_.Chance(20);
+    bool join = info_.has_join && rng_.Chance(30);
     bool inline_provider = !join && rng_.Chance(15);
 
     std::string from;
     std::string q;  // qualifier for fact/view columns
     std::vector<std::string> measures;
     if (join) {
-      from = "V0 AS o JOIN t1 AS c ON o.d0 = c.d0";
+      from = rng_.Chance(30) ? "V0 AS o LEFT JOIN t1 AS c ON o.d0 = c.d0"
+                             : "V0 AS o JOIN t1 AS c ON o.d0 = c.d0";
       q = "o.";
       for (const auto& m : info_.measures) measures.push_back(m.name);
     } else if (inline_provider) {
@@ -342,7 +371,7 @@ class Generator {
     }
 
     std::string sql = "SELECT " + Join(items, ", ") + " FROM " + from;
-    if (rng_.Chance(50)) sql += " WHERE " + Pred(q);
+    if (rng_.Chance(50)) sql += " WHERE " + (join ? JoinPred() : Pred(q));
     if (!group_exprs.empty()) sql += " GROUP BY " + Join(group_exprs, ", ");
     if (!group_exprs.empty() && rng_.Chance(15)) {
       sql += StrCat(" HAVING AGGREGATE(", q, measures[0], ")",

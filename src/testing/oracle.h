@@ -37,14 +37,17 @@ struct CaseOutcome {
   bool ok() const { return failures.empty(); }
 };
 
-// The four-way differential oracle. Every query of every check runs under
-// kNaive, kMemoized, kGrouped serial (measure_parallelism = 1), and
-// kGrouped parallel (measure_parallelism = measure_workers) — each on a
-// fresh engine so no cross-strategy cache can mask a divergence — plus the
-// section-4.2 textual expansion executed as plain SQL. All runs of a query
-// must agree: same success/error outcome (error codes must match), and on
-// success, normalized-equal results. kEqualPair / kTlp checks additionally
-// enforce their metamorphic relation on the default path's results.
+// The eight-leg differential oracle. Every query of every check runs under
+// kNaive, kMemoized, kGrouped serial (measure_parallelism = 1) and kGrouped
+// parallel (measure_parallelism = measure_workers), each under the row and
+// the vectorized exec mode, on a fresh engine per leg so no cross-strategy
+// cache can mask a divergence — plus the section-4.2 textual expansion
+// executed as plain SQL. The naive legs run the literal plan (the engine
+// skips its plan rewrite under kNaive), so the other legs check the rewrite.
+// All runs of a query must agree: same success/error outcome (error codes
+// must match), and on success, normalized-equal results. kEqualPair / kTlp
+// checks additionally enforce their metamorphic relation on the default
+// path's results.
 CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options = {});
 
 }  // namespace testing

@@ -1,14 +1,16 @@
 // Plan-cache correctness (docs/NETWORKING.md): a cache hit must be
 // indistinguishable from a cold execution under every measure strategy,
-// entries must invalidate when the catalog generation moves, and parameter
+// entries must invalidate when the catalog generation moves, parameter
 // binding against a prepared plan must fail with a typed error on type
-// mismatch.
+// mismatch, and the naive strategy's literal plan never shares an entry with
+// the rewritten plan the other strategies run.
 
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
 #include "gtest/gtest.h"
+#include "runtime/session.h"
 #include "testing/compare.h"
 
 namespace msql {
@@ -230,6 +232,66 @@ TEST(PlanCacheTest, ExplainAnalyzeReportsOutcome) {
   ASSERT_TRUE(disabled.ok()) << disabled.status().ToString();
   EXPECT_NE(disabled.value().ToString().find("PlanCache: off"),
             std::string::npos);
+}
+
+TEST(PlanCacheTest, LiteralAndRewrittenPlansAreCachedApart) {
+  // One engine, two sessions: the naive one runs the literal plan, the
+  // grouped one the plan with its WHERE pushed below the join. Neither may
+  // run the other's cached plan, on the raw-text, canonical or Prepare key.
+  Engine db(MakeOptions(MeasureStrategy::kGrouped, /*enable_cache=*/true));
+  ASSERT_TRUE(db.Execute(kSetup).ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE Customers (custName VARCHAR, "
+                         "custAge INTEGER); INSERT INTO Customers VALUES "
+                         "('Alice', 23), ('Bob', 41), ('Celia', 17)")
+                  .ok());
+  SessionPtr naive = db.CreateSession();
+  naive->options().measure_strategy = MeasureStrategy::kNaive;
+  SessionPtr grouped = db.CreateSession();
+  const std::string sql =
+      "SELECT o.prodName, AGGREGATE(o.r) AS v, o.r AT (ALL) AS total "
+      "FROM EO AS o JOIN Customers AS c USING (custName) "
+      "WHERE o.prodName <> 'Whizz' AND c.custAge > 20 "
+      "GROUP BY o.prodName ORDER BY o.prodName";
+
+  auto outcome = [](const Result<ResultSet>& r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r.value().stats() != nullptr
+               ? r.value().stats()->plan_cache
+               : QueryStats::PlanCacheOutcome::kOff;
+  };
+  using Outcome = QueryStats::PlanCacheOutcome;
+  EXPECT_EQ(outcome(grouped->Query(sql)), Outcome::kMiss);
+  EXPECT_EQ(outcome(grouped->Query(sql)), Outcome::kHit);
+  auto literal = naive->Query(sql);
+  EXPECT_EQ(outcome(literal), Outcome::kMiss);
+  EXPECT_EQ(outcome(naive->Query(sql)), Outcome::kHit);
+  auto rewritten = grouped->Query(sql);
+  EXPECT_EQ(outcome(rewritten), Outcome::kHit);
+  ASSERT_TRUE(literal.ok() && rewritten.ok());
+  EXPECT_EQ(literal.value().ToCsv(), rewritten.value().ToCsv());
+
+  // EXPLAIN ANALYZE hits each session's own entry and shows its own plan.
+  auto naive_plan = naive->Query("EXPLAIN ANALYZE " + sql);
+  auto grouped_plan = grouped->Query("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(naive_plan.ok() && grouped_plan.ok());
+  const std::string np = naive_plan.value().ToString();
+  const std::string gp = grouped_plan.value().ToString();
+  EXPECT_NE(np.find("PlanCache: hit"), std::string::npos);
+  EXPECT_NE(gp.find("PlanCache: hit"), std::string::npos);
+  EXPECT_LT(np.find("Filter"), np.find("Join"));  // literal: above
+  EXPECT_GT(gp.find("Filter"), gp.find("Join"));  // rewritten: below
+  EXPECT_NE(np, gp);
+
+  // Prepare keys carry the plan form too.
+  auto naive_prep = naive->Prepare(sql, {});
+  auto grouped_prep = grouped->Prepare(sql, {});
+  ASSERT_TRUE(naive_prep.ok() && grouped_prep.ok());
+  EXPECT_NE(naive_prep.value()->plan, grouped_prep.value()->plan);
+  auto a = naive->QueryPrepared(naive_prep.value(), {});
+  auto b = grouped->QueryPrepared(grouped_prep.value(), {});
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().ToCsv(), literal.value().ToCsv());
+  EXPECT_EQ(b.value().ToCsv(), literal.value().ToCsv());
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Tests for the binder/planner layer observed through EXPLAIN: operator
-// placement, measure propagation markers, grouping-set counts, and join
-// algorithm selection hints.
+// placement, measure propagation markers, grouping-set counts, join
+// algorithm selection hints, and filter pushdown below joins.
+
+#include <vector>
 
 #include "binder/binder.h"
+#include "common/string_util.h"
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "parser/parser.h"
@@ -11,13 +14,14 @@
 namespace msql {
 namespace {
 
+constexpr char kEoView[] =
+    "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE r FROM Orders";
+
 class PlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
     LoadPaperData(&db_);
-    MustExecute(&db_,
-                "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE r "
-                "FROM Orders");
+    MustExecute(&db_, kEoView);
   }
 
   std::string Plan(const std::string& sql) {
@@ -140,6 +144,199 @@ TEST_F(PlanTest, BinderIsReusableAcrossStatements) {
     auto plan = binder.Bind(*stmt.value()->select);
     EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
   }
+}
+
+// ---- filter pushdown below joins (plan/rewrite.h) -------------------------
+
+// The same data under the naive strategy, which runs the literal plan: every
+// rewritten answer must equal its answer.
+class PushdownTest : public PlanTest {
+ protected:
+  void SetUp() override {
+    PlanTest::SetUp();
+    EngineOptions naive;
+    naive.measure_strategy = MeasureStrategy::kNaive;
+    literal_ = std::make_unique<Engine>(naive);
+    LoadPaperData(literal_.get());
+    MustExecute(literal_.get(), kEoView);
+    for (Engine* db : {&db_, literal_.get()}) {
+      MustExecute(db,
+                  "CREATE VIEW EC AS SELECT *, AVG(custAge) AS MEASURE avgAge, "
+                  "COUNT(*) AS MEASURE custCount FROM Customers");
+    }
+  }
+
+  // EXPLAIN lines, each with its depth (two spaces per level).
+  struct Line {
+    std::string text;
+    size_t depth;
+  };
+  std::vector<Line> Lines(const std::string& sql) {
+    std::vector<Line> out;
+    for (const std::string& l : Split(Plan(sql), '\n')) {
+      if (l.empty()) continue;
+      const size_t spaces = l.find_first_not_of(' ');
+      out.push_back({l.substr(spaces), spaces / 2});
+    }
+    return out;
+  }
+  static size_t Find(const std::vector<Line>& lines, const std::string& head) {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].text.rfind(head, 0) == 0) return i;
+    }
+    return lines.size();
+  }
+
+  // Runs `sql` on both engines and checks the answers agree.
+  ResultSet SameAsLiteral(const std::string& sql) {
+    ResultSet rewritten = MustQuery(&db_, sql);
+    ResultSet literal = MustQuery(literal_.get(), sql);
+    EXPECT_EQ(rewritten.ToCsv(), literal.ToCsv()) << sql;
+    return rewritten;
+  }
+
+  std::unique_ptr<Engine> literal_;
+};
+
+TEST_F(PushdownTest, CustomerGrainFilterRunsBelowTheJoin) {
+  const std::string sql =
+      "SELECT o.prodName, c.avgAge AT (VISIBLE) AS age, "
+      "AGGREGATE(c.custCount) AS n FROM Orders AS o JOIN EC AS c "
+      "USING (custName) WHERE o.prodName IN ('Happy', 'Acme') "
+      "GROUP BY o.prodName ORDER BY o.prodName";
+  auto lines = Lines(sql);
+  const size_t join = Find(lines, "Join INNER");
+  const size_t filter = Find(lines, "Filter (prodName IN");
+  ASSERT_LT(join, lines.size());
+  ASSERT_LT(filter, lines.size());
+  EXPECT_GT(filter, join);
+  EXPECT_EQ(lines[filter].depth, lines[join].depth + 1);
+  ASSERT_LT(filter + 1, lines.size());
+  EXPECT_EQ(lines[filter + 1].text, "Scan Orders");
+  EXPECT_EQ(lines[filter + 1].depth, lines[filter].depth + 1);
+  // The literal plan filters the joined rows instead.
+  auto literal = literal_->Explain(sql);
+  ASSERT_TRUE(literal.ok());
+  EXPECT_LT(literal.value().find("Filter"), literal.value().find("Join"));
+
+  ResultSet rs = SameAsLiteral(sql);
+  ASSERT_EQ(rs.num_rows(), 2u);
+}
+
+TEST_F(PushdownTest, FilterStopsAboveTheMeasureDefiningProject) {
+  // Paper fixture: the filter lands above EO's defining Project, so the
+  // measure's source stays unfiltered and AT (ALL) still reads every order.
+  const std::string sql =
+      "SELECT o.prodName, o.r AS r, o.r AT (ALL) AS total "
+      "FROM EO AS o JOIN Customers AS c USING (custName) "
+      "WHERE o.prodName = 'Happy' GROUP BY o.prodName";
+  auto lines = Lines(sql);
+  const size_t join = Find(lines, "Join INNER");
+  const size_t filter = Find(lines, "Filter (prodName = 'Happy')");
+  ASSERT_LT(filter, lines.size());
+  EXPECT_GT(filter, join);
+  EXPECT_EQ(lines[filter].depth, lines[join].depth + 1);
+  EXPECT_NE(lines[filter].text.find("measures=[r]"), std::string::npos);
+  ASSERT_LT(filter + 2, lines.size());
+  EXPECT_EQ(lines[filter + 1].text.rfind("Project", 0), 0u);
+  EXPECT_NE(lines[filter + 1].text.find("expands=[r := SUM(revenue)]"),
+            std::string::npos);
+  EXPECT_EQ(lines[filter + 2].text, "Scan Orders");
+
+  ResultSet rs = SameAsLiteral(sql);
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.Get(0, "r").int_val(), 17);  // 6 + 7 + 4
+  EXPECT_EQ(rs.Get(0, "total").int_val(), 25);  // the grand total
+}
+
+TEST_F(PushdownTest, LeftJoinKeepsNullSupplyingConjunctsAbove) {
+  const std::string sql =
+      "SELECT o.prodName, o.revenue, c.custAge FROM Orders AS o "
+      "LEFT JOIN Customers AS c ON o.custName = c.custName "
+      "WHERE c.custAge > 20 AND o.revenue > 3 ORDER BY o.revenue";
+  auto lines = Lines(sql);
+  const size_t join = Find(lines, "Join LEFT");
+  const size_t right = Find(lines, "Filter (custAge > 20)");
+  const size_t left = Find(lines, "Filter (revenue > 3)");
+  ASSERT_LT(right, lines.size());
+  ASSERT_LT(left, lines.size());
+  EXPECT_LT(right, join);  // the null-supplying side's conjunct stays above
+  EXPECT_GT(left, join);   // the preserved side's conjunct moves below
+  SameAsLiteral(sql);
+
+  // The anti-join keeps its IS NULL test above the join.
+  const std::string anti =
+      "SELECT o.custName FROM Orders AS o LEFT JOIN Customers AS c "
+      "ON o.custName = c.custName AND c.custAge > 30 "
+      "WHERE c.custName IS NULL ORDER BY o.custName";
+  auto anti_lines = Lines(anti);
+  EXPECT_LT(Find(anti_lines, "Filter (custName IS NULL)"),
+            Find(anti_lines, "Join LEFT"));
+  EXPECT_EQ(SameAsLiteral(anti).num_rows(), 3u);  // Alice x2, Celia
+}
+
+TEST_F(PushdownTest, FullJoinMovesNothing) {
+  const std::string sql =
+      "SELECT o.prodName, c.custName FROM Orders AS o "
+      "FULL JOIN Customers AS c ON o.custName = c.custName "
+      "WHERE o.revenue > 3 AND c.custAge > 20 "
+      "ORDER BY o.prodName, c.custName";
+  auto lines = Lines(sql);
+  const size_t join = Find(lines, "Join FULL");
+  ASSERT_LT(join, lines.size());
+  for (size_t i = join; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].text.rfind("Filter", 0), 0u) << lines[i].text;
+  }
+  SameAsLiteral(sql);
+}
+
+TEST_F(PushdownTest, RaisingAndSubqueryConjunctsStayAbove) {
+  // A conjunct that could raise stays above the join, and so do its
+  // neighbours: moving them would shrink the rows it sees and could hide
+  // an error the literal plan reports.
+  for (const std::string where :
+       {"o.prodName = 'Happy' AND 100 / o.revenue > 1",
+        "o.prodName = 'Happy' AND o.revenue > (SELECT MIN(x.revenue) "
+        "FROM Orders AS x WHERE x.custName = o.custName)"}) {
+    const std::string sql =
+        "SELECT o.prodName, o.revenue, c.custAge FROM Orders AS o "
+        "JOIN Customers AS c ON o.custName = c.custName WHERE " +
+        where + " ORDER BY o.revenue";
+    auto lines = Lines(sql);
+    const size_t join = Find(lines, "Join INNER");
+    ASSERT_LT(join, lines.size());
+    EXPECT_LT(Find(lines, "Filter"), join) << sql;
+    for (size_t i = join; i < lines.size(); ++i) {
+      EXPECT_NE(lines[i].text.rfind("Filter", 0), 0u) << lines[i].text;
+    }
+    SameAsLiteral(sql);
+  }
+}
+
+TEST_F(PushdownTest, NestedJoinsAndCrossJoinPushEachConjunctToItsInput) {
+  const std::string sql =
+      "SELECT o.prodName, c.custName, e.custName AS ec_name FROM Orders AS o "
+      "JOIN Customers AS c ON o.custName = c.custName "
+      "CROSS JOIN EC AS e WHERE o.revenue >= 5 AND c.custAge < 40 "
+      "AND e.custAge > 20 AND o.cost < c.custAge "
+      "ORDER BY o.prodName, c.custName, e.custName";
+  auto lines = Lines(sql);
+  const size_t outer = Find(lines, "Join CROSS");
+  const size_t inner = Find(lines, "Join INNER");
+  ASSERT_LT(outer, inner);
+  EXPECT_GT(Find(lines, "Filter (revenue >= 5)"), inner);
+  EXPECT_GT(Find(lines, "Filter (custAge < 40)"), inner);
+  // Reads both inner inputs: lands above the inner join, below the cross.
+  const size_t both = Find(lines, "Filter (cost < custAge)");
+  EXPECT_GT(both, outer);
+  EXPECT_LT(both, inner);
+  // The cross join's right input is EC: above its defining Project.
+  const size_t ec = Find(lines, "Filter (custAge > 20)");
+  ASSERT_LT(ec + 1, lines.size());
+  EXPECT_NE(lines[ec + 1].text.find("custCount := COUNT(*)"),
+            std::string::npos);
+  EXPECT_GT(Find(lines, "Filter"), outer);  // nothing stays above it
+  SameAsLiteral(sql);
 }
 
 }  // namespace

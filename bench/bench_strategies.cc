@@ -1,13 +1,13 @@
 // Paper section 5.1 ("localized self-join"): measure evaluation strategies.
-//   * naive      — every evaluation re-scans the measure source;
-//   * memoized   — evaluations are cached by context signature, so each
-//                  distinct group probes an in-memory result once;
-//   * grouped    — all-dimension contexts share one hash partition of the
-//                  source and answer with O(1) probes (docs/PERFORMANCE.md;
-//                  bench_grouped_strategy holds the dedicated speedup gate);
+//   * naive      — the literal evaluation: every evaluation re-scans the
+//                  measure source;
+//   * grouped    — the default: all-dimension contexts share one value
+//                  table per shape, repeated contexts hit the per-context
+//                  memo (docs/PERFORMANCE.md; bench_grouped_strategy holds
+//                  the dedicated speedup gate);
 //   * expanded   — the section 4.2 rewrite executed as plain SQL with
 //                  correlated scalar subqueries (subquery memoization on).
-// The shape claim: memoized ≪ naive as soon as a context repeats, and the
+// The shape claim: grouped ≪ naive as soon as a context repeats, and the
 // measure engine matches the expanded form without any textual rewriting.
 // Emits BENCH_strategies.json (bench_reporter.h).
 //
@@ -64,19 +64,17 @@ void RunWithStrategy(benchmark::State& state, MeasureStrategy strategy) {
 void BM_StrategyNaive(benchmark::State& state) {
   RunWithStrategy(state, MeasureStrategy::kNaive);
 }
-void BM_StrategyMemoized(benchmark::State& state) {
-  RunWithStrategy(state, MeasureStrategy::kMemoized);
-}
 void BM_StrategyGrouped(benchmark::State& state) {
   RunWithStrategy(state, MeasureStrategy::kGrouped);
 }
 
-// Ablation of the section 6.4 inline fast path on the AGGREGATE-only query
-// (the overwhelmingly common BI shape): with the fast path, each group's
-// measure is computed over exactly its own rows, no source scan at all.
-void RunAggregateOnly(benchmark::State& state, bool inline_fastpath) {
+// The section 6.4 inline fast path on the AGGREGATE-only query (the
+// overwhelmingly common BI shape): by default each group's measure is
+// computed over exactly its own rows, no source scan at all; kNaive scans
+// the source once per group.
+void RunAggregateOnly(benchmark::State& state, MeasureStrategy strategy) {
   EngineOptions options;
-  options.inline_visible_contexts = inline_fastpath;
+  options.measure_strategy = strategy;
   Engine db(options);
   LoadOrders(&db, static_cast<int>(state.range(0)),
              static_cast<int>(state.range(1)), /*customers=*/50);
@@ -95,10 +93,10 @@ void RunAggregateOnly(benchmark::State& state, bool inline_fastpath) {
 }
 
 void BM_AggregateInlineFastpath(benchmark::State& state) {
-  RunAggregateOnly(state, /*inline_fastpath=*/true);
+  RunAggregateOnly(state, MeasureStrategy::kGrouped);
 }
 void BM_AggregateContextScan(benchmark::State& state) {
-  RunAggregateOnly(state, /*inline_fastpath=*/false);
+  RunAggregateOnly(state, MeasureStrategy::kNaive);
 }
 
 void BM_StrategyExpandedSql(benchmark::State& state) {
@@ -125,7 +123,6 @@ void BM_StrategyExpandedSql(benchmark::State& state) {
       ->Args({16000, 256})->Unit(benchmark::kMillisecond)
 
 BENCHMARK(BM_StrategyNaive)->SIZES;
-BENCHMARK(BM_StrategyMemoized)->SIZES;
 BENCHMARK(BM_StrategyGrouped)->SIZES;
 BENCHMARK(BM_StrategyExpandedSql)->SIZES;
 BENCHMARK(BM_AggregateInlineFastpath)->SIZES;

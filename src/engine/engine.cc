@@ -655,8 +655,7 @@ Result<ResultSet> Engine::ExecutePlanImpl(
   {
     obs::ScopedSpan span(ctx.trace, "plan");
     state->options = ctx.options;
-    if ((ctx.options.measure_strategy == MeasureStrategy::kMemoized ||
-         ctx.options.measure_strategy == MeasureStrategy::kGrouped) &&
+    if (ctx.options.measure_strategy != MeasureStrategy::kNaive &&
         !state->forbid_shared_cache) {
       state->shared_cache = &shared_cache_;
       state->catalog_generation = catalog_.generation();
@@ -919,7 +918,6 @@ Status Engine::ExecuteStmt(const Stmt& stmt, ResultSet* out,
       ectx.plan_cache_text.clear();
       obs::ExplainOptions eopts;
       eopts.strategy = ctx.options.measure_strategy;
-      eopts.inline_visible_contexts = ctx.options.inline_visible_contexts;
       std::string text;
       if (stmt.explain_analyze) {
         // EXPLAIN ANALYZE really runs the statement: the profile maps plan
@@ -1100,7 +1098,6 @@ Result<std::string> Engine::Explain(const std::string& sql) {
   MSQL_ASSIGN_OR_RETURN(PlanPtr plan, BindToRun(&binder, *select, options_));
   obs::ExplainOptions eopts;
   eopts.strategy = options_.measure_strategy;
-  eopts.inline_visible_contexts = options_.inline_visible_contexts;
   return obs::RenderPlanTree(*plan, eopts);
 }
 

@@ -22,16 +22,20 @@ struct GroupedIndex;       // measure/grouped.cc
 class MeasureTable;        // measure/grouped.cc
 struct LogicalPlan;        // plan/plan.h
 
-// How measure evaluations are executed. kNaive re-scans the measure source
-// for every evaluation; kMemoized caches by evaluation-context signature —
-// the paper's "localized self-join" strategy (section 5.1), where per-group
-// results are probed from an in-memory cache instead of recomputed.
-// kGrouped (the default) additionally partitions the source once per
-// context *shape* by the dimension tuple and evaluates the formula at
-// most once per group, on first demand, into a key->value table, so a
-// batch of G same-shaped contexts (what GROUP BY produces) costs O(R + G)
-// instead of O(G x R); see docs/PERFORMANCE.md.
-enum class MeasureStrategy { kNaive, kMemoized, kGrouped };
+// How measure evaluations are executed: the one switch between the literal
+// evaluation and the optimized one. kNaive, the reference the msqlcheck
+// oracle's naive legs compare with, runs the plan as bound, scans the
+// measure source for every evaluation and runs every subquery afresh.
+// kGrouped (the default) turns on every optimization: the plan rewrite
+// (plan/rewrite.h), the cross-query SharedMeasureCache, the per-context
+// measure memo keyed by context signature (the paper's "localized
+// self-join", section 5.1), one key->value table per context *shape* so
+// that G same-shaped contexts cost O(R + G) instead of O(G x R)
+// (measure/grouped.h), the section 6.4 inline fast path (a context of
+// row-id terms only is evaluated over those rows, and VISIBLE-only call
+// sites skip the group-key terms the row ids imply), and memoization of
+// correlated subqueries by their free variables.
+enum class MeasureStrategy { kNaive, kGrouped };
 
 // How operators execute. kVectorized (the default) runs the hot operators
 // (scan, project, filter, aggregation, measure accumulation) over typed
@@ -45,14 +49,6 @@ enum class ExecMode { kRow, kVectorized };
 struct EngineOptions {
   MeasureStrategy measure_strategy = MeasureStrategy::kGrouped;
   ExecMode exec_mode = ExecMode::kVectorized;
-  // Paper section 6.4's inline rewrite, as a runtime fast path: a context
-  // consisting solely of row-id terms is evaluated directly over those rows
-  // (no source scan), and VISIBLE-only call sites skip the redundant
-  // group-key dimension terms. Off = ablation baseline.
-  bool inline_visible_contexts = true;
-  // Cache correlated scalar subquery results by their free-variable values
-  // (the WinMagic-adjacent optimization discussed in section 5.1).
-  bool memoize_subqueries = true;
   // Workers for morsel-parallel row-path key evaluation in grouped builds
   // (dimension expressions without a vector kernel). 0 = one worker per
   // hardware thread (capped by the engine's measure pool); 1 =

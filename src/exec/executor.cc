@@ -619,7 +619,7 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
       // every reachable source row satisfies its own group's keys via
       // provenance. Skipping them enables the row-id-only fast path.
       const bool visible_only =
-          state_->options.inline_visible_contexts &&
+          state_->options.measure_strategy != MeasureStrategy::kNaive &&
           me.modifiers.size() == 1 &&
           me.modifiers[0].kind == AtModifier::Kind::kVisible;
       // What the modifiers read: VISIBLE needs each group's source row
@@ -1033,9 +1033,9 @@ Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
 
   // Only scalar and EXISTS results are memoized: an IN result depends on
   // the probe value too.
-  const bool memoize = state->options.memoize_subqueries &&
-                       (e.kind == BoundExprKind::kSubquery ||
-                        e.kind == BoundExprKind::kExists);
+  const bool memoize =
+      state->options.measure_strategy != MeasureStrategy::kNaive &&
+      (e.kind == BoundExprKind::kSubquery || e.kind == BoundExprKind::kExists);
   std::string cache_key;
   SharedCacheSlot shared;
   if (memoize) {

@@ -248,8 +248,7 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
   if (route.table != nullptr) return route.Lookup(m, ctx, state);
 
   const bool memoize =
-      state->options.measure_strategy == MeasureStrategy::kMemoized ||
-      state->options.measure_strategy == MeasureStrategy::kGrouped;
+      state->options.measure_strategy != MeasureStrategy::kNaive;
   std::string key;
   SharedCacheSlot shared;
   if (memoize) {
@@ -282,7 +281,8 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
   // Fast path (paper section 6.4, "inline the measure definition"): when
   // every term is a row-id restriction, the admitted rows are just the
   // intersection of the id sets — no scan of the source required.
-  bool rowids_only = state->options.inline_visible_contexts;
+  bool rowids_only =
+      state->options.measure_strategy != MeasureStrategy::kNaive;
   for (const ContextTerm& term : ctx.terms()) {
     if (term.kind != ContextTerm::Kind::kRowIds) rowids_only = false;
   }

@@ -16,20 +16,7 @@ std::string FormatMs(int64_t us) {
 }
 
 std::string StrategyNote(const ExplainOptions& opts) {
-  std::string s;
-  switch (opts.strategy) {
-    case MeasureStrategy::kNaive:
-      s = "naive";
-      break;
-    case MeasureStrategy::kMemoized:
-      s = "memoized";
-      break;
-    case MeasureStrategy::kGrouped:
-      s = "grouped";
-      break;
-  }
-  if (opts.inline_visible_contexts) s += "+inline";
-  return s;
+  return opts.strategy == MeasureStrategy::kNaive ? "naive" : "grouped";
 }
 
 // Which measure-expansion strategy actually fired at this node, from the

@@ -18,8 +18,7 @@ struct ExplainOptions {
   // Null renders plain EXPLAIN; set by EXPLAIN ANALYZE after execution.
   const PlanProfile* profile = nullptr;
   // The option snapshot the query (would) run with, for the strategy note.
-  MeasureStrategy strategy = MeasureStrategy::kMemoized;
-  bool inline_visible_contexts = true;
+  MeasureStrategy strategy = MeasureStrategy::kGrouped;
 };
 
 std::string RenderPlanTree(const LogicalPlan& plan,

@@ -301,7 +301,7 @@ class Generator {
                           const std::vector<std::string>& group_dims,
                           int alias_no) {
     std::string expr;
-    switch (rng_.Range(0, 3)) {
+    switch (rng_.Range(0, 4)) {
       case 0:
         expr = StrCat("AGGREGATE(", q, m, ")");
         break;
@@ -311,10 +311,23 @@ class Generator {
       case 2:
         expr = StrCat(q, m, " AT (", AtModifiers(q, group_dims), ")");
         break;
-      default:
+      case 3:
         expr = StrCat(q, m, " - ", q, m, " AT (", AtModifiers(q, group_dims),
                       ")");
         break;
+      default: {
+        // VISIBLE beside SET of a group key: only VISIBLE alone may drop
+        // the call site's group-key terms (the inline fast path), and here
+        // CURRENT reads them.
+        std::string mods = "VISIBLE";
+        if (!group_dims.empty()) {
+          const std::string& dim = rng_.Pick(group_dims);
+          const std::string set = StrCat("SET ", q, dim, " = CURRENT ", dim);
+          mods = rng_.Chance(50) ? set + " VISIBLE" : "VISIBLE " + set;
+        }
+        expr = StrCat(q, m, " AT (", mods, ")");
+        break;
+      }
     }
     return StrCat(expr, " AS x", alias_no);
   }
@@ -368,6 +381,21 @@ class Generator {
     for (int i = 0; i < nm; ++i) {
       items.push_back(
           MeasureItem(q, rng_.Pick(measures), group_dims, i));
+    }
+    // A correlated scalar subquery keyed on a d0/d1 group key of `o`: the
+    // key repeats across the rows it is evaluated for and may be NULL, so
+    // memoized and fresh evaluation must agree on both.
+    std::vector<std::string> keys;
+    for (const auto& g : group_dims) {
+      if (g == "d0" || g == "d1") keys.push_back(g);
+    }
+    if (!inline_provider && !keys.empty() && rng_.Chance(15)) {
+      const std::string& key = rng_.Pick(keys);
+      items.push_back(StrCat("(SELECT ",
+                             rng_.Chance(50) ? "SUM(b.v0)" : "COUNT(*)",
+                             " FROM t0 AS b WHERE b.", key, " = o.", key,
+                             ") AS s0"));
+      if (!join) from += " AS o";
     }
 
     std::string sql = "SELECT " + Join(items, ", ") + " FROM " + from;

@@ -14,7 +14,7 @@ namespace msql {
 namespace testing {
 
 // Ties the subsystem together for tools/msqlcheck and the replay tests:
-// generate a case from a seed, run the four-way oracle over it, and on
+// generate a case from a seed, run the six-leg oracle over it, and on
 // failure shrink to a minimal spec and emit a self-contained .sql repro.
 
 struct HarnessOptions {

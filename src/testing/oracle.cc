@@ -87,16 +87,14 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
   const std::vector<std::string> setup = spec.SetupStatements();
 
   const int workers = options.measure_workers > 1 ? options.measure_workers : 4;
-  // Full strategy matrix under both execution modes, 8 legs. The base leg
-  // is the naive strategy on the row-at-a-time interpreter — the slowest,
-  // most-literal evaluation — so every optimization (memoization, grouped
-  // indexes, parallelism, vectorized kernels) is differentially checked
-  // against it bit for bit.
+  // Full strategy matrix under both execution modes, 6 legs. The base leg
+  // is the naive strategy on the row-at-a-time interpreter — the literal
+  // evaluation — so every optimization (plan rewrite, memoization, value
+  // tables, the inline fast path, parallelism, vectorized kernels) is
+  // differentially checked against it bit for bit.
   const Leg legs[] = {
       {"naive-row", MeasureStrategy::kNaive, 1, ExecMode::kRow},
       {"naive-vec", MeasureStrategy::kNaive, 1, ExecMode::kVectorized},
-      {"memoized-row", MeasureStrategy::kMemoized, 1, ExecMode::kRow},
-      {"memoized-vec", MeasureStrategy::kMemoized, 1, ExecMode::kVectorized},
       {"grouped-row", MeasureStrategy::kGrouped, 1, ExecMode::kRow},
       {"grouped-vec", MeasureStrategy::kGrouped, 1, ExecMode::kVectorized},
       {"grouped-parallel-row", MeasureStrategy::kGrouped, workers,
@@ -104,6 +102,14 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
       {"grouped-parallel-vec", MeasureStrategy::kGrouped, workers,
        ExecMode::kVectorized},
   };
+  // The metamorphic relations are checked on the default engine config:
+  // the first (serial) leg with the default strategy and exec mode.
+  const EngineOptions defaults;
+  size_t default_leg = 0;
+  while (legs[default_leg].strategy != defaults.measure_strategy ||
+         legs[default_leg].exec_mode != defaults.exec_mode) {
+    ++default_leg;
+  }
 
   for (size_t ci = 0; ci < spec.checks.size(); ++ci) {
     const Check& check = spec.checks[ci];
@@ -113,8 +119,8 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
            std::move(detail)});
     };
 
-    // Results of each query on the grouped-serial leg, for the metamorphic
-    // relations below.
+    // Results of each query on the default engine config, for the
+    // metamorphic relations below.
     std::vector<QueryRun> reference;
     bool differential_failed = false;
 
@@ -135,7 +141,7 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
           return outcome;
         }
       }
-      reference.push_back(runs[5]);  // grouped-vec: the default engine config
+      reference.push_back(runs[default_leg]);
 
       const QueryRun& base = runs[0];
       for (size_t li = 1; li < std::size(legs); ++li) {

@@ -37,13 +37,15 @@ struct CaseOutcome {
   bool ok() const { return failures.empty(); }
 };
 
-// The eight-leg differential oracle. Every query of every check runs under
-// kNaive, kMemoized, kGrouped serial (measure_parallelism = 1) and kGrouped
-// parallel (measure_parallelism = measure_workers), each under the row and
-// the vectorized exec mode, on a fresh engine per leg so no cross-strategy
+// The six-leg differential oracle. Every query of every check runs under
+// kNaive, kGrouped serial (measure_parallelism = 1) and kGrouped parallel
+// (measure_parallelism = measure_workers), each under the row and the
+// vectorized exec mode, on a fresh engine per leg so no cross-strategy
 // cache can mask a divergence — plus the section-4.2 textual expansion
-// executed as plain SQL. The naive legs run the literal plan (the engine
-// skips its plan rewrite under kNaive), so the other legs check the rewrite.
+// executed as plain SQL. The naive legs run the literal evaluation (kNaive
+// turns off every optimization: the plan rewrite, the caches, the value
+// tables, the inline fast path and subquery memoization), so the other
+// legs check each of them.
 // All runs of a query must agree: same success/error outcome (error codes
 // must match), and on success, normalized-equal results. kEqualPair / kTlp
 // checks additionally enforce their metamorphic relation on the default

@@ -239,7 +239,6 @@ TEST(ConcurrencyStressTest, CancelAllUnderLoadUnwindsCleanly) {
       // Defeat all caching so every iteration does real work that a cancel
       // can interrupt.
       session->options().measure_strategy = MeasureStrategy::kNaive;
-      session->options().memoize_subqueries = false;
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = session->Query(
             "SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName");

@@ -1,7 +1,7 @@
 -- Shrunk from generator seed 103. Duplicate source rows at row grain: the
 -- native VISIBLE set is a row-id set that distinguishes duplicates no
 -- column predicate can tell apart, so the expansion leg declines this
--- shape (counted as a skip) while the four native strategies must still
+-- shape (counted as a skip) while the six native legs must still
 -- agree — m0 AT (VISIBLE) is 1 per output row, bare m0 counts both
 -- duplicates.
 CREATE TABLE t0 (d1 INTEGER);

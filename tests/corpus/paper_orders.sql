@@ -1,6 +1,6 @@
 -- Paper running example (Listing 1/4 shapes): grouped measures, the
 -- AGGREGATE(m) == m AT (VISIBLE) identity, and the ALL/SET round-trip on
--- the Orders data. Every query runs through the full four-way differential
+-- the Orders data. Every query runs through the full six-leg differential
 -- oracle plus the textual-expansion leg.
 CREATE TABLE Orders (prodName VARCHAR, custName VARCHAR, orderDate DATE, revenue INTEGER);
 INSERT INTO Orders VALUES ('Shirt', 'Alice', DATE '2024-01-05', 10), ('Shirt', 'Bob', DATE '2024-02-10', 20), ('Hat', 'Alice', DATE '2024-03-15', 5), ('Hat', 'Cy', DATE '2025-01-20', 15), ('Shirt', 'Cy', DATE '2025-02-25', 30);

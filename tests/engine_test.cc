@@ -8,6 +8,7 @@
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "tests/paper_fixture.h"
+#include "tests/testing_matchers.h"
 
 namespace msql {
 namespace {
@@ -114,14 +115,15 @@ TEST_F(EngineTest, SubqueryMemoization) {
             WHERE i.prodName = o.prodName) AS r
     FROM Orders AS o
   )sql";
-  db_.options().memoize_subqueries = true;
   ResultSet memoized = MustQuery(&db_, q);
   ASSERT_NE(memoized.stats(), nullptr);
   EXPECT_GT(memoized.stats()->subquery_cache_hits, 0u);
-  db_.options().memoize_subqueries = false;
+  // kNaive is the literal evaluation: every correlated row runs afresh.
+  db_.options().measure_strategy = MeasureStrategy::kNaive;
   ResultSet plain = MustQuery(&db_, q);
   ASSERT_NE(plain.stats(), nullptr);
   EXPECT_EQ(plain.stats()->subquery_cache_hits, 0u);
+  EXPECT_TRUE(testing::ResultsAgree(memoized, plain));
 }
 
 TEST_F(EngineTest, CsvRoundTrip) {

@@ -186,10 +186,13 @@ TEST_P(ExecPropertyTest, SubqueryCacheTransparent) {
   const char* q =
       "SELECT a.k, (SELECT SUM(b.w) FROM b WHERE b.k = a.k) AS s "
       "FROM a ORDER BY a.k NULLS LAST, s NULLS LAST";
-  db_.options().memoize_subqueries = true;
   ResultSet cached = MustQuery(&db_, q);
-  db_.options().memoize_subqueries = false;
+  ASSERT_NE(cached.stats(), nullptr);
+  EXPECT_GT(cached.stats()->subquery_cache_hits, 0u);
+  db_.options().measure_strategy = MeasureStrategy::kNaive;
   ResultSet fresh = MustQuery(&db_, q);
+  ASSERT_NE(fresh.stats(), nullptr);
+  EXPECT_EQ(fresh.stats()->subquery_cache_hits, 0u);
   EXPECT_TRUE(testing::ResultsAgree(cached, fresh));
 }
 

@@ -79,7 +79,7 @@ TEST_F(ExplainAnalyzeTest, PlainExplainAnnotatesExpansionWithoutRunning) {
   EXPECT_NE(text.find("expands=[profitMargin :="), std::string::npos);
   // The evaluating Aggregate shows the configured strategy (grouped is the
   // default).
-  EXPECT_NE(text.find("measure_eval=grouped+inline"), std::string::npos);
+  EXPECT_NE(text.find("measure_eval=grouped"), std::string::npos);
   // Plain EXPLAIN never executes: no actuals, no summary.
   EXPECT_EQ(text.find("actual time="), std::string::npos);
   EXPECT_EQ(text.find("Execution:"), std::string::npos);
@@ -105,14 +105,13 @@ TEST_F(ExplainAnalyzeTest, AnalyzeListing4ReportsPerOperatorActuals) {
   EXPECT_NE(agg.find("[measures:"), std::string::npos) << agg;
   EXPECT_NE(agg.find("evals=3"), std::string::npos) << agg;
   EXPECT_NE(agg.find("fired=inline"), std::string::npos) << agg;
-  EXPECT_NE(agg.find("measure_eval=grouped+inline"), std::string::npos)
-      << agg;
+  EXPECT_NE(agg.find("measure_eval=grouped"), std::string::npos) << agg;
 
   // The summary block reflects the whole query.
   EXPECT_NE(text.find("Execution: total="), std::string::npos);
   EXPECT_NE(text.find("rows_charged="), std::string::npos);
   EXPECT_NE(text.find("Measures: evals=3"), std::string::npos);
-  EXPECT_NE(text.find("strategy=grouped+inline"), std::string::npos);
+  EXPECT_NE(text.find("strategy=grouped"), std::string::npos);
 }
 
 TEST_F(ExplainAnalyzeTest, AnalyzeGroupedStrategyReportsBuildsAndProbes) {
@@ -131,7 +130,7 @@ TEST_F(ExplainAnalyzeTest, AnalyzeGroupedStrategyReportsBuildsAndProbes) {
   EXPECT_NE(agg.find("grouped_probes=3"), std::string::npos) << agg;
   EXPECT_NE(agg.find("fired=grouped"), std::string::npos) << agg;
   EXPECT_NE(agg.find("scans=0"), std::string::npos) << agg;
-  EXPECT_NE(text.find("strategy=grouped+inline"), std::string::npos);
+  EXPECT_NE(text.find("strategy=grouped"), std::string::npos);
 }
 
 TEST_F(ExplainAnalyzeTest, InListFilterOverMeasureViewRunsVectorized) {
@@ -239,7 +238,6 @@ TEST_F(ExplainAnalyzeTest, AnalyzeListing8CountsRollupGroupsAndScans) {
 
 TEST_F(ExplainAnalyzeTest, AnalyzeWithNaiveStrategyReportsScans) {
   db_.options().measure_strategy = MeasureStrategy::kNaive;
-  db_.options().inline_visible_contexts = false;
   std::string text = Render(std::string("EXPLAIN ANALYZE ") + kListing4);
   EXPECT_NE(text.find("measure_eval=naive"), std::string::npos);
   // Without the inline fast path every evaluation scans the source.

@@ -88,8 +88,9 @@ TEST_P(MeasurePropertyTest, NoFilterMakesAllCallSitesAgree) {
   }
 }
 
-// Property 4: all three strategies agree (the localized-self-join cache
-// and the grouped hash index are optimizations, never a semantic change).
+// Property 4: the grouped strategy agrees with the literal naive one (the
+// localized-self-join cache and the value tables are optimizations, never a
+// semantic change).
 TEST_P(MeasurePropertyTest, StrategiesAgree) {
   const char* query = R"sql(
     SELECT prodName, orderYear, AGGREGATE(r) AS v,
@@ -105,24 +106,21 @@ TEST_P(MeasurePropertyTest, StrategiesAgree) {
   ResultSet grouped = MustQuery(&db_, query);
   ASSERT_NE(grouped.stats(), nullptr);
   EXPECT_GT(grouped.stats()->measure_grouped_probes, 0u);
-  db_.options().measure_strategy = MeasureStrategy::kMemoized;
-  ResultSet memoized = MustQuery(&db_, query);
-  ASSERT_NE(memoized.stats(), nullptr);
-  EXPECT_GT(memoized.stats()->measure_cache_hits, 0u);
+  // `r AT (ALL)` repeats one context per group: the per-context memo.
+  EXPECT_GT(grouped.stats()->measure_cache_hits, 0u);
   db_.options().measure_strategy = MeasureStrategy::kNaive;
   ResultSet naive = MustQuery(&db_, query);
   ASSERT_NE(naive.stats(), nullptr);
   EXPECT_EQ(naive.stats()->measure_cache_hits, 0u);
-  EXPECT_TRUE(testing::ResultsAgree(memoized, naive));
-  EXPECT_TRUE(testing::ResultsAgree(memoized, grouped));
+  EXPECT_TRUE(testing::ResultsAgree(grouped, naive));
 }
 
-// Property 4c: the three strategies agree on every context kind the
-// evaluator distinguishes — all-dimension contexts (grouped-index probes),
+// Property 4c: both strategies agree on every context kind the
+// evaluator distinguishes — all-dimension contexts (value-table lookups),
 // WHERE-modifier predicate contexts (scan fallback), VISIBLE row-id
 // contexts (inline fast path) — including NULL dimension values, which
 // group by IS NOT DISTINCT FROM semantics (paper footnote 1).
-TEST_P(MeasurePropertyTest, ThreeStrategiesAgreeOnEveryContextKind) {
+TEST_P(MeasurePropertyTest, StrategiesAgreeOnEveryContextKind) {
   MustExecute(&db_, R"sql(
     INSERT INTO Orders VALUES (NULL, NULL, DATE '2022-06-15', 17, 5),
                               (NULL, 'C1', DATE '2023-01-02', 23, 9),
@@ -148,12 +146,9 @@ TEST_P(MeasurePropertyTest, ThreeStrategiesAgreeOnEveryContextKind) {
   for (const char* query : queries) {
     db_.options().measure_strategy = MeasureStrategy::kGrouped;
     ResultSet grouped = MustQuery(&db_, query);
-    db_.options().measure_strategy = MeasureStrategy::kMemoized;
-    ResultSet memoized = MustQuery(&db_, query);
     db_.options().measure_strategy = MeasureStrategy::kNaive;
     ResultSet naive = MustQuery(&db_, query);
     EXPECT_TRUE(testing::ResultsAgree(grouped, naive)) << query;
-    EXPECT_TRUE(testing::ResultsAgree(grouped, memoized)) << query;
   }
 }
 
@@ -196,7 +191,8 @@ TEST_P(MeasurePropertyTest, GroupedAgreesAtScale) {
   EXPECT_TRUE(testing::ResultsAgree(parallel, naive));
 }
 
-// Property 4b: the section 6.4 inline fast path never changes results.
+// Property 4b: the section 6.4 inline fast path never changes results: the
+// default strategy takes it, kNaive scans the source for every context.
 TEST_P(MeasurePropertyTest, InlineFastpathAgrees) {
   const char* query = R"sql(
     SELECT prodName, custName, AGGREGATE(r) AS v, AGGREGATE(n) AS c
@@ -204,11 +200,15 @@ TEST_P(MeasurePropertyTest, InlineFastpathAgrees) {
     GROUP BY ROLLUP(prodName, custName)
     ORDER BY prodName NULLS LAST, custName NULLS LAST
   )sql";
-  db_.options().inline_visible_contexts = true;
   ResultSet fast = MustQuery(&db_, query);
-  db_.options().inline_visible_contexts = false;
+  ASSERT_NE(fast.stats(), nullptr);
+  EXPECT_GT(fast.stats()->measure_inline_evals, 0u);
+  db_.options().measure_strategy = MeasureStrategy::kNaive;
   ResultSet slow = MustQuery(&db_, query);
+  ASSERT_NE(slow.stats(), nullptr);
+  EXPECT_EQ(slow.stats()->measure_inline_evals, 0u);
   EXPECT_TRUE(testing::ResultsAgree(fast, slow));
+  db_.options().measure_strategy = MeasureStrategy::kGrouped;
   // Also under a join, where the visible set deduplicates fan-out.
   MustExecute(&db_, R"sql(
     CREATE TABLE Customers (custName VARCHAR, custAge INTEGER);
@@ -220,10 +220,13 @@ TEST_P(MeasurePropertyTest, InlineFastpathAgrees) {
     FROM Orders AS o JOIN EC AS c USING (custName)
     GROUP BY o.prodName ORDER BY o.prodName
   )sql";
-  db_.options().inline_visible_contexts = true;
   ResultSet jfast = MustQuery(&db_, join_query);
-  db_.options().inline_visible_contexts = false;
+  ASSERT_NE(jfast.stats(), nullptr);
+  EXPECT_GT(jfast.stats()->measure_inline_evals, 0u);
+  db_.options().measure_strategy = MeasureStrategy::kNaive;
   ResultSet jslow = MustQuery(&db_, join_query);
+  ASSERT_NE(jslow.stats(), nullptr);
+  EXPECT_EQ(jslow.stats()->measure_inline_evals, 0u);
   EXPECT_TRUE(testing::ResultsAgree(jfast, jslow));
 }
 

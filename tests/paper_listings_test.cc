@@ -421,12 +421,10 @@ TEST_P(PaperListingsTest, Listing12FourEquivalentQueries) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, PaperListingsTest,
-    ::testing::Values(MeasureStrategy::kNaive, MeasureStrategy::kMemoized,
-                      MeasureStrategy::kGrouped),
+    ::testing::Values(MeasureStrategy::kNaive, MeasureStrategy::kGrouped),
     [](const ::testing::TestParamInfo<MeasureStrategy>& info) {
       switch (info.param) {
         case MeasureStrategy::kNaive: return "Naive";
-        case MeasureStrategy::kMemoized: return "Memoized";
         case MeasureStrategy::kGrouped: return "Grouped";
       }
       return "Unknown";

@@ -42,8 +42,7 @@ EngineOptions MakeOptions(MeasureStrategy strategy, bool enable_cache) {
 
 TEST(PlanCacheTest, HitAfterPrepareMatchesColdExecutionUnderAllStrategies) {
   for (MeasureStrategy strategy :
-       {MeasureStrategy::kNaive, MeasureStrategy::kMemoized,
-        MeasureStrategy::kGrouped}) {
+       {MeasureStrategy::kNaive, MeasureStrategy::kGrouped}) {
     Engine cold(MakeOptions(strategy, /*enable_cache=*/false));
     Engine warm(MakeOptions(strategy, /*enable_cache=*/true));
     ASSERT_TRUE(cold.Execute(kSetup).ok());

@@ -273,7 +273,7 @@ void SeedOrders(Engine* db) {
 TEST(SessionTest, IndependentOptionSnapshots) {
   Engine db;
   SeedOrders(&db);
-  SessionPtr memoized = db.CreateSession();
+  SessionPtr grouped = db.CreateSession();
   SessionPtr naive = db.CreateSession();
   naive->options().measure_strategy = MeasureStrategy::kNaive;
   // Engine-level default mutated after session creation: sessions keep
@@ -282,7 +282,7 @@ TEST(SessionTest, IndependentOptionSnapshots) {
 
   const std::string q =
       "SELECT prodName, AGGREGATE(r) FROM EO GROUP BY prodName";
-  auto r1 = memoized->Query(q);
+  auto r1 = grouped->Query(q);
   auto r2 = naive->Query(q);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();

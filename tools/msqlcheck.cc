@@ -3,7 +3,7 @@
 //
 // Modes:
 //   msqlcheck --seeds=N [--start=S]   run N generated seeds through the
-//                                     four-way oracle; shrink + dump a
+//                                     six-leg oracle; shrink + dump a
 //                                     repro for every failing seed
 //   msqlcheck --replay=FILE           replay a corpus / repro .sql script
 //   msqlcheck --dump-seed=S           print the generated script for a seed

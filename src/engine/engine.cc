@@ -104,7 +104,84 @@ std::string RenderParamSig(const Row& params) {
   return sig;
 }
 
+// The plan-cache key of `text` (a trimmed statement text or a canonical
+// unparse) for the context's user and plan form.
+std::string CacheKey(const QueryContext& ctx, const std::string& text,
+                     const std::vector<TypeKind>& param_types) {
+  return PlanCacheKey(ctx.user, text, param_types, RewritesPlans(ctx.options));
+}
+
+// The row count a finished statement reports to its trace.
+uint64_t RowsReturned(const Result<ResultSet>& result) {
+  return result.ok() ? result.value().num_rows() : 0;
+}
+uint64_t RowsReturned(const Result<uint64_t>& result) {
+  return result.ok() ? result.value() : 0;
+}
+
+// Renders an executed relation as the statement's result: its visible
+// columns, with each measure column surviving to the top level evaluated
+// at the result's own grain — every dimension pinned to its row (the
+// default per-row evaluation context). Inside nested queries the
+// placeholder NULLs are never read, preserving closure. One batch per
+// measure column: every row's context shares a shape, which the grouped
+// strategy answers from one key->value table with a lookup per row.
+Result<ResultSet> RenderResult(const Relation& rel, ExecState* state) {
+  const size_t visible = rel.schema.num_visible();
+  std::vector<std::string> names;
+  std::vector<DataType> types;
+  for (size_t i = 0; i < visible; ++i) {
+    names.push_back(rel.schema.column(i).name);
+    types.push_back(rel.schema.column(i).type);
+  }
+  MSQL_RETURN_IF_ERROR(state->guard.ChargeRows(rel.rows.size(), visible));
+  std::vector<Row> rows;
+  rows.reserve(rel.rows.size());
+  for (const Row& r : rel.rows) {
+    rows.emplace_back(r.begin(), r.begin() + visible);
+  }
+  for (const RtMeasure& m : rel.measures) {
+    if (m.column < 0 || static_cast<size_t>(m.column) >= visible) continue;
+    std::vector<EvalContext> contexts;
+    contexts.reserve(rel.rows.size());
+    for (size_t r = 0; r < rel.rows.size(); ++r) {
+      MSQL_RETURN_IF_ERROR(state->guard.Check());
+      Frame frame{&rel.rows[r], static_cast<int64_t>(r), &rel};
+      MSQL_ASSIGN_OR_RETURN(EvalContext ctx, BuildRowContext(m, frame, state));
+      contexts.push_back(std::move(ctx));
+    }
+    MSQL_ASSIGN_OR_RETURN(std::vector<Value> vals,
+                          EvaluateMeasureBatch(m, contexts, state));
+    for (size_t r = 0; r < rel.rows.size(); ++r) {
+      rows[r][m.column] = std::move(vals[r]);
+    }
+  }
+  return ResultSet(std::move(names), std::move(types), std::move(rows));
+}
+
 }  // namespace
+
+template <typename Body>
+auto Engine::Traced(const std::string& text, const QueryContext& ctx,
+                    Body body) {
+  if (!ctx.options.enable_tracing || ctx.trace != nullptr) return body(ctx);
+  auto trace = std::make_shared<obs::QueryTrace>(
+      next_query_id_.fetch_add(1, std::memory_order_relaxed), text,
+      ctx.session_id, ctx.user);
+  if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
+  if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
+  AddAdmissionSpans(trace.get(), ctx);
+  QueryContext tctx = ctx;
+  tctx.trace = trace.get();
+  auto result = body(tctx);
+  trace->Finish(result.status(), RowsReturned(result));
+  if (slow_log_threshold_ms_ >= 0 &&
+      trace->total_us() >= slow_log_threshold_ms_ * 1000) {
+    ins_.slow_queries->Increment();
+  }
+  trace_collector_.Publish(std::move(trace), ins_.obs_sink_errors);
+  return result;
+}
 
 void Engine::InitObs() {
   ins_.queries = metrics_.GetCounter(
@@ -259,16 +336,26 @@ Status Engine::Execute(const std::string& sql) {
 }
 
 Status Engine::ExecuteWith(const std::string& sql, const QueryContext& ctx) {
-  if (ctx.options.enable_tracing && ctx.trace == nullptr) {
-    return ExecuteTraced(sql, ctx);
-  }
-  Parser parser(sql);
-  MSQL_ASSIGN_OR_RETURN(std::vector<StmtPtr> stmts, parser.ParseStatements());
-  for (const StmtPtr& stmt : stmts) {
-    ResultSet ignored;
-    MSQL_RETURN_IF_ERROR(ExecuteStmt(*stmt, &ignored, ctx));
-  }
-  return Status::Ok();
+  return Traced(sql, ctx, [&](const QueryContext& tctx) -> Result<uint64_t> {
+    std::vector<StmtPtr> stmts;
+    {
+      obs::ScopedSpan span(tctx.trace, "parse");
+      Parser parser(sql);
+      Result<std::vector<StmtPtr>> parsed = parser.ParseStatements();
+      if (!parsed.ok()) {
+        span.set_status(parsed.status());
+        return parsed.status();
+      }
+      stmts = parsed.take();
+    }
+    uint64_t rows = 0;
+    for (const StmtPtr& stmt : stmts) {
+      ResultSet ignored;
+      MSQL_RETURN_IF_ERROR(ExecuteStmt(*stmt, &ignored, tctx));
+      rows += ignored.num_rows();
+    }
+    return rows;
+  }).status();
 }
 
 Result<ResultSet> Engine::Query(const std::string& sql) {
@@ -282,43 +369,21 @@ Result<ResultSet> Engine::Query(const std::string& sql,
 
 Result<ResultSet> Engine::QueryWith(const std::string& sql,
                                     const QueryContext& ctx) {
-  QueryContext cctx = ctx;
-  if (ctx.options.enable_plan_cache && ctx.plan_cache_text.empty()) {
-    // Raw-text fast path: a repeated statement skips the parser entirely.
-    // Misses remember the trimmed text so the fresh bind is indexed under
-    // it (RunSelectImpl), warming the path for the next identical call.
-    cctx.plan_cache_text = TrimStatementText(sql);
+  // Raw-text fast path: a repeated statement skips the parser entirely. On
+  // a miss a top-level SELECT publishes its fresh plan under the trimmed
+  // text too (BuildPlan), warming the path for the next identical call.
+  std::string text;
+  if (ctx.options.enable_plan_cache) {
+    text = TrimStatementText(sql);
     if (PreparedPlanPtr cached = plan_cache_.Lookup(
-            PlanCacheKey(ctx.user, cctx.plan_cache_text, {},
-                         RewritesPlans(ctx.options)),
-            catalog_.generation())) {
+            CacheKey(ctx, text, {}), catalog_.generation())) {
       return QueryPlanned(cached, {}, ctx);
     }
   }
-  if (ctx.options.enable_tracing && ctx.trace == nullptr) {
-    return QueryTraced(sql, cctx);
-  }
-  MSQL_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::Parse(sql));
-  ResultSet out;
-  MSQL_RETURN_IF_ERROR(ExecuteStmt(*stmt, &out, cctx));
-  return out;
-}
-
-Result<ResultSet> Engine::QueryTraced(const std::string& sql,
-                                      const QueryContext& ctx) {
-  auto trace = std::make_shared<obs::QueryTrace>(
-      next_query_id_.fetch_add(1, std::memory_order_relaxed), sql,
-      ctx.session_id, ctx.user);
-  if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
-  if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
-  AddAdmissionSpans(trace.get(), ctx);
-  QueryContext tctx = ctx;
-  tctx.trace = trace.get();
-
-  Result<ResultSet> result = [&]() -> Result<ResultSet> {
+  return Traced(sql, ctx, [&](const QueryContext& tctx) -> Result<ResultSet> {
     StmtPtr stmt;
     {
-      obs::ScopedSpan span(trace.get(), "parse");
+      obs::ScopedSpan span(tctx.trace, "parse");
       Result<StmtPtr> parsed = Parser::Parse(sql);
       if (!parsed.ok()) {
         span.set_status(parsed.status());
@@ -327,59 +392,9 @@ Result<ResultSet> Engine::QueryTraced(const std::string& sql,
       stmt = parsed.take();
     }
     ResultSet out;
-    MSQL_RETURN_IF_ERROR(ExecuteStmt(*stmt, &out, tctx));
+    MSQL_RETURN_IF_ERROR(ExecuteStmt(*stmt, &out, tctx, text));
     return out;
-  }();
-
-  FinishTrace(std::move(trace),
-              result.ok() ? Status::Ok() : result.status(),
-              result.ok() ? result.value().num_rows() : 0);
-  return result;
-}
-
-Status Engine::ExecuteTraced(const std::string& sql, const QueryContext& ctx) {
-  auto trace = std::make_shared<obs::QueryTrace>(
-      next_query_id_.fetch_add(1, std::memory_order_relaxed), sql,
-      ctx.session_id, ctx.user);
-  if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
-  if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
-  AddAdmissionSpans(trace.get(), ctx);
-  QueryContext tctx = ctx;
-  tctx.trace = trace.get();
-
-  uint64_t rows = 0;
-  Status st = [&]() -> Status {
-    std::vector<StmtPtr> stmts;
-    {
-      obs::ScopedSpan span(trace.get(), "parse");
-      Parser parser(sql);
-      Result<std::vector<StmtPtr>> parsed = parser.ParseStatements();
-      if (!parsed.ok()) {
-        span.set_status(parsed.status());
-        return parsed.status();
-      }
-      stmts = parsed.take();
-    }
-    for (const StmtPtr& stmt : stmts) {
-      ResultSet ignored;
-      MSQL_RETURN_IF_ERROR(ExecuteStmt(*stmt, &ignored, tctx));
-      rows += ignored.num_rows();
-    }
-    return Status::Ok();
-  }();
-
-  FinishTrace(std::move(trace), st, rows);
-  return st;
-}
-
-void Engine::FinishTrace(std::shared_ptr<obs::QueryTrace> trace,
-                         const Status& st, uint64_t rows_returned) {
-  trace->Finish(st, rows_returned);
-  if (slow_log_threshold_ms_ >= 0 &&
-      trace->total_us() >= slow_log_threshold_ms_ * 1000) {
-    ins_.slow_queries->Increment();
-  }
-  trace_collector_.Publish(std::move(trace), ins_.obs_sink_errors);
+  });
 }
 
 SessionPtr Engine::CreateSession() { return CreateSessionForUser(user_); }
@@ -498,13 +513,68 @@ void Engine::NoteCatalogMutation() {
   shared_cache_.InvalidateOlderThan(catalog_.generation());
 }
 
-Result<ResultSet> Engine::RunSelect(const SelectStmt& select,
-                                    const QueryContext& ctx, PlanPtr* plan_out,
+Result<ResultSet> Engine::RunSelect(const QueryContext& ctx,
+                                    PreparedPlanPtr prepared,
+                                    const Row& params,
+                                    const SelectStmt* select,
+                                    const std::string& text, PlanPtr* plan_out,
                                     obs::PlanProfile* profile) {
   ExecState state;
   state.profile = profile;
+  if (!params.empty()) {
+    state.params = &params;
+    state.param_sig = RenderParamSig(params);
+  }
   const auto start = std::chrono::steady_clock::now();
-  Result<ResultSet> result = RunSelectImpl(select, ctx, &state, plan_out);
+  // Armed before the plan is built: a plan-cache fill is charged to this
+  // statement's budget, and the deadline covers bind and measure expansion.
+  state.guard.Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
+                  ctx.options.max_result_rows, ctx.cancel, cancel_generation_,
+                  ctx.cancel_generation);
+  if (ctx.has_deadline) state.guard.TightenDeadline(ctx.deadline);
+
+  Result<ResultSet> result = [&]() -> Result<ResultSet> {
+    if (prepared != nullptr) {
+      state.plan_cache_outcome = 2;  // a bound plan was reused
+    } else {
+      MSQL_FAULT_POINT("engine.select");
+      MSQL_ASSIGN_OR_RETURN(prepared,
+                            BuildPlan(*select, text, nullptr, ctx, &state.guard,
+                                      &state.plan_cache_outcome));
+    }
+    if (plan_out != nullptr) *plan_out = prepared->plan;
+
+    {
+      obs::ScopedSpan span(ctx.trace, "plan");
+      state.options = ctx.options;
+      if (ctx.options.measure_strategy != MeasureStrategy::kNaive &&
+          !prepared->reads_system_tables) {
+        state.shared_cache = &shared_cache_;
+        state.catalog_generation = catalog_.generation();
+      }
+      if (ctx.options.measure_strategy == MeasureStrategy::kGrouped &&
+          ctx.options.measure_parallelism != 1) {
+        state.measure_pool_provider = [this] { return MeasurePool(); };
+      }
+    }
+
+    RelationPtr rel;
+    {
+      obs::ScopedSpan span(ctx.trace, "execute", &state.guard);
+      Executor executor(&state);
+      Result<RelationPtr> executed = executor.Execute(*prepared->plan, {});
+      if (!executed.ok()) {
+        span.set_status(executed.status());
+        return executed.status();
+      }
+      rel = executed.take();
+    }
+
+    obs::ScopedSpan span(ctx.trace, "render", &state.guard);
+    Result<ResultSet> rendered = RenderResult(*rel, &state);
+    if (!rendered.ok()) span.set_status(rendered.status());
+    return rendered;
+  }();
   return FinishSelect(ctx, state, ElapsedUsSince(start), std::move(result));
 }
 
@@ -556,39 +626,38 @@ Result<ResultSet> Engine::FinishSelect(const QueryContext& ctx,
   return result;
 }
 
-Result<ResultSet> Engine::RunSelectImpl(const SelectStmt& select,
-                                        const QueryContext& ctx,
-                                        ExecState* state, PlanPtr* plan_out) {
-  MSQL_FAULT_POINT("engine.select");
+Result<PreparedPlanPtr> Engine::BuildPlan(
+    const SelectStmt& select, const std::string& text,
+    const std::vector<TypeKind>* param_types, const QueryContext& ctx,
+    QueryGuard* guard, int* outcome) {
+  static const std::vector<TypeKind> kNoParams;
+  const std::vector<TypeKind>& types =
+      param_types != nullptr ? *param_types : kNoParams;
+  const bool use_cache = ctx.options.enable_plan_cache;
 
-  // Plan-cache probe under the canonical (unparsed) statement text: two
-  // textually different spellings of the same statement share one entry.
-  // The generation is snapshotted *before* binding so an entry bound while
-  // a catalog mutation is in flight records the older generation and
+  // Canonical probe: two spellings of one statement share one entry. The
+  // generation is snapshotted *before* binding so an entry bound while a
+  // catalog mutation is in flight records the older generation and
   // self-invalidates on its next probe.
   const uint64_t bind_generation = catalog_.generation();
+  std::string canonical;
   std::string canonical_key;
-  if (ctx.options.enable_plan_cache) {
-    canonical_key = PlanCacheKey(ctx.user, Unparse(select), {},
-                                 RewritesPlans(ctx.options));
+  if (use_cache) {
+    canonical = Unparse(select);
+    canonical_key = CacheKey(ctx, canonical, types);
     if (PreparedPlanPtr cached =
             plan_cache_.Lookup(canonical_key, bind_generation)) {
-      state->plan_cache_outcome = 2;
-      if (plan_out != nullptr) *plan_out = cached->plan;
-      if (!ctx.plan_cache_text.empty()) {
-        // A differently-spelled statement canonicalized onto this entry:
-        // alias its raw text too so the pre-parse fast path hits next time.
-        plan_cache_.Insert(PlanCacheKey(ctx.user, ctx.plan_cache_text, {},
-                                        RewritesPlans(ctx.options)),
-                           cached);
-      }
-      return ExecutePlanImpl(cached->plan, ctx, state, nullptr);
+      if (outcome != nullptr) *outcome = 2;
+      // Alias the text too, so its pre-parse probe hits next time.
+      if (!text.empty()) plan_cache_.Insert(CacheKey(ctx, text, types), cached);
+      return cached;
     }
-    state->plan_cache_outcome = 1;
+    if (outcome != nullptr) *outcome = 1;
   }
 
   Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth,
                 SystemTablesFor(ctx.options));
+  if (param_types != nullptr) binder.set_param_types(*param_types);
   PlanPtr plan;
   int64_t expand_us = -1;  // sentinel: no measure expansion happened
   {
@@ -609,143 +678,53 @@ Result<ResultSet> Engine::RunSelectImpl(const SelectStmt& select,
     ctx.trace->AddCompletedSpan("measure-expand",
                                 ctx.trace->ElapsedUs() - expand_us, expand_us);
   }
-  if (plan_out != nullptr) *plan_out = plan;
-
-  // System-table scans embed a point-in-time snapshot that the catalog
-  // generation does not version: the plan must never be published (a later
-  // hit would replay stale telemetry) and the statement must not read or
-  // fill the cross-query shared cache.
-  if (binder.used_system_tables()) state->forbid_shared_cache = true;
-
-  // On a miss, publish the freshly bound plan. The fill runs as the
-  // `after_arm` hook so its memory footprint is charged against the armed
-  // query guard (a cache fill must not dodge the query's byte budget).
-  std::function<Status()> after_arm;
-  if (ctx.options.enable_plan_cache && !binder.used_system_tables()) {
-    auto entry = std::make_shared<PreparedPlan>();
-    entry->sql = ctx.plan_cache_text;
-    entry->canonical = Unparse(select);
-    entry->user = ctx.user;
-    entry->plan = plan;
-    entry->param_count = 0;
-    entry->generation = bind_generation;
-    entry->fingerprint = FingerprintPlan(*plan);
-    entry->approx_bytes = PlanCache::ApproxPlanBytes(*entry);
-    after_arm = [this, state, entry, canonical_key,
-                 raw_text = ctx.plan_cache_text,
-                 rewritten = RewritesPlans(ctx.options)]() -> Status {
-      MSQL_RETURN_IF_ERROR(state->guard.ChargeBytes(entry->approx_bytes));
-      plan_cache_.Insert(canonical_key, entry);
-      if (!raw_text.empty()) {
-        // Raw-text alias: the pre-parse fast path in QueryWith probes by
-        // the trimmed statement text before a parser ever runs.
-        plan_cache_.Insert(PlanCacheKey(entry->user, raw_text, {}, rewritten),
-                           entry);
-      }
-      return Status::Ok();
-    };
-  }
-
-  return ExecutePlanImpl(plan, ctx, state, after_arm);
-}
-
-Result<ResultSet> Engine::ExecutePlanImpl(
-    const PlanPtr& plan, const QueryContext& ctx, ExecState* state,
-    const std::function<Status()>& after_arm) {
-  {
-    obs::ScopedSpan span(ctx.trace, "plan");
-    state->options = ctx.options;
-    if (ctx.options.measure_strategy != MeasureStrategy::kNaive &&
-        !state->forbid_shared_cache) {
-      state->shared_cache = &shared_cache_;
-      state->catalog_generation = catalog_.generation();
+  if (param_types != nullptr) {
+    if (binder.used_system_tables()) {
+      // A prepared plan would freeze one telemetry snapshot and serve it
+      // forever. Re-issue the SELECT as plain text instead.
+      return Status(ErrorCode::kInvalidArgument,
+                    "cannot prepare a statement over msql_system tables");
     }
-    if (ctx.options.measure_strategy == MeasureStrategy::kGrouped &&
-        ctx.options.measure_parallelism != 1) {
-      state->measure_pool_provider = [this] { return MeasurePool(); };
-    }
-    state->guard.Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
-                     ctx.options.max_result_rows, ctx.cancel,
-                     cancel_generation_, ctx.cancel_generation);
-    if (ctx.has_deadline) state->guard.TightenDeadline(ctx.deadline);
-    if (after_arm) {
-      Status st = after_arm();
-      if (!st.ok()) {
-        span.set_status(st);
-        return st;
-      }
+    if (binder.param_count() != static_cast<int>(types.size())) {
+      return Status(ErrorCode::kBind,
+                    StrCat("statement references ", binder.param_count(),
+                           " positional parameter(s) but ", types.size(),
+                           " type(s) were declared"));
     }
   }
 
-  RelationPtr rel;
-  {
-    obs::ScopedSpan span(ctx.trace, "execute", &state->guard);
-    Executor executor(state);
-    Result<RelationPtr> executed = executor.Execute(*plan, {});
-    if (!executed.ok()) {
-      span.set_status(executed.status());
-      return executed.status();
-    }
-    rel = executed.take();
+  auto entry = std::make_shared<PreparedPlan>();
+  entry->sql = text.empty() ? canonical : text;
+  entry->canonical = std::move(canonical);
+  entry->user = ctx.user;
+  entry->plan = std::move(plan);
+  entry->param_types = types;
+  entry->param_count = binder.param_count();
+  entry->generation = bind_generation;
+  entry->reads_system_tables = binder.used_system_tables();
+  if (!use_cache || entry->reads_system_tables) {
+    return PreparedPlanPtr(std::move(entry));
   }
 
-  obs::ScopedSpan render_span(ctx.trace, "render", &state->guard);
-  Result<ResultSet> rendered = [&]() -> Result<ResultSet> {
-    const size_t visible = rel->schema.num_visible();
-    std::vector<std::string> names;
-    std::vector<DataType> types;
-    for (size_t i = 0; i < visible; ++i) {
-      names.push_back(rel->schema.column(i).name);
-      types.push_back(rel->schema.column(i).type);
-    }
-    MSQL_RETURN_IF_ERROR(state->guard.ChargeRows(rel->rows.size(), visible));
-    std::vector<Row> rows;
-    rows.reserve(rel->rows.size());
-    for (const Row& r : rel->rows) {
-      rows.emplace_back(r.begin(), r.begin() + visible);
-    }
-
-    // Measure columns surviving to the top level are rendered at the
-    // result's own grain: each cell is the measure evaluated with every
-    // dimension pinned to its row (the default per-row evaluation context).
-    // Inside nested queries the placeholder NULLs are never read,
-    // preserving closure. One batch per measure column: every row's
-    // context shares a shape, which the grouped strategy answers from one
-    // key->value table with a lookup per row.
-    for (const RtMeasure& m : rel->measures) {
-      if (m.column < 0 || static_cast<size_t>(m.column) >= visible) continue;
-      std::vector<EvalContext> contexts;
-      contexts.reserve(rel->rows.size());
-      for (size_t r = 0; r < rel->rows.size(); ++r) {
-        MSQL_RETURN_IF_ERROR(state->guard.Check());
-        Frame frame{&rel->rows[r], static_cast<int64_t>(r), rel.get()};
-        MSQL_ASSIGN_OR_RETURN(EvalContext ctx2,
-                              BuildRowContext(m, frame, state));
-        contexts.push_back(std::move(ctx2));
-      }
-      MSQL_ASSIGN_OR_RETURN(std::vector<Value> vals,
-                            EvaluateMeasureBatch(m, contexts, state));
-      for (size_t r = 0; r < rel->rows.size(); ++r) {
-        rows[r][m.column] = std::move(vals[r]);
-      }
-    }
-    return ResultSet(std::move(names), std::move(types), std::move(rows));
-  }();
-  if (!rendered.ok()) render_span.set_status(rendered.status());
-  return rendered;
+  // Publish under the canonical key and the text key. The fill is charged
+  // to the statement's guard: a cache fill must not dodge its byte budget.
+  entry->fingerprint = FingerprintPlan(*entry->plan);
+  entry->approx_bytes = PlanCache::ApproxPlanBytes(*entry);
+  // A Prepare's fill is the wire's `net.plan_cache_fill` fault point.
+  if (param_types != nullptr) MSQL_FAULT_POINT("net.plan_cache_fill");
+  MSQL_RETURN_IF_ERROR(guard->ChargeBytes(entry->approx_bytes));
+  plan_cache_.Insert(canonical_key, entry);
+  if (!text.empty()) plan_cache_.Insert(CacheKey(ctx, text, types), entry);
+  return PreparedPlanPtr(std::move(entry));
 }
 
 Result<PreparedPlanPtr> Engine::PrepareSelect(
     const std::string& sql, std::vector<TypeKind> param_types,
     const QueryContext& ctx) {
-  const std::string trimmed = TrimStatementText(sql);
-  const std::string key = PlanCacheKey(ctx.user, trimmed, param_types,
-                                       RewritesPlans(ctx.options));
-  // Snapshot before binding: an entry bound during a concurrent catalog
-  // mutation records the older generation and self-invalidates on probe.
-  const uint64_t bind_generation = catalog_.generation();
+  const std::string text = TrimStatementText(sql);
   if (ctx.options.enable_plan_cache) {
-    if (PreparedPlanPtr cached = plan_cache_.Lookup(key, bind_generation)) {
+    if (PreparedPlanPtr cached = plan_cache_.Lookup(
+            CacheKey(ctx, text, param_types), catalog_.generation())) {
       return cached;
     }
   }
@@ -756,56 +735,12 @@ Result<PreparedPlanPtr> Engine::PrepareSelect(
     return Status(ErrorCode::kInvalidArgument,
                   "Prepare expects a single SELECT statement");
   }
-
-  Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth,
-                SystemTablesFor(ctx.options));
-  binder.set_param_types(param_types);
-  MSQL_ASSIGN_OR_RETURN(PlanPtr plan,
-                        BindToRun(&binder, *stmt->select, ctx.options));
-  if (binder.used_system_tables()) {
-    // A prepared plan over a system table would freeze one telemetry
-    // snapshot and serve it forever (their contents change without a
-    // catalog generation bump). Re-issue the SELECT as plain text instead.
-    return Status(ErrorCode::kInvalidArgument,
-                  "cannot prepare a statement over msql_system tables");
-  }
-  if (binder.param_count() != static_cast<int>(param_types.size())) {
-    return Status(ErrorCode::kBind,
-                  StrCat("statement references ", binder.param_count(),
-                         " positional parameter(s) but ", param_types.size(),
-                         " type(s) were declared"));
-  }
-
-  auto entry = std::make_shared<PreparedPlan>();
-  entry->sql = trimmed;
-  entry->canonical = Unparse(*stmt->select);
-  entry->user = ctx.user;
-  entry->plan = plan;
-  entry->param_types = std::move(param_types);
-  entry->param_count = entry->param_types.empty()
-                           ? binder.param_count()
-                           : static_cast<int>(entry->param_types.size());
-  entry->generation = bind_generation;
-  entry->fingerprint = FingerprintPlan(*plan);
-  entry->approx_bytes = PlanCache::ApproxPlanBytes(*entry);
-
-  if (ctx.options.enable_plan_cache) {
-    MSQL_FAULT_POINT("net.plan_cache_fill");
-    // Charge the fill against the preparing statement's memory budget so a
-    // flood of prepares cannot dodge resource governance.
-    QueryGuard guard;
-    guard.Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
-              ctx.options.max_result_rows, ctx.cancel, cancel_generation_);
-    MSQL_RETURN_IF_ERROR(guard.ChargeBytes(entry->approx_bytes));
-    plan_cache_.Insert(key, entry);
-    // Canonical alias: a differently-spelled but structurally identical
-    // Prepare from another connection reuses this bound plan.
-    plan_cache_.Insert(
-        PlanCacheKey(entry->user, entry->canonical, entry->param_types,
-                     RewritesPlans(ctx.options)),
-        entry);
-  }
-  return PreparedPlanPtr(std::move(entry));
+  // Charge the fill against the preparing statement's memory budget so a
+  // flood of prepares cannot dodge resource governance.
+  QueryGuard guard;
+  guard.Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
+            ctx.options.max_result_rows, ctx.cancel, cancel_generation_);
+  return BuildPlan(*stmt->select, text, &param_types, ctx, &guard, nullptr);
 }
 
 Result<ResultSet> Engine::QueryPlanned(const PreparedPlanPtr& prepared,
@@ -836,44 +771,18 @@ Result<ResultSet> Engine::QueryPlanned(const PreparedPlanPtr& prepared,
     }
     coerced.push_back(cast.take());
   }
-
-  if (ctx.options.enable_tracing && ctx.trace == nullptr) {
-    auto trace = std::make_shared<obs::QueryTrace>(
-        next_query_id_.fetch_add(1, std::memory_order_relaxed), prepared->sql,
-        ctx.session_id, ctx.user);
-    if (!ctx.trace_id.empty()) trace->set_trace_id(ctx.trace_id);
-    if (!ctx.peer.empty()) trace->set_peer(ctx.peer);
-    AddAdmissionSpans(trace.get(), ctx);
-    QueryContext tctx = ctx;
-    tctx.trace = trace.get();
-    Result<ResultSet> result = RunPlanned(prepared, coerced, tctx);
-    FinishTrace(std::move(trace),
-                result.ok() ? Status::Ok() : result.status(),
-                result.ok() ? result.value().num_rows() : 0);
-    return result;
-  }
-  return RunPlanned(prepared, coerced, ctx);
-}
-
-Result<ResultSet> Engine::RunPlanned(const PreparedPlanPtr& prepared,
-                                     const Row& params,
-                                     const QueryContext& ctx) {
-  ExecState state;
-  state.plan_cache_outcome = 2;  // a bound plan was reused, however obtained
-  state.params = &params;
-  if (!params.empty()) state.param_sig = RenderParamSig(params);
-  const auto start = std::chrono::steady_clock::now();
-  Result<ResultSet> result =
-      ExecutePlanImpl(prepared->plan, ctx, &state, nullptr);
-  return FinishSelect(ctx, state, ElapsedUsSince(start), std::move(result));
+  return Traced(prepared->sql, ctx, [&](const QueryContext& tctx) {
+    return RunSelect(tctx, prepared, coerced);
+  });
 }
 
 Status Engine::ExecuteStmt(const Stmt& stmt, ResultSet* out,
-                           const QueryContext& ctx) {
+                           const QueryContext& ctx, const std::string& text) {
   MSQL_FAULT_POINT("engine.stmt");
   switch (stmt.kind) {
     case StmtKind::kSelect: {
-      MSQL_ASSIGN_OR_RETURN(*out, RunSelect(*stmt.select, ctx));
+      MSQL_ASSIGN_OR_RETURN(
+          *out, RunSelect(ctx, nullptr, {}, stmt.select.get(), text));
       return Status::Ok();
     }
     case StmtKind::kCreateTable: {
@@ -911,38 +820,9 @@ Status Engine::ExecuteStmt(const Stmt& stmt, ResultSet* out,
     case StmtKind::kInsert:
       return ExecuteInsert(stmt, ctx);
     case StmtKind::kExplain: {
-      // The raw-text alias must not map "EXPLAIN ... <select>" to the inner
-      // select's plan — a later fast-path hit on that text would return the
-      // select's rows instead of the explain rendering.
-      QueryContext ectx = ctx;
-      ectx.plan_cache_text.clear();
-      obs::ExplainOptions eopts;
-      eopts.strategy = ctx.options.measure_strategy;
-      std::string text;
-      if (stmt.explain_analyze) {
-        // EXPLAIN ANALYZE really runs the statement: the profile maps plan
-        // nodes to observed rows/time/cache activity, and the summary is
-        // the query's own stats. A statement that stops early — deadline,
-        // cancellation, shed — still explains: the bound plan is rendered
-        // with an Outcome: line instead of propagating the error, so the
-        // operator can see where the budget went. Parse/bind failures
-        // (no plan) still fail the EXPLAIN itself.
-        obs::PlanProfile profile;
-        PlanPtr plan;
-        Result<ResultSet> rs = RunSelect(*stmt.select, ectx, &plan, &profile);
-        if (!rs.ok() && plan == nullptr) return rs.status();
-        eopts.profile = &profile;
-        text = obs::RenderPlanTree(*plan, eopts);
-        if (rs.ok() && rs.value().stats() != nullptr) {
-          text += obs::RenderAnalyzeSummary(*rs.value().stats(), eopts);
-        }
-        if (!rs.ok()) text += obs::RenderAnalyzeOutcome(rs.status());
-      } else {
-        Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth);
-        MSQL_ASSIGN_OR_RETURN(PlanPtr plan,
-                              BindToRun(&binder, *stmt.select, ctx.options));
-        text = obs::RenderPlanTree(*plan, eopts);
-      }
+      MSQL_ASSIGN_OR_RETURN(
+          std::string text,
+          ExplainSelect(*stmt.select, stmt.explain_analyze, ctx));
       std::vector<Row> rows;
       for (const std::string& line : Split(text, '\n')) {
         if (!line.empty()) rows.push_back({Value::String(line)});
@@ -1050,7 +930,8 @@ Status Engine::ExecuteInsert(const Stmt& stmt, const QueryContext& ctx) {
   };
 
   if (stmt.insert_select != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(*stmt.insert_select, ctx));
+    MSQL_ASSIGN_OR_RETURN(
+        ResultSet rs, RunSelect(ctx, nullptr, {}, stmt.insert_select.get()));
     for (const Row& r : rs.rows()) MSQL_RETURN_IF_ERROR(stage(r));
   } else {
     // INSERT ... VALUES rows are constant expressions; evaluate each row by
@@ -1062,7 +943,8 @@ Status Engine::ExecuteInsert(const Stmt& stmt, const QueryContext& ctx) {
         item.expr = e->Clone();
         values_select.select_list.push_back(std::move(item));
       }
-      MSQL_ASSIGN_OR_RETURN(ResultSet rs, RunSelect(values_select, ctx));
+      MSQL_ASSIGN_OR_RETURN(ResultSet rs,
+                            RunSelect(ctx, nullptr, {}, &values_select));
       if (rs.num_rows() != 1) {
         return Status(ErrorCode::kExecution, "VALUES row evaluation failed");
       }
@@ -1087,18 +969,43 @@ Status Engine::InsertRows(const std::string& table, std::vector<Row> rows) {
 
 Result<std::string> Engine::Explain(const std::string& sql) {
   MSQL_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::Parse(sql));
-  const SelectStmt* select = nullptr;
-  if (stmt->kind == StmtKind::kSelect || stmt->kind == StmtKind::kExplain) {
-    select = stmt->select.get();
-  } else {
+  if (stmt->kind != StmtKind::kSelect && stmt->kind != StmtKind::kExplain) {
     return Status(ErrorCode::kInvalidArgument, "EXPLAIN requires a SELECT");
   }
-  Binder binder(&catalog_, user_, options_.max_recursion_depth,
-                SystemTablesFor(options_));
-  MSQL_ASSIGN_OR_RETURN(PlanPtr plan, BindToRun(&binder, *select, options_));
+  return ExplainSelect(*stmt->select, /*analyze=*/false,
+                       DefaultContext(nullptr));
+}
+
+Result<std::string> Engine::ExplainSelect(const SelectStmt& select,
+                                          bool analyze,
+                                          const QueryContext& ctx) {
   obs::ExplainOptions eopts;
-  eopts.strategy = options_.measure_strategy;
-  return obs::RenderPlanTree(*plan, eopts);
+  eopts.strategy = ctx.options.measure_strategy;
+  if (!analyze) {
+    Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth,
+                  SystemTablesFor(ctx.options));
+    MSQL_ASSIGN_OR_RETURN(PlanPtr plan,
+                          BindToRun(&binder, select, ctx.options));
+    return obs::RenderPlanTree(*plan, eopts);
+  }
+  // EXPLAIN ANALYZE really runs the statement: the profile maps plan nodes
+  // to observed rows/time/cache activity, and the summary is the query's
+  // own stats. A statement that stops early — deadline, cancellation,
+  // shed — still explains: the bound plan is rendered with an Outcome:
+  // line instead of propagating the error, so the operator can see where
+  // the budget went. Parse/bind failures (no plan) still fail the EXPLAIN.
+  obs::PlanProfile profile;
+  PlanPtr plan;
+  Result<ResultSet> rs =
+      RunSelect(ctx, nullptr, {}, &select, {}, &plan, &profile);
+  if (!rs.ok() && plan == nullptr) return rs.status();
+  eopts.profile = &profile;
+  std::string text = obs::RenderPlanTree(*plan, eopts);
+  if (rs.ok() && rs.value().stats() != nullptr) {
+    text += obs::RenderAnalyzeSummary(*rs.value().stats(), eopts);
+  }
+  if (!rs.ok()) text += obs::RenderAnalyzeOutcome(rs.status());
+  return text;
 }
 
 Result<std::string> Engine::ExpandSql(const std::string& sql) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,7 +41,8 @@ struct QueryContext {
 
   // Observability (docs/OBSERVABILITY.md). `session_id` labels traces (0 =
   // engine-level call); `trace` is set internally by the engine when
-  // `options.enable_tracing` is on.
+  // `options.enable_tracing` is on, and a statement nested in a traced one
+  // (COPY's SELECT, INSERT ... SELECT) adds its spans to the same trace.
   uint64_t session_id = 0;
   obs::QueryTrace* trace = nullptr;
 
@@ -69,14 +69,8 @@ struct QueryContext {
   std::chrono::steady_clock::time_point deadline{};
   // The Engine::CancelAll generation at admission, set from the ticket so
   // a CancelAll after admission but before the guard is armed (during
-  // parse or bind) still cancels the statement.
+  // parse) still cancels the statement.
   std::optional<uint64_t> cancel_generation;
-
-  // Plan-cache alias key (docs/NETWORKING.md): the trimmed raw statement
-  // text, set by Engine::Query when the cache is enabled and the call is a
-  // single SELECT, so the bound plan is indexed under the exact client
-  // text as well as its canonical unparse. Internal plumbing; leave empty.
-  std::string plan_cache_text;
 };
 
 // Engine-wide execution statistics, aggregated atomically across every
@@ -153,7 +147,8 @@ class Engine {
   // published to the engine's PlanCache (guard-charged against the
   // context's memory budget), keyed by (user, text, parameter types) plus
   // a canonical-unparse alias, so identical statements prepared on other
-  // connections skip parse/bind entirely.
+  // connections skip parse/bind entirely, and a differently spelled one
+  // skips bind.
   Result<PreparedPlanPtr> PrepareSelect(const std::string& sql,
                                         std::vector<TypeKind> param_types,
                                         const QueryContext& ctx);
@@ -270,41 +265,58 @@ class Engine {
   friend class Session;
   friend class Admission;  // cancel generation snapshots
 
-  Status ExecuteStmt(const Stmt& stmt, ResultSet* out,
-                     const QueryContext& ctx);
+  // Runs one parsed statement. `text` is the trimmed text of a statement
+  // QueryWith received: a top-level SELECT publishes its plan under it too,
+  // so the pre-parse probe hits next time. Nested SELECTs get none.
+  Status ExecuteStmt(const Stmt& stmt, ResultSet* out, const QueryContext& ctx,
+                     const std::string& text = {});
   Status ExecuteInsert(const Stmt& stmt, const QueryContext& ctx);
-  Result<ResultSet> RunSelect(const SelectStmt& select, const QueryContext& ctx,
+
+  // The one plan builder: the bound, measure-expanded plan for `select`.
+  // With the plan cache enabled it is the entry under the statement's
+  // canonical unparse when that is fresh (also aliased under `text`), else
+  // bound now and published under both keys, the fill charged to `guard`.
+  // `param_types` is null for an ad-hoc SELECT (a `?` is a bind error) and
+  // the declared types for Prepare. `outcome`, when given, receives the
+  // QueryStats plan-cache outcome (1 miss, 2 hit).
+  Result<PreparedPlanPtr> BuildPlan(const SelectStmt& select,
+                                    const std::string& text,
+                                    const std::vector<TypeKind>* param_types,
+                                    const QueryContext& ctx, QueryGuard* guard,
+                                    int* outcome);
+
+  // The one plan runner. Arms one ExecState's guard with the statement's
+  // budget, runs `prepared` with `params` bound, or, when `prepared` is
+  // null, the plan BuildPlan gets for `select` (the fill charged to that
+  // guard, `text` its raw-text alias), then executes, renders and records
+  // the statement's stats (FinishSelect). `plan_out` receives the plan
+  // even when execution fails; `profile` collects EXPLAIN ANALYZE actuals.
+  Result<ResultSet> RunSelect(const QueryContext& ctx, PreparedPlanPtr prepared,
+                              const Row& params,
+                              const SelectStmt* select = nullptr,
+                              const std::string& text = {},
                               PlanPtr* plan_out = nullptr,
                               obs::PlanProfile* profile = nullptr);
-  Result<ResultSet> RunSelectImpl(const SelectStmt& select,
-                                  const QueryContext& ctx, ExecState* state,
-                                  PlanPtr* plan_out);
 
-  // The arm-guard + execute + render tail shared by the text and prepared
-  // paths. `after_arm`, when set, runs inside the plan span right after the
-  // guard is armed (the guard-charged plan-cache fill).
-  Result<ResultSet> ExecutePlanImpl(const PlanPtr& plan,
-                                    const QueryContext& ctx, ExecState* state,
-                                    const std::function<Status()>& after_arm);
-
-  // Stats/metrics wrapper shared by RunSelect and the prepared path:
-  // snapshots `state` into QueryStats, attaches them to the result and
-  // trace, and folds the counters into the registry.
+  // Stats/metrics tail of RunSelect: snapshots `state` into QueryStats,
+  // attaches them to the result and trace, and folds the counters into the
+  // registry.
   Result<ResultSet> FinishSelect(const QueryContext& ctx,
                                  const ExecState& state, int64_t total_us,
                                  Result<ResultSet> result);
 
-  // Prepared execution body (QueryPlanned minus tracing dispatch).
-  Result<ResultSet> RunPlanned(const PreparedPlanPtr& prepared,
-                               const Row& params, const QueryContext& ctx);
+  // The EXPLAIN rendering of `select`, shared by Engine::Explain and the
+  // EXPLAIN statement: the plan as the context's session would run it, or
+  // with `analyze`, run and annotated with its actuals.
+  Result<std::string> ExplainSelect(const SelectStmt& select, bool analyze,
+                                    const QueryContext& ctx);
 
-  // Traced variants of QueryWith/ExecuteWith: wrap parsing and execution in
-  // a QueryTrace and publish it to the sinks on completion.
-  Result<ResultSet> QueryTraced(const std::string& sql,
-                                const QueryContext& ctx);
-  Status ExecuteTraced(const std::string& sql, const QueryContext& ctx);
-  void FinishTrace(std::shared_ptr<obs::QueryTrace> trace, const Status& st,
-                   uint64_t rows_returned);
+  // The one trace wrapper: with tracing on and no trace yet, runs `body`
+  // under a fresh QueryTrace for `text` (admission spans first) and
+  // publishes the trace when it finishes; otherwise just runs `body`.
+  // `body` takes the context to run under and returns a Result.
+  template <typename Body>
+  auto Traced(const std::string& text, const QueryContext& ctx, Body body);
 
   // Engine-level calls snapshot the mutable defaults into a context.
   QueryContext DefaultContext(CancelTokenPtr cancel) const {

@@ -108,12 +108,6 @@ struct ExecState : QueryCounters {
   // guard (QueryGuard::ForkWorker), merged after the join.
   QueryGuard guard;
 
-  // Set when the bound plan scans an msql_system table: such plans embed a
-  // data snapshot the catalog generation does not version, so the
-  // statement must stay out of the cross-query shared cache (the engine
-  // also suppresses its plan-cache publish).
-  bool forbid_shared_cache = false;
-
   std::unordered_map<std::string, Value> measure_cache;
   std::unordered_map<std::string, Value> subquery_cache;
 

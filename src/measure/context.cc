@@ -1,6 +1,7 @@
 #include "measure/context.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/string_util.h"
 
@@ -37,6 +38,15 @@ void EvalContext::AddPredicate(std::shared_ptr<const BoundExpr> src_expr) {
 
 void EvalContext::AddRowIds(
     std::shared_ptr<const std::vector<int64_t>> rowids) {
+  for (ContextTerm& t : terms_) {
+    if (t.kind != ContextTerm::Kind::kRowIds) continue;
+    if (t.rowids == rowids || *t.rowids == *rowids) return;
+    auto both = std::make_shared<std::vector<int64_t>>();
+    std::set_intersection(t.rowids->begin(), t.rowids->end(), rowids->begin(),
+                          rowids->end(), std::back_inserter(*both));
+    t.rowids = std::move(both);
+    return;
+  }
   ContextTerm term;
   term.kind = ContextTerm::Kind::kRowIds;
   term.rowids = std::move(rowids);

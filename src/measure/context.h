@@ -51,7 +51,9 @@ class EvalContext {
   // Adds a predicate term.
   void AddPredicate(std::shared_ptr<const BoundExpr> src_expr);
 
-  // Adds a row-id restriction term.
+  // Restricts the context to the row ids in `rowids` (sorted). A context
+  // keeps at most one row-id term: re-adding its set is a no-op, and a
+  // different set intersects into it.
   void AddRowIds(std::shared_ptr<const std::vector<int64_t>> rowids);
 
   // Value of the dimension `key` if the context pins it to a single value

@@ -276,32 +276,23 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
   }
 
   const Relation& src = *m.source;
-  std::vector<int64_t> selected;
+  std::vector<int64_t> scanned;
+  const std::vector<int64_t>* selected = &scanned;
 
-  // Fast path (paper section 6.4, "inline the measure definition"): when
-  // every term is a row-id restriction, the admitted rows are just the
-  // intersection of the id sets — no scan of the source required.
-  bool rowids_only =
-      state->options.measure_strategy != MeasureStrategy::kNaive;
-  for (const ContextTerm& term : ctx.terms()) {
-    if (term.kind != ContextTerm::Kind::kRowIds) rowids_only = false;
-  }
-  if (rowids_only && !ctx.terms().empty()) {
+  // Fast path (paper section 6.4, "inline the measure definition"): a
+  // context whose one term is a row-id restriction (EvalContext keeps at
+  // most one) admits exactly those rows — no scan of the source required.
+  if (state->options.measure_strategy != MeasureStrategy::kNaive &&
+      ctx.terms().size() == 1 &&
+      ctx.terms()[0].kind == ContextTerm::Kind::kRowIds) {
     ++state->measure_inline_evals;
-    selected = *ctx.terms()[0].rowids;
-    for (size_t t = 1; t < ctx.terms().size(); ++t) {
-      const auto& other = *ctx.terms()[t].rowids;
-      std::vector<int64_t> merged;
-      std::set_intersection(selected.begin(), selected.end(), other.begin(),
-                            other.end(), std::back_inserter(merged));
-      selected = std::move(merged);
-    }
+    selected = ctx.terms()[0].rowids.get();
   } else {
-    MSQL_RETURN_IF_ERROR(ScanAdmitted(ctx, src, state, &selected));
+    MSQL_RETURN_IF_ERROR(ScanAdmitted(ctx, src, state, &scanned));
   }
 
   MSQL_ASSIGN_OR_RETURN(Value result,
-                        EvalFormulaOverRows(*m.formula, src, selected, state));
+                        EvalFormulaOverRows(*m.formula, src, *selected, state));
   if (memoize) {
     MSQL_RETURN_IF_ERROR(shared.Fill(result));
     state->measure_cache.emplace(std::move(key), result);

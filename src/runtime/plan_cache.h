@@ -29,6 +29,10 @@ struct PreparedPlan {
   uint64_t generation = 0;  // catalog data generation at bind time
   std::string fingerprint;  // structural identity (runtime/fingerprint.h)
   uint64_t approx_bytes = 0;
+  // Scans an msql_system table: the plan embeds a telemetry snapshot the
+  // catalog generation does not version, so it is never cached, never
+  // prepared, and its statement stays out of the shared measure cache.
+  bool reads_system_tables = false;
 };
 using PreparedPlanPtr = std::shared_ptr<const PreparedPlan>;
 

@@ -1,7 +1,7 @@
 #include "testing/oracle.h"
 
-#include <iterator>
 #include <memory>
+#include <utility>
 
 #include "common/string_util.h"
 #include "engine/engine.h"
@@ -16,6 +16,9 @@ struct Leg {
   MeasureStrategy strategy;
   int parallelism;
   ExecMode exec_mode;
+  // Also run the query a second time on the same engine with the plan
+  // cache on, as leg `<name>-warm`.
+  bool warm = false;
 };
 
 struct QueryRun {
@@ -23,25 +26,34 @@ struct QueryRun {
   ResultSet rs;
 };
 
-// Runs setup + one query on a fresh engine with the given options, so no
-// cross-query or cross-strategy cache state can mask a divergence.
-QueryRun RunOn(const EngineOptions& options,
-               const std::vector<std::string>& setup,
-               const std::string& query, Status* setup_error) {
+QueryRun ToRun(Result<ResultSet> result) {
   QueryRun run;
+  run.status = result.status();
+  if (result.ok()) run.rs = result.take();
+  return run;
+}
+
+// Runs setup + one query on a fresh engine with the given options, so no
+// cross-query or cross-strategy cache state can mask a divergence. With
+// `warm`, the query runs with the plan cache on, and then again on the same
+// engine: the raw-text plan-cache hit over the warm shared measure cache.
+// Setup runs with the cache off; its VALUES rows would only fill it.
+std::vector<QueryRun> RunOn(const EngineOptions& options, bool warm,
+                            const std::vector<std::string>& setup,
+                            const std::string& query, Status* setup_error) {
   Engine db(options);
   for (const auto& stmt : setup) {
     Status st = db.Execute(stmt);
     if (!st.ok()) {
-      if (setup_error != nullptr) *setup_error = st;
-      run.status = st;
-      return run;
+      *setup_error = st;
+      return {};
     }
   }
-  auto result = db.Query(query);
-  run.status = result.status();
-  if (result.ok()) run.rs = result.take();
-  return run;
+  db.options().enable_plan_cache = warm;
+  std::vector<QueryRun> runs;
+  runs.push_back(ToRun(db.Query(query)));
+  if (warm) runs.push_back(ToRun(db.Query(query)));
+  return runs;
 }
 
 Value CombineTlp(const std::string& agg, const std::vector<Value>& parts) {
@@ -87,27 +99,30 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
   const std::vector<std::string> setup = spec.SetupStatements();
 
   const int workers = options.measure_workers > 1 ? options.measure_workers : 4;
-  // Full strategy matrix under both execution modes, 6 legs. The base leg
-  // is the naive strategy on the row-at-a-time interpreter — the literal
-  // evaluation — so every optimization (plan rewrite, memoization, value
-  // tables, the inline fast path, parallelism, vectorized kernels) is
+  // Full strategy matrix under both execution modes, 6 legs, plus the
+  // grouped-vec engine's warm rerun. The base leg is the naive strategy on
+  // the row-at-a-time interpreter — the literal evaluation — so every
+  // optimization (plan rewrite, memoization, value tables, the inline fast
+  // path, parallelism, vectorized kernels, the plan cache) is
   // differentially checked against it bit for bit.
   const Leg legs[] = {
       {"naive-row", MeasureStrategy::kNaive, 1, ExecMode::kRow},
       {"naive-vec", MeasureStrategy::kNaive, 1, ExecMode::kVectorized},
       {"grouped-row", MeasureStrategy::kGrouped, 1, ExecMode::kRow},
-      {"grouped-vec", MeasureStrategy::kGrouped, 1, ExecMode::kVectorized},
+      {"grouped-vec", MeasureStrategy::kGrouped, 1, ExecMode::kVectorized,
+       /*warm=*/true},
       {"grouped-parallel-row", MeasureStrategy::kGrouped, workers,
        ExecMode::kRow},
       {"grouped-parallel-vec", MeasureStrategy::kGrouped, workers,
        ExecMode::kVectorized},
   };
   // The metamorphic relations are checked on the default engine config:
-  // the first (serial) leg with the default strategy and exec mode.
+  // the cold run of the first (serial) leg with the default strategy and
+  // exec mode.
   const EngineOptions defaults;
-  size_t default_leg = 0;
-  while (legs[default_leg].strategy != defaults.measure_strategy ||
-         legs[default_leg].exec_mode != defaults.exec_mode) {
+  const Leg* default_leg = legs;
+  while (default_leg->strategy != defaults.measure_strategy ||
+         default_leg->exec_mode != defaults.exec_mode) {
     ++default_leg;
   }
 
@@ -126,28 +141,47 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
 
     for (const auto& query : check.queries) {
       ++outcome.queries_run;
-      std::vector<QueryRun> runs;
+      // Every run of the query, labelled by leg; runs[0] is the base leg.
+      std::vector<std::pair<std::string, QueryRun>> runs;
       for (const Leg& leg : legs) {
         EngineOptions eopts;
         eopts.measure_strategy = leg.strategy;
         eopts.measure_parallelism = leg.parallelism;
         eopts.exec_mode = leg.exec_mode;
         Status setup_error;
-        runs.push_back(RunOn(eopts, setup, query, &setup_error));
+        std::vector<QueryRun> leg_runs =
+            RunOn(eopts, leg.warm, setup, query, &setup_error);
         if (!setup_error.ok()) {
           outcome.setup_failed = true;
           fail(StrCat("setup failed on leg ", leg.name, ": ",
                       setup_error.ToString()));
           return outcome;
         }
+        if (&leg == default_leg) reference.push_back(leg_runs[0]);
+        runs.emplace_back(leg.name, std::move(leg_runs[0]));
+        if (!leg.warm) continue;
+        // A statement that ran cleanly published its plan, so the rerun of
+        // the same text must be served from the plan cache.
+        const QueryRun& cold = runs.back().second;
+        const QueryRun& rerun = leg_runs[1];
+        if (cold.status.ok() && rerun.status.ok() &&
+            (rerun.rs.stats() == nullptr ||
+             rerun.rs.stats()->plan_cache !=
+                 QueryStats::PlanCacheOutcome::kHit)) {
+          fail(StrCat(leg.name, "-warm: the rerun missed the plan cache",
+                      "\n  query: ", query));
+          differential_failed = true;
+        }
+        runs.emplace_back(StrCat(leg.name, "-warm"), std::move(leg_runs[1]));
       }
-      reference.push_back(runs[default_leg]);
 
-      const QueryRun& base = runs[0];
-      for (size_t li = 1; li < std::size(legs); ++li) {
-        const QueryRun& other = runs[li];
+      const std::string& base_name = runs[0].first;
+      const QueryRun& base = runs[0].second;
+      for (size_t ri = 1; ri < runs.size(); ++ri) {
+        const std::string& name = runs[ri].first;
+        const QueryRun& other = runs[ri].second;
         if (base.status.ok() != other.status.ok()) {
-          fail(StrCat(legs[0].name, " vs ", legs[li].name, ": ",
+          fail(StrCat(base_name, " vs ", name, ": ",
                       base.status.ok() ? "ok" : base.status.ToString(), " vs ",
                       other.status.ok() ? "ok" : other.status.ToString(),
                       "\n  query: ", query));
@@ -156,7 +190,7 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
         }
         if (!base.status.ok()) {
           if (base.status.code() != other.status.code()) {
-            fail(StrCat(legs[0].name, " vs ", legs[li].name,
+            fail(StrCat(base_name, " vs ", name,
                         ": different error codes: ", base.status.ToString(),
                         " vs ", other.status.ToString(), "\n  query: ", query));
             differential_failed = true;
@@ -164,7 +198,7 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
           continue;
         }
         if (auto diff = DiffResults(base.rs, other.rs, options.compare)) {
-          fail(StrCat(legs[0].name, " vs ", legs[li].name, ": ", *diff,
+          fail(StrCat(base_name, " vs ", name, ": ", *diff,
                       "\n  query: ", query));
           differential_failed = true;
         }
@@ -197,7 +231,7 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
               differential_failed = true;
             } else if (auto diff =
                            DiffResults(base.rs, plain.value(), options.compare)) {
-              fail(StrCat(legs[0].name, " vs expansion: ", *diff,
+              fail(StrCat(base_name, " vs expansion: ", *diff,
                           "\n  query: ", query,
                           "\n  expanded: ", expanded.value()));
               differential_failed = true;

@@ -45,11 +45,15 @@ struct CaseOutcome {
 // executed as plain SQL. The naive legs run the literal evaluation (kNaive
 // turns off every optimization: the plan rewrite, the caches, the value
 // tables, the inline fast path and subquery memoization), so the other
-// legs check each of them.
+// legs check each of them. The grouped-vec leg's engine has the plan cache
+// on and runs the query a second time as leg `grouped-vec-warm`: a
+// raw-text plan-cache hit (which must be reported as one when the first
+// run succeeded) over a warm shared measure cache, the path msqld serves a
+// repeated dashboard statement on.
 // All runs of a query must agree: same success/error outcome (error codes
 // must match), and on success, normalized-equal results. kEqualPair / kTlp
 // checks additionally enforce their metamorphic relation on the default
-// path's results.
+// path's cold results.
 CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options = {});
 
 }  // namespace testing

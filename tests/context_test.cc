@@ -113,6 +113,44 @@ TEST(EvalContextTest, RowIdSignatureHashesContent) {
   EXPECT_EQ(a.Signature(), c.Signature());
 }
 
+TEST(EvalContextTest, ReAddingTheSameRowIdSetIsANoOp) {
+  auto ids = std::make_shared<std::vector<int64_t>>(
+      std::vector<int64_t>{1, 2, 3});
+  auto same_content = std::make_shared<std::vector<int64_t>>(*ids);
+  EvalContext ctx;
+  ctx.AddRowIds(ids);
+  const std::string signature = ctx.Signature();
+  ctx.AddRowIds(ids);
+  ctx.AddRowIds(same_content);
+  ASSERT_EQ(ctx.terms().size(), 1u);
+  EXPECT_EQ(ctx.terms()[0].rowids, ids);
+  EXPECT_EQ(ctx.Signature(), signature);
+}
+
+TEST(EvalContextTest, DifferentRowIdSetsIntersectIntoOneTerm) {
+  auto a = std::make_shared<std::vector<int64_t>>(
+      std::vector<int64_t>{1, 2, 3, 5, 8});
+  auto b = std::make_shared<std::vector<int64_t>>(
+      std::vector<int64_t>{2, 3, 4, 8, 9});
+  EvalContext ctx;
+  ctx.SetDim("x", Dim("x"), Value::Int(1));
+  ctx.AddRowIds(a);
+  ctx.AddRowIds(b);
+  ASSERT_EQ(ctx.terms().size(), 2u);
+  const ContextTerm& rowids = ctx.terms()[1];
+  ASSERT_EQ(rowids.kind, ContextTerm::Kind::kRowIds);
+  EXPECT_EQ(*rowids.rowids, (std::vector<int64_t>{2, 3, 8}));
+  // The inputs are shared with other contexts and stay untouched.
+  EXPECT_EQ(a->size(), 5u);
+  EXPECT_EQ(b->size(), 5u);
+  // Same admitted rows, same signature as adding the intersection alone.
+  EvalContext direct;
+  direct.SetDim("x", Dim("x"), Value::Int(1));
+  direct.AddRowIds(std::make_shared<std::vector<int64_t>>(
+      std::vector<int64_t>{2, 3, 8}));
+  EXPECT_EQ(ctx.Signature(), direct.Signature());
+}
+
 TEST(EvalContextTest, EmptySignature) {
   EvalContext ctx;
   EXPECT_EQ(ctx.Signature(), "");

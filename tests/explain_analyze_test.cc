@@ -262,6 +262,28 @@ TEST_F(ExplainAnalyzeTest, AnalyzeResultMatchesDirectExecution) {
   }
 }
 
+TEST_F(ExplainAnalyzeTest, ExplainOverSystemTablesFollowsTheFlag) {
+  // EXPLAIN binds as the SELECT would: msql_system tables resolve exactly
+  // when the session enabled them.
+  const std::string sql = "EXPLAIN SELECT name FROM msql_system.metrics";
+  db_.options().enable_system_tables = true;
+  EXPECT_NE(Render(sql).find("Scan msql_system.metrics"), std::string::npos);
+  auto viaApi = db_.Explain(sql);
+  ASSERT_TRUE(viaApi.ok()) << viaApi.status().ToString();
+  EXPECT_NE(viaApi.value().find("Scan msql_system.metrics"), std::string::npos);
+
+  db_.options().enable_system_tables = false;
+  for (const Result<ResultSet>& r : {db_.Query(sql), db_.Query(
+                                         "EXPLAIN ANALYZE SELECT name FROM "
+                                         "msql_system.metrics")}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kCatalog) << r.status().ToString();
+  }
+  auto disabled = db_.Explain(sql);
+  ASSERT_FALSE(disabled.ok());
+  EXPECT_EQ(disabled.status().code(), ErrorCode::kCatalog);
+}
+
 TEST_F(ExplainAnalyzeTest, ExplainAnalyzeParsesAndRoundTrips) {
   auto stmt = Parser::Parse("EXPLAIN ANALYZE SELECT 1");
   ASSERT_TRUE(stmt.ok());

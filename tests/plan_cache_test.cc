@@ -5,6 +5,9 @@
 // mismatch, and the naive strategy's literal plan never shares an entry with
 // the rewritten plan the other strategies run.
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -291,6 +294,81 @@ TEST(PlanCacheTest, LiteralAndRewrittenPlansAreCachedApart) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().ToCsv(), literal.value().ToCsv());
   EXPECT_EQ(b.value().ToCsv(), literal.value().ToCsv());
+}
+
+// A statement that runs a SELECT inside it (COPY of a view, INSERT ...
+// SELECT, EXPLAIN) must never be answered from a plan cached under its own
+// text: only a top-level SELECT publishes its plan under the raw text. Each
+// statement runs twice through Engine::Query and once through a Session.
+class RawTextAliasTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute(kSetup).ok());
+    ASSERT_TRUE(db_.Execute("CREATE VIEW V AS SELECT prodName, revenue "
+                            "FROM Orders WHERE revenue > 5")
+                    .ok());
+    ASSERT_TRUE(
+        db_.Execute("CREATE TABLE T (x INTEGER); INSERT INTO T VALUES (1), (2)")
+            .ok());
+    session_ = db_.CreateSession();
+  }
+
+  // The three runs of `sql`: two engine-level calls, then a session call.
+  std::vector<Result<ResultSet>> RunThrice(const std::string& sql) {
+    std::vector<Result<ResultSet>> runs;
+    runs.push_back(db_.Query(sql));
+    runs.push_back(db_.Query(sql));
+    runs.push_back(session_->Query(sql));
+    return runs;
+  }
+
+  Engine db_{MakeOptions(MeasureStrategy::kGrouped, /*enable_cache=*/true)};
+  SessionPtr session_;
+};
+
+TEST_F(RawTextAliasTest, CopyOfAViewWritesTheFileEveryTime) {
+  const std::string path = ::testing::TempDir() + "/msql_plan_cache_copy.csv";
+  const std::string sql = "COPY V TO '" + path + "'";
+  for (int run = 0; run < 3; ++run) {
+    std::remove(path.c_str());
+    Result<ResultSet> r = run < 2 ? db_.Query(sql) : session_->Query(sql);
+    ASSERT_TRUE(r.ok()) << "run " << run << ": " << r.status().ToString();
+    EXPECT_EQ(r.value().num_rows(), 0u) << "run " << run;
+    std::ifstream file(path);
+    ASSERT_TRUE(file.good()) << "run " << run << " wrote no file";
+    std::stringstream contents;
+    contents << file.rdbuf();
+    EXPECT_EQ(contents.str(), "prodName,revenue\nHappy,6\nHappy,7\n")
+        << "run " << run;
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(RawTextAliasTest, FailingInsertSelectFailsEveryTime) {
+  int run = 0;
+  for (const Result<ResultSet>& r :
+       RunThrice("INSERT INTO T SELECT x, x FROM T")) {
+    ASSERT_FALSE(r.ok()) << "run " << run << " returned "
+                         << r.value().num_rows() << " row(s)";
+    EXPECT_EQ(r.status().code(), ErrorCode::kExecution)
+        << "run " << run << ": " << r.status().ToString();
+    ++run;
+  }
+  auto count = db_.Query("SELECT COUNT(*) AS n FROM T");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().Get(0, "n").int_val(), 2);
+}
+
+TEST_F(RawTextAliasTest, ExplainReturnsPlanTextEveryTime) {
+  int run = 0;
+  for (const Result<ResultSet>& r :
+       RunThrice("EXPLAIN SELECT prodName FROM Orders WHERE revenue > 4")) {
+    ASSERT_TRUE(r.ok()) << "run " << run << ": " << r.status().ToString();
+    EXPECT_EQ(r.value().column_names(), std::vector<std::string>{"plan"});
+    EXPECT_NE(r.value().ToString().find("Scan Orders"), std::string::npos)
+        << "run " << run << ":\n" << r.value().ToString();
+    ++run;
+  }
 }
 
 }  // namespace

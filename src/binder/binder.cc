@@ -415,6 +415,34 @@ Result<PlanPtr> Binder::Bind(const SelectStmt& stmt) {
   return BindSelectStmt(stmt, nullptr);
 }
 
+Result<PlanPtr> Binder::BindValues(
+    const std::vector<std::vector<ExprPtr>>& rows, size_t width) {
+  auto plan = std::make_shared<LogicalPlan>();
+  plan->kind = PlanKind::kValues;
+  Scope scope;
+  const Schema no_input;
+  scope.schema = &no_input;
+  scope.measures = &plan->measures;
+  for (const auto& row : rows) {
+    if (row.size() != width) {
+      return Status(ErrorCode::kExecution,
+                    StrCat("INSERT expects ", width, " values, got ",
+                           row.size()));
+    }
+    auto& bound = plan->values_rows.emplace_back();
+    for (const ExprPtr& e : row) {
+      MSQL_ASSIGN_OR_RETURN(BoundExprPtr v, BindExpr(*e, &scope));
+      if (saw_agg_ || !pending_windows_.empty()) {
+        return Status(ErrorCode::kBind,
+                      "aggregate and window functions are not allowed in "
+                      "VALUES");
+      }
+      bound.push_back(std::move(v));
+    }
+  }
+  return plan;
+}
+
 Result<PlanPtr> Binder::BindSelectStmt(const SelectStmt& stmt, Scope* outer) {
   // Register CTEs.
   cte_stack_.emplace_back();

@@ -41,6 +41,11 @@ class Binder {
   // Binds a full query (WITH / set ops / ORDER BY / LIMIT).
   Result<PlanPtr> Bind(const SelectStmt& stmt);
 
+  // Binds INSERT ... VALUES rows, each `width` scalar expressions over no
+  // input (scalar subqueries allowed), into one kValues plan.
+  Result<PlanPtr> BindValues(const std::vector<std::vector<ExprPtr>>& rows,
+                             size_t width);
+
   // Declares the types of the statement's positional `?` parameters, in
   // ordinal order. Without a declaration, any `?` in the statement is a
   // bind error (ad-hoc Engine::Query has no parameter row to read from).

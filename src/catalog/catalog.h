@@ -24,7 +24,7 @@ namespace msql {
 // REPLACE, GRANT, DROP) builds a fresh entry and swaps the registry slot, so
 // a reader holding a snapshot never observes a torn entry. Table *data* is
 // the one shared mutable component; Table synchronizes internally and hands
-// out copy-on-write row snapshots.
+// out snapshots of its append-only rows.
 struct CatalogEntry {
   enum class Kind { kTable, kView };
   Kind kind;

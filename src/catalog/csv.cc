@@ -1,7 +1,9 @@
 #include "catalog/csv.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <vector>
 
 #include "common/date.h"
 #include "common/fault_injection.h"
@@ -123,6 +125,8 @@ Status AppendCsv(const std::string& path, bool header, Table* table) {
   MSQL_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
   MSQL_ASSIGN_OR_RETURN(auto records, ParseCsvText(text));
   size_t start = header ? 1 : 0;
+  std::vector<Row> rows;
+  rows.reserve(records.size() - std::min(start, records.size()));
   for (size_t r = start; r < records.size(); ++r) {
     const auto& fields = records[r].fields;
     if (fields.size() != table->schema().size()) {
@@ -148,9 +152,9 @@ Status AppendCsv(const std::string& path, bool header, Table* table) {
       }
       row.push_back(std::move(cast.value()));
     }
-    MSQL_RETURN_IF_ERROR(table->AppendRow(std::move(row)));
+    rows.push_back(std::move(row));
   }
-  return Status::Ok();
+  return table->AppendRows(std::move(rows));
 }
 
 Result<Schema> InferCsvSchema(const std::string& path) {
@@ -203,7 +207,7 @@ Status WriteCsv(const std::string& path, const Table& table) {
   }
   out << '\n';
   const Table::RowsSnapshot rows = table.snapshot();
-  for (const Row& row : *rows) {
+  for (const Row& row : rows) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out << ',';
       if (!row[c].is_null()) out << quote(row[c].ToString());

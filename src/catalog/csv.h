@@ -8,9 +8,10 @@
 
 namespace msql {
 
-// Appends the rows of a CSV file to an existing table, coercing fields to
-// the column types. Quoted fields with embedded commas/quotes/newlines are
-// supported; empty fields become NULL.
+// Appends the rows of a CSV file to an existing table in one batch,
+// coercing fields to the column types; a malformed record appends nothing.
+// Quoted fields with embedded commas/quotes/newlines are supported; empty
+// fields become NULL.
 Status AppendCsv(const std::string& path, bool header, Table* table);
 
 // Infers a schema from a CSV file with a header row: a column is INTEGER if

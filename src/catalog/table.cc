@@ -1,26 +1,31 @@
 #include "catalog/table.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
-#include "exec/column_vector.h"
 
 namespace msql {
 
 std::shared_ptr<const ColumnarRelation> Table::ColumnsFor(
     const RowsSnapshot& snap) const {
-  {
+  const auto n = static_cast<int64_t>(snap.size());
+  auto cached = [&]() -> std::shared_ptr<const ColumnarRelation> {
     std::lock_guard<std::mutex> lock(mu_);
-    if (columns_rows_ == snap) return columns_;
+    if (columns_ != nullptr && columns_->num_rows == n) return columns_;
+    return nullptr;
+  };
+  if (auto hit = cached()) return hit;
+  // One build per published length: a scan that waited here for another
+  // scan's build of the same length takes its result.
+  std::lock_guard<std::mutex> build(image_mu_);
+  if (auto hit = cached()) return hit;
+  auto built = image_.ImageOf(snap.rows());
+  if (!built.ok()) return nullptr;
+  std::shared_ptr<const ColumnarRelation> cols = built.take();
+  if (n == image_.num_rows()) {  // not an older snapshot's own image
+    std::lock_guard<std::mutex> lock(mu_);
+    columns_ = cols;
   }
-  // Build outside the lock: the snapshot vector is immutable, and a writer
-  // must never block behind columnarization. Concurrent scans of the same
-  // fresh snapshot may build twice; last publish wins.
-  auto arena = std::make_shared<Arena>();
-  auto built = ColumnarizeRows(schema_.size(), *snap, arena);
-  std::shared_ptr<const ColumnarRelation> cols =
-      built.ok() ? built.take() : nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  columns_rows_ = snap;
-  columns_ = cols;
   return cols;
 }
 
@@ -40,25 +45,10 @@ Status Table::CoerceRow(Row* row) const {
   return Status::Ok();
 }
 
-std::vector<Row>* Table::MutableRowsLocked() {
-  // Copy if the current vector was ever handed out via snapshot(). A
-  // use_count() check would be cheaper but is not sound: use_count() is a
-  // relaxed load, so observing 1 does not order this writer's mutation
-  // after a dying reader's final buffer reads. The flag only changes
-  // under mu_, so the (pessimistic) decision is race-free.
-  if (snapshotted_) {
-    rows_ = std::make_shared<std::vector<Row>>(*rows_);
-    snapshotted_ = false;
-  }
-  return rows_.get();
-}
-
 Status Table::AppendRow(Row row) {
-  MSQL_RETURN_IF_ERROR(CoerceRow(&row));
-  std::lock_guard<std::mutex> lock(mu_);
-  MutableRowsLocked()->push_back(std::move(row));
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  return Status::Ok();
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return AppendRows(std::move(rows));
 }
 
 Status Table::AppendRows(std::vector<Row> rows) {
@@ -66,17 +56,23 @@ Status Table::AppendRows(std::vector<Row> rows) {
     MSQL_RETURN_IF_ERROR(CoerceRow(&row));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Row>* storage = MutableRowsLocked();
-  storage->reserve(storage->size() + rows.size());
-  for (Row& row : rows) storage->push_back(std::move(row));
+  if (rows_->empty()) {
+    // A bulk load: take the caller's vector over as the buffer.
+    rows_ = std::make_shared<std::vector<Row>>(std::move(rows));
+  } else {
+    if (rows_->size() + rows.size() > rows_->capacity()) {
+      // Full: copy into a buffer twice the size. Snapshots may still read
+      // the old buffer's rows, so they are copied, not moved.
+      auto grown = std::make_shared<std::vector<Row>>();
+      grown->reserve(std::max(2 * rows_->size(), rows_->size() + rows.size()));
+      grown->insert(grown->end(), rows_->begin(), rows_->end());
+      rows_ = std::move(grown);
+    }
+    // Within capacity: the rows are constructed past every snapshot's end.
+    for (Row& row : rows) rows_->push_back(std::move(row));
+  }
   generation_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
-}
-
-void Table::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  rows_ = std::make_shared<std::vector<Row>>();
-  generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace msql

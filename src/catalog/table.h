@@ -5,44 +5,76 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "common/value.h"
+#include "exec/column_vector.h"
 
 namespace msql {
-
-struct ColumnarRelation;  // exec/column_vector.h
 
 // An in-memory base table: schema plus row storage. Row values are stored
 // already coerced to the column types.
 //
-// Thread safety: writers and readers synchronize on an internal mutex;
-// readers take an immutable copy-on-write snapshot of the row vector
-// (a shared_ptr copy — O(1)), so a running scan never observes a
-// concurrent INSERT and DML never blocks behind a long query. The
-// generation counter increments on every data mutation and feeds the
-// engine's cross-query cache invalidation.
+// Storage is append-only with a published length. The rows live in one
+// contiguous buffer with spare capacity: a write constructs its rows past
+// the published length under the internal mutex, then publishes the new
+// length. A snapshot is the buffer, a row pointer and a length, so it is
+// O(1) to take and never sees rows appended after it. A write that does
+// not fit allocates a buffer twice the size and copies the rows into it;
+// older snapshots keep the old buffer alive. A bulk AppendRows into an
+// empty table takes over the caller's vector (no spare capacity, no copy).
+//
+// Thread safety: writers and readers synchronize on an internal mutex, and
+// a writer never touches a row a snapshot can read, so DML never blocks
+// behind a long query. The generation counter increments on every append
+// and feeds the engine's cross-query cache invalidation.
 class Table {
  public:
-  using RowsSnapshot = std::shared_ptr<const std::vector<Row>>;
+  // An immutable prefix of the table's rows. The pointer-like spelling
+  // (`snap->size()`, `(*snap)[i]`) reads like the shared row vector a
+  // snapshot used to be.
+  class RowsSnapshot {
+   public:
+    size_t size() const { return size_; }
+    const Row& operator[](size_t i) const { return data_[i]; }
+    const Row* begin() const { return data_; }
+    const Row* end() const { return data_ + size_; }
+    std::span<const Row> rows() const { return {data_, size_}; }
+    // Keeps the row buffer alive.
+    const std::shared_ptr<const std::vector<Row>>& owner() const {
+      return buffer_;
+    }
+
+    const RowsSnapshot& operator*() const { return *this; }
+    const RowsSnapshot* operator->() const { return this; }
+
+   private:
+    friend class Table;
+    std::shared_ptr<const std::vector<Row>> buffer_;
+    const Row* data_ = nullptr;
+    size_t size_ = 0;
+  };
 
   Table(std::string name, Schema schema)
       : name_(std::move(name)),
         schema_(std::move(schema)),
-        rows_(std::make_shared<std::vector<Row>>()) {}
+        rows_(std::make_shared<std::vector<Row>>()),
+        image_(schema_.size()) {}
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  // Immutable snapshot of the current rows. Cheap; the data is shared until
-  // the next write, which copies (never mutates) a vector that has
-  // outstanding snapshots.
+  // The rows published so far. O(1).
   RowsSnapshot snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
-    snapshotted_ = true;
-    return rows_;
+    RowsSnapshot snap;
+    snap.buffer_ = rows_;
+    snap.data_ = rows_->data();
+    snap.size_ = rows_->size();
+    return snap;
   }
 
   size_t num_rows() const {
@@ -50,46 +82,44 @@ class Table {
     return rows_->size();
   }
 
-  // Data version: bumped on every append / clear.
+  // Data version: bumped on every append.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
 
-  // Columnar image of `snap`, built on first use and cached. Keyed by the
-  // snapshot's identity (the shared row vector pointer), not the generation:
-  // a hit is only possible when the cached image was built from exactly this
-  // vector, so a scan can never pair a stale image with fresher rows. Like
-  // the row snapshot it mirrors, the image is engine-resident and unguarded.
-  // May be null (columnarization failed); callers then run row-at-a-time.
+  // Columnar image of `snap`, built on the first scan of each published
+  // length and cached. The table is append-only, so the length is the key:
+  // an image of n rows is an image of the first n rows of every later
+  // snapshot. A longer snapshot extends the cached image by its new rows
+  // (ColumnarAppender); an older, shorter one gets an uncached image of its
+  // own. Like the row snapshot it mirrors, the image is engine-resident and
+  // unguarded. May be null (columnarization failed); callers then run
+  // row-at-a-time.
   std::shared_ptr<const ColumnarRelation> ColumnsFor(
       const RowsSnapshot& snap) const;
 
   // Appends rows, coercing each value to the column types. Fails (without
-  // appending anything from the failing row on) if arity or types do not
-  // match. AppendRows takes the write lock once for the whole batch.
+  // appending anything) if arity or types do not match. AppendRows takes
+  // the write lock once for the whole batch.
   Status AppendRow(Row row);
   Status AppendRows(std::vector<Row> rows);
-
-  void Clear();
 
  private:
   // Coerces one row to the schema; returns it via `row`.
   Status CoerceRow(Row* row) const;
 
-  // Returns the storage vector, private to this writer. mu_ held. Copies
-  // the rows first if the current vector was ever snapshotted.
-  std::vector<Row>* MutableRowsLocked();
-
   std::string name_;
   Schema schema_;
   mutable std::mutex mu_;
+  // Rows [0, size()) are published; a writer only constructs past size().
+  // Guarded by mu_ (the pointer and the vector object; published rows are
+  // immutable).
   std::shared_ptr<std::vector<Row>> rows_;
-  // True while `rows_` may be referenced outside mu_ (a snapshot was
-  // handed out since the last copy). Guarded by mu_.
-  mutable bool snapshotted_ = false;
-  // Columnar cache: `columns_` was built from `columns_rows_` (identity
-  // key). Both guarded by mu_; the build itself runs outside the lock.
-  mutable RowsSnapshot columns_rows_;
+  // Columnar cache. `image_mu_` serializes image builds, which run outside
+  // mu_ so a writer never blocks behind columnarization; lock order is
+  // image_mu_, then mu_. `columns_` (guarded by mu_) is the latest image.
+  mutable std::mutex image_mu_;
+  mutable ColumnarAppender image_;
   mutable std::shared_ptr<const ColumnarRelation> columns_;
   std::atomic<uint64_t> generation_{0};
 };

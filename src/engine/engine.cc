@@ -513,6 +513,13 @@ void Engine::NoteCatalogMutation() {
   shared_cache_.InvalidateOlderThan(catalog_.generation());
 }
 
+void Engine::ArmGuard(const QueryContext& ctx, QueryGuard* guard) const {
+  guard->Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
+             ctx.options.max_result_rows, ctx.cancel, cancel_generation_,
+             ctx.cancel_generation);
+  if (ctx.has_deadline) guard->TightenDeadline(ctx.deadline);
+}
+
 Result<ResultSet> Engine::RunSelect(const QueryContext& ctx,
                                     PreparedPlanPtr prepared,
                                     const Row& params,
@@ -528,10 +535,7 @@ Result<ResultSet> Engine::RunSelect(const QueryContext& ctx,
   const auto start = std::chrono::steady_clock::now();
   // Armed before the plan is built: a plan-cache fill is charged to this
   // statement's budget, and the deadline covers bind and measure expansion.
-  state.guard.Arm(ctx.options.timeout_ms, ctx.options.max_memory_bytes,
-                  ctx.options.max_result_rows, ctx.cancel, cancel_generation_,
-                  ctx.cancel_generation);
-  if (ctx.has_deadline) state.guard.TightenDeadline(ctx.deadline);
+  ArmGuard(ctx, &state.guard);
 
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
     if (prepared != nullptr) {
@@ -934,22 +938,18 @@ Status Engine::ExecuteInsert(const Stmt& stmt, const QueryContext& ctx) {
         ResultSet rs, RunSelect(ctx, nullptr, {}, stmt.insert_select.get()));
     for (const Row& r : rs.rows()) MSQL_RETURN_IF_ERROR(stage(r));
   } else {
-    // INSERT ... VALUES rows are constant expressions; evaluate each row by
-    // reusing the FROM-less SELECT path.
-    for (const auto& row_exprs : stmt.insert_rows) {
-      SelectStmt values_select;
-      for (const ExprPtr& e : row_exprs) {
-        SelectItem item;
-        item.expr = e->Clone();
-        values_select.select_list.push_back(std::move(item));
-      }
-      MSQL_ASSIGN_OR_RETURN(ResultSet rs,
-                            RunSelect(ctx, nullptr, {}, &values_select));
-      if (rs.num_rows() != 1) {
-        return Status(ErrorCode::kExecution, "VALUES row evaluation failed");
-      }
-      MSQL_RETURN_IF_ERROR(stage(rs.rows()[0]));
-    }
+    // The VALUES rows bind once into a kValues plan and run under one
+    // guard, without the plan cache.
+    Binder binder(&catalog_, ctx.user, ctx.options.max_recursion_depth,
+                  SystemTablesFor(ctx.options));
+    MSQL_ASSIGN_OR_RETURN(PlanPtr values,
+                          binder.BindValues(stmt.insert_rows, positions.size()));
+    ExecState state;
+    state.options = ctx.options;
+    ArmGuard(ctx, &state.guard);
+    Executor executor(&state);
+    MSQL_ASSIGN_OR_RETURN(RelationPtr rel, executor.Execute(*values, {}));
+    for (const Row& r : rel->rows) MSQL_RETURN_IF_ERROR(stage(r));
   }
   MSQL_RETURN_IF_ERROR(table->AppendRows(std::move(batch)));
   NoteCatalogMutation();

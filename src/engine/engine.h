@@ -298,6 +298,10 @@ class Engine {
                               PlanPtr* plan_out = nullptr,
                               obs::PlanProfile* profile = nullptr);
 
+  // Arms `guard` with the statement's timeout, memory and row budgets,
+  // cancellation and admission deadline.
+  void ArmGuard(const QueryContext& ctx, QueryGuard* guard) const;
+
   // Stats/metrics tail of RunSelect: snapshots `state` into QueryStats,
   // attaches them to the result and trace, and folds the counters into the
   // registry.

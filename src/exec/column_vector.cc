@@ -1,5 +1,6 @@
 #include "exec/column_vector.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace msql {
@@ -138,7 +139,7 @@ ColumnPtr ColumnBuilder::Finish() {
 }
 
 Result<std::shared_ptr<const ColumnarRelation>> ColumnarizeRows(
-    size_t width, const std::vector<Row>& rows,
+    size_t width, std::span<const Row> rows,
     const std::shared_ptr<Arena>& arena) {
   auto out = std::make_shared<ColumnarRelation>();
   out->num_rows = static_cast<int64_t>(rows.size());
@@ -160,6 +161,191 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarizeRows(
   }
   out->batches = MakeBatches(out->num_rows);
   return std::shared_ptr<const ColumnarRelation>(std::move(out));
+}
+
+Result<std::shared_ptr<const ColumnarRelation>> ColumnarAppender::ImageOf(
+    std::span<const Row> rows) {
+  const auto n = static_cast<int64_t>(rows.size());
+  if (image_ == nullptr || n < image_->num_rows) {
+    auto arena = std::make_shared<Arena>();
+    MSQL_ASSIGN_OR_RETURN(auto image, ColumnarizeRows(width_, rows, arena));
+    if (image_ != nullptr) return image;  // an older snapshot's own image
+    image_ = std::move(image);
+    capacity_ = 0;
+    cols_.clear();
+    return image_;
+  }
+  const int64_t from = image_->num_rows;
+  if (n == from) return image_;
+  if (n > capacity_) Grow(std::max(n, 2 * from));
+  auto out = std::make_shared<ColumnarRelation>();
+  out->num_rows = n;
+  out->cols.resize(width_);
+  for (size_t c = 0; c < width_; ++c) {
+    out->cols[c] = ExtendColumn(c, rows, from);
+  }
+  out->batches = MakeBatches(n);
+  image_ = std::move(out);
+  return image_;
+}
+
+void ColumnarAppender::Grow(int64_t capacity) {
+  const int64_t length = image_->num_rows;
+  const auto slots = static_cast<size_t>(capacity);
+  const auto words = static_cast<size_t>((capacity + 63) / 64);
+  const bool first = cols_.empty();
+  if (first) cols_.resize(width_);
+  arena_ = std::make_shared<Arena>();
+  for (size_t c = 0; c < width_; ++c) {
+    Col& col = cols_[c];
+    const ColumnVector* prev = image_->cols[c].get();
+    if (prev == nullptr) {
+      col = Col{};
+      col.row_major = true;
+      continue;
+    }
+    if (first) {
+      col.kind = prev->kind;
+      col.dict = prev->dict;
+      col.dict_unique = prev->dict_unique;
+      if (col.kind == TypeKind::kString && col.dict_unique) {
+        for (size_t k = 0; k < col.dict->size(); ++k) {
+          col.codes.emplace((*col.dict)[k], static_cast<int64_t>(k));
+        }
+      }
+    }
+    if (col.kind == TypeKind::kDouble) {
+      col.doubles = arena_->AllocateArray<double>(slots);
+      std::copy_n(prev->doubles, length, col.doubles);
+    } else if (col.kind != TypeKind::kNull) {
+      col.ints = arena_->AllocateArray<int64_t>(slots);
+      std::copy_n(prev->ints, length, col.ints);
+    }
+    if (prev->valid != nullptr) {
+      // A ColumnarizeRows bitmap may have bits set past its length.
+      auto valid = std::make_shared<uint64_t[]>(words);
+      std::copy_n(prev->valid, length / 64, valid.get());
+      if (length % 64 != 0) {
+        valid[length / 64] =
+            prev->valid[length / 64] & ((uint64_t{1} << (length % 64)) - 1);
+      }
+      col.valid = std::move(valid);
+    }
+  }
+  capacity_ = capacity;
+}
+
+ColumnPtr ColumnarAppender::ExtendColumn(size_t c, std::span<const Row> rows,
+                                         int64_t from) {
+  Col& col = cols_[c];
+  if (col.row_major) return nullptr;
+  const auto words = static_cast<size_t>((capacity_ + 63) / 64);
+  // The latest image reads the word holding row `from` when it covers it
+  // in part: write into a copy.
+  if (col.valid != nullptr && from % 64 != 0) {
+    auto valid = std::make_shared<uint64_t[]>(words);
+    std::copy_n(col.valid.get(), from / 64 + 1, valid.get());
+    col.valid = std::move(valid);
+  }
+  // The latest image shares the dictionary: add strings to a copy.
+  std::vector<std::string>* dict_out = nullptr;
+  auto add_string = [&](const std::string& s) {
+    if (dict_out == nullptr) {
+      auto copy = std::make_shared<std::vector<std::string>>(*col.dict);
+      dict_out = copy.get();
+      col.dict = std::move(copy);
+    }
+    const auto code = static_cast<int64_t>(dict_out->size());
+    dict_out->push_back(s);
+    return code;
+  };
+  auto row_major = [&col]() -> ColumnPtr {
+    col = Col{};
+    col.row_major = true;
+    return nullptr;
+  };
+  const auto n = static_cast<int64_t>(rows.size());
+  for (int64_t i = from; i < n; ++i) {
+    const Row& row = rows[static_cast<size_t>(i)];
+    if (c >= row.size()) return row_major();
+    const Value& v = row[c];
+    if (v.is_null()) {
+      if (col.valid == nullptr) {
+        // The first NULL: every row before it was non-NULL.
+        col.valid = std::make_shared<uint64_t[]>(words);
+        for (int64_t j = 0; j < i; ++j) {
+          col.valid[j >> 6] |= uint64_t{1} << (j & 63);
+        }
+      }
+      if (col.ints != nullptr) col.ints[i] = 0;
+      if (col.doubles != nullptr) col.doubles[i] = 0;
+      continue;
+    }
+    if (col.kind == TypeKind::kNull) {
+      // The first value latches the kind; earlier rows are NULL slots.
+      col.kind = v.kind();
+      const auto slots = static_cast<size_t>(capacity_);
+      if (col.kind == TypeKind::kDouble) {
+        col.doubles = arena_->AllocateArray<double>(slots);
+        std::fill_n(col.doubles, i, 0.0);
+      } else {
+        col.ints = arena_->AllocateArray<int64_t>(slots);
+        std::fill_n(col.ints, i, int64_t{0});
+      }
+      if (col.kind == TypeKind::kString) {
+        auto dict = std::make_shared<std::vector<std::string>>();
+        dict_out = dict.get();
+        col.dict = std::move(dict);
+      }
+    } else if (v.kind() != col.kind) {
+      return row_major();  // mixed-kind column
+    }
+    if (col.valid != nullptr) col.valid[i >> 6] |= uint64_t{1} << (i & 63);
+    switch (col.kind) {
+      case TypeKind::kBool:
+        col.ints[i] = v.bool_val() ? 1 : 0;
+        break;
+      case TypeKind::kInt64:
+        col.ints[i] = v.int_val();
+        break;
+      case TypeKind::kDate:
+        col.ints[i] = v.date_days();
+        break;
+      case TypeKind::kDouble:
+        col.doubles[i] = v.double_val();
+        break;
+      case TypeKind::kString: {
+        // ColumnBuilder::Append's dictionary rule, continued.
+        if (col.dict_unique) {
+          if (col.dict->size() < ColumnBuilder::kMaxDictCodes) {
+            auto it = col.codes.find(v.str());
+            if (it == col.codes.end()) {
+              it = col.codes.emplace(v.str(), add_string(v.str())).first;
+            }
+            col.ints[i] = it->second;
+            break;
+          }
+          col.dict_unique = false;
+          col.codes.clear();
+        }
+        col.ints[i] = add_string(v.str());
+        break;
+      }
+      default:
+        return row_major();
+    }
+  }
+  auto out = std::make_shared<ColumnVector>();
+  out->kind = col.kind;
+  out->length = n;
+  out->valid = col.valid.get();
+  out->valid_storage = col.valid;
+  out->ints = col.ints;
+  out->doubles = col.doubles;
+  out->dict = col.dict;
+  out->dict_unique = col.dict_unique;
+  out->arena = arena_;
+  return out;
 }
 
 Result<ColumnPtr> GatherColumn(const ColumnVector& c,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +61,9 @@ struct ColumnVector {
   std::shared_ptr<const std::vector<std::string>> dict;
   bool dict_unique = false;
   std::shared_ptr<Arena> arena;  // keeps payload storage alive
+  // Keeps `valid` alive when it lives outside `arena` (a table image's
+  // bitmap, see ColumnarAppender).
+  std::shared_ptr<const uint64_t[]> valid_storage;
 
   bool IsValid(int64_t i) const {
     return valid == nullptr || ((valid[i >> 6] >> (i & 63)) & 1) != 0;
@@ -131,8 +135,68 @@ class ColumnBuilder {
 // Columns whose values mix kinds get a null entry; an arena poisoned by its
 // guard (memory budget) aborts the build with that error.
 Result<std::shared_ptr<const ColumnarRelation>> ColumnarizeRows(
-    size_t width, const std::vector<Row>& rows,
+    size_t width, std::span<const Row> rows,
     const std::shared_ptr<Arena>& arena);
+
+// The columnar image of an append-only row sequence (a table's rows),
+// extended instead of rebuilt. ImageOf(rows) returns the image of `rows`,
+// which must begin with the rows of the previous call; the result equals
+// ColumnarizeRows over `rows` column by column: kind, validity, payload,
+// dictionary contents, dict_unique, and which columns stay row-major.
+//
+// The first image is ColumnarizeRows itself, with no spare capacity, so a
+// table that is never appended to pays nothing more. The first extension
+// copies the payload into arrays twice the length; later ones write only
+// the new rows. Published images share those arrays read-only, and an
+// extension writes past their length. The two things an earlier image can
+// still read are copied instead of mutated: a validity word it covers in
+// part, and a dictionary that gains strings. The string-to-code dedup map
+// is rebuilt from the dictionary on the first extension and kept here, so
+// existing codes never change.
+//
+// Not thread-safe: one caller at a time (Table serializes its builds).
+class ColumnarAppender {
+ public:
+  explicit ColumnarAppender(size_t width) : width_(width) {}
+
+  // Rows of the latest image.
+  int64_t num_rows() const {
+    return image_ == nullptr ? 0 : image_->num_rows;
+  }
+
+  // The image of `rows`. Rows shorter than the latest image get an image
+  // of their own, leaving this one as it is. Errors only as ColumnarizeRows
+  // does.
+  Result<std::shared_ptr<const ColumnarRelation>> ImageOf(
+      std::span<const Row> rows);
+
+ private:
+  // Writable state of one column of the latest image.
+  struct Col {
+    bool row_major = false;  // mixed kinds: no image column from now on
+    TypeKind kind = TypeKind::kNull;
+    int64_t* ints = nullptr;  // capacity_ slots
+    double* doubles = nullptr;
+    // capacity_ bits, zero past the image's length; null until a NULL.
+    std::shared_ptr<uint64_t[]> valid;
+    std::shared_ptr<const std::vector<std::string>> dict;
+    bool dict_unique = true;
+    std::unordered_map<std::string, int64_t> codes;  // while dict_unique
+  };
+
+  // Copies every column into arrays of `capacity` rows.
+  void Grow(int64_t capacity);
+  // Appends rows [from, rows.size()) of column `c`; null once row-major.
+  ColumnPtr ExtendColumn(size_t c, std::span<const Row> rows, int64_t from);
+
+  size_t width_;
+  std::shared_ptr<const ColumnarRelation> image_;
+  // Rows the arrays in `cols_` hold; 0 while the image is ColumnarizeRows'
+  // own (no column state yet).
+  int64_t capacity_ = 0;
+  std::shared_ptr<Arena> arena_;  // unguarded: allocation cannot fail
+  std::vector<Col> cols_;
+};
 
 // Rebuilds row-path rows from a complete columnar relation (every column
 // present). The inverse of ColumnarizeRows up to value identity.

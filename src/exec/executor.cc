@@ -144,16 +144,15 @@ Result<RelationPtr> Executor::ExecScan(const LogicalPlan& plan) {
   MSQL_FAULT_POINT("catalog.snapshot");
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  // Adopt the COW snapshot in O(1): concurrent INSERTs republish the row
-  // vector, never mutate it, so sharing the segment is safe and a scan of R
-  // rows no longer copies them.
+  // Adopt the snapshot in O(1): concurrent INSERTs append past its length
+  // and never write the rows it covers, so a scan of R rows copies none.
   Table::RowsSnapshot snap = plan.table->snapshot();
-  rel->rows.AdoptShared(snap);
+  rel->rows.AdoptShared(snap.owner(), snap.rows());
   MSQL_RETURN_IF_ERROR(
       state_->guard.ChargeRows(rel->rows.size(), rel->schema.size()));
   if (VectorizedGate(state_) == VectorGate::kOk) {
-    // Table-cached columnar image, keyed by snapshot identity; null (row
-    // path) when a column could not be columnarized.
+    // Table-cached columnar image of the snapshot's length; null (row
+    // path) when columnarization failed.
     rel->columns = plan.table->ColumnsFor(snap);
   }
   return RelationPtr(rel);
@@ -721,7 +720,7 @@ Result<RelationPtr> Executor::ExecSort(const LogicalPlan& plan,
   rel->schema = plan.schema;
   MSQL_RETURN_IF_ERROR(
       state_->guard.ChargeRows(child->rows.size(), plan.schema.size()));
-  const std::vector<Row>& in = child->rows.vec();
+  const std::span<const Row> in = child->rows.vec();
 
   // Evaluate sort keys per row.
   Evaluator ev(state_);

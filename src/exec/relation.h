@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -42,35 +43,36 @@ struct RtMeasure {
 //
 //   owned    a plain std::vector<Row> the producing operator appended to
 //            (the classic row path);
-//   shared   an immutable segment adopted by shared_ptr — table scans adopt
-//            the catalog's COW snapshot in O(1) instead of copying R rows;
+//   shared   an immutable run of rows adopted as pointer plus length, with
+//            an owner that keeps them alive: table scans adopt the
+//            catalog's snapshot in O(1) instead of copying R rows;
 //   lazy     a columnar image (exec/column_vector.h) whose rows materialize
 //            on first row-path access, so fully vectorized pipelines never
 //            pay for rows nobody reads.
 //
-// Readers see a const std::vector<Row> regardless of backing. Mutators only
-// touch owned storage; they detach (copy) from a shared or lazy backing
-// first, which in practice never happens — relations are frozen behind
-// RelationPtr once built. Lazy materialization is serialized by call_once so
-// morsel-parallel measure workers may race on first access.
+// Readers see one contiguous std::span<const Row> regardless of backing.
+// Mutators only touch owned storage; they detach (copy) from a shared or
+// lazy backing first, which in practice never happens — relations are
+// frozen behind RelationPtr once built. Lazy materialization is serialized
+// by call_once so morsel-parallel measure workers may race on first access.
 class RowStore {
  public:
   RowStore() = default;
 
   size_t size() const {
-    if (shared_ != nullptr) return shared_->size();
+    if (shared_owner_ != nullptr) return shared_.size();
     if (lazy_ != nullptr) return static_cast<size_t>(lazy_->cols->num_rows);
     return owned_.size();
   }
   bool empty() const { return size() == 0; }
   const Row& operator[](size_t i) const { return vec()[i]; }
-  std::vector<Row>::const_iterator begin() const { return vec().begin(); }
-  std::vector<Row>::const_iterator end() const { return vec().end(); }
+  std::span<const Row>::iterator begin() const { return vec().begin(); }
+  std::span<const Row>::iterator end() const { return vec().end(); }
 
-  // The materialized row vector (forces a lazy columnar backing to
-  // materialize; O(1) afterwards).
-  const std::vector<Row>& vec() const {
-    if (shared_ != nullptr) return *shared_;
+  // The materialized rows (forces a lazy columnar backing to materialize;
+  // O(1) afterwards).
+  std::span<const Row> vec() const {
+    if (shared_owner_ != nullptr) return shared_;
     if (lazy_ != nullptr) {
       Lazy* lazy = lazy_.get();
       std::call_once(lazy->once, [lazy] {
@@ -84,16 +86,20 @@ class RowStore {
   void reserve(size_t n) { Own().reserve(n); }
   void push_back(Row r) { Own().push_back(std::move(r)); }
   RowStore& operator=(std::vector<Row>&& rows) {
-    shared_.reset();
+    shared_owner_.reset();
+    shared_ = {};
     lazy_.reset();
     owned_ = std::move(rows);
     return *this;
   }
 
-  // Adopts an immutable shared segment in O(1) (table snapshots: the COW
-  // catalog republishes the vector on mutation, so sharing is safe).
-  void AdoptShared(std::shared_ptr<const std::vector<Row>> rows) {
-    shared_ = std::move(rows);
+  // Adopts immutable rows in O(1); `owner` keeps them alive (a table
+  // snapshot's buffer: the catalog appends past a snapshot's length and
+  // never writes the rows it covers, so sharing is safe).
+  void AdoptShared(std::shared_ptr<const void> owner,
+                   std::span<const Row> rows) {
+    shared_owner_ = std::move(owner);
+    shared_ = rows;
     lazy_.reset();
     owned_.clear();
   }
@@ -103,7 +109,8 @@ class RowStore {
   void AdoptLazy(std::shared_ptr<const ColumnarRelation> cols) {
     lazy_ = std::make_shared<Lazy>();
     lazy_->cols = std::move(cols);
-    shared_.reset();
+    shared_owner_.reset();
+    shared_ = {};
     owned_.clear();
   }
 
@@ -115,16 +122,19 @@ class RowStore {
   };
 
   std::vector<Row>& Own() {
-    if (shared_ != nullptr || lazy_ != nullptr) {
-      owned_ = vec();
-      shared_.reset();
+    if (shared_owner_ != nullptr || lazy_ != nullptr) {
+      const std::span<const Row> rows = vec();
+      owned_.assign(rows.begin(), rows.end());
+      shared_owner_.reset();
+      shared_ = {};
       lazy_.reset();
     }
     return owned_;
   }
 
   std::vector<Row> owned_;
-  std::shared_ptr<const std::vector<Row>> shared_;
+  std::shared_ptr<const void> shared_owner_;
+  std::span<const Row> shared_;
   std::shared_ptr<Lazy> lazy_;
 };
 

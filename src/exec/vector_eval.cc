@@ -147,7 +147,7 @@ Result<ColumnPtr> BroadcastLiteral(const Value& v, int64_t n,
 Result<ColumnPtr> ColumnFromRows(const Relation& rel, int column,
                                  const std::shared_ptr<Arena>& arena,
                                  ExecState* state) {
-  const std::vector<Row>& rows = rel.rows.vec();
+  const std::span<const Row> rows = rel.rows.vec();
   ColumnBuilder builder(arena, static_cast<int64_t>(rows.size()));
   int64_t i = 0;
   for (const Row& row : rows) {

@@ -22,11 +22,11 @@ std::string TableSpec::CreateSql() const {
   return StrCat("CREATE TABLE ", name, " (", Join(cols, ", "), ")");
 }
 
-std::string TableSpec::InsertSql() const {
-  if (rows.empty()) return "";
+std::string TableSpec::InsertSql(size_t begin, size_t end) const {
+  if (begin >= end) return "";
   std::vector<std::string> tuples;
-  for (const auto& row : rows) {
-    tuples.push_back("(" + Join(row, ", ") + ")");
+  for (size_t i = begin; i < end; ++i) {
+    tuples.push_back("(" + Join(rows[i], ", ") + ")");
   }
   return StrCat("INSERT INTO ", name, " VALUES ", Join(tuples, ", "));
 }
@@ -35,11 +35,23 @@ std::vector<std::string> CaseSpec::SetupStatements() const {
   std::vector<std::string> stmts;
   for (const auto& t : tables) {
     stmts.push_back(t.CreateSql());
-    std::string insert = t.InsertSql();
+    std::string insert = t.InsertSql(0, t.rows.size());
     if (!insert.empty()) stmts.push_back(std::move(insert));
   }
   for (const auto& s : setup) stmts.push_back(s);
   return stmts;
+}
+
+void CaseSpec::SplitSetupStatements(std::vector<std::string>* before,
+                                    std::vector<std::string>* after) const {
+  for (const auto& t : tables) {
+    before->push_back(t.CreateSql());
+    std::string first = t.InsertSql(0, t.rows.size() / 2);
+    if (!first.empty()) before->push_back(std::move(first));
+    std::string second = t.InsertSql(t.rows.size() / 2, t.rows.size());
+    if (!second.empty()) after->push_back(std::move(second));
+  }
+  for (const auto& s : setup) before->push_back(s);
 }
 
 std::string CaseSpec::ToSql() const {

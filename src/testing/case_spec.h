@@ -29,8 +29,8 @@ struct TableSpec {
   std::vector<std::vector<std::string>> rows;
 
   std::string CreateSql() const;
-  // Empty string when the table has no rows.
-  std::string InsertSql() const;
+  // One INSERT of rows [begin, end); empty string when that range is empty.
+  std::string InsertSql(size_t begin, size_t end) const;
 };
 
 // What relation the oracle enforces over a check's queries.
@@ -66,6 +66,12 @@ struct CaseSpec {
 
   // DDL + INSERTs + setup, in execution order.
   std::vector<std::string> SetupStatements() const;
+
+  // The same statements split in two for the oracle's grown leg: `before`
+  // is the DDL, each table's first half of rows and the setup; `after`
+  // inserts each table's second half, one INSERT per table.
+  void SplitSetupStatements(std::vector<std::string>* before,
+                            std::vector<std::string>* after) const;
 
   // Self-contained script: setup statements, then each check introduced by
   // a `-- check: <kind> [agg]` directive followed by its queries. Round-

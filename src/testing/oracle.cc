@@ -16,10 +16,19 @@ struct Leg {
   MeasureStrategy strategy;
   int parallelism;
   ExecMode exec_mode;
-  // Also run the query a second time on the same engine with the plan
-  // cache on, as leg `<name>-warm`.
+  // Run with the plan cache on, the query a second time on the same engine
+  // as leg `<name>-warm`, and the grown sequence as leg `<name>-grown`.
   bool warm = false;
 };
+
+EngineOptions LegOptions(const Leg& leg) {
+  EngineOptions eopts;
+  eopts.measure_strategy = leg.strategy;
+  eopts.measure_parallelism = leg.parallelism;
+  eopts.exec_mode = leg.exec_mode;
+  eopts.enable_plan_cache = leg.warm;
+  return eopts;
+}
 
 struct QueryRun {
   Status status;
@@ -33,26 +42,33 @@ QueryRun ToRun(Result<ResultSet> result) {
   return run;
 }
 
-// Runs setup + one query on a fresh engine with the given options, so no
-// cross-query or cross-strategy cache state can mask a divergence. With
-// `warm`, the query runs with the plan cache on, and then again on the same
-// engine: the raw-text plan-cache hit over the warm shared measure cache.
-// Setup runs with the cache off; its VALUES rows would only fill it.
-std::vector<QueryRun> RunOn(const EngineOptions& options, bool warm,
+// Runs `setup`, then the query, on a fresh engine with the given options,
+// so no cross-query or cross-strategy cache state can mask a divergence.
+// Each entry of `reruns` then runs its statements on the same engine and
+// the query again: an empty entry is the warm rerun, the grown leg's entry
+// inserts each table's second half.
+std::vector<QueryRun> RunOn(const EngineOptions& options,
                             const std::vector<std::string>& setup,
+                            const std::vector<std::vector<std::string>>& reruns,
                             const std::string& query, Status* setup_error) {
   Engine db(options);
-  for (const auto& stmt : setup) {
-    Status st = db.Execute(stmt);
-    if (!st.ok()) {
-      *setup_error = st;
-      return {};
+  auto execute = [&](const std::vector<std::string>& stmts) {
+    for (const auto& stmt : stmts) {
+      Status st = db.Execute(stmt);
+      if (!st.ok()) {
+        *setup_error = st;
+        return false;
+      }
     }
-  }
-  db.options().enable_plan_cache = warm;
+    return true;
+  };
+  if (!execute(setup)) return {};
   std::vector<QueryRun> runs;
   runs.push_back(ToRun(db.Query(query)));
-  if (warm) runs.push_back(ToRun(db.Query(query)));
+  for (const auto& stmts : reruns) {
+    if (!execute(stmts)) return {};
+    runs.push_back(ToRun(db.Query(query)));
+  }
   return runs;
 }
 
@@ -97,14 +113,19 @@ Value CombineTlp(const std::string& agg, const std::vector<Value>& parts) {
 CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
   CaseOutcome outcome;
   const std::vector<std::string> setup = spec.SetupStatements();
+  std::vector<std::string> grown_before, grown_after;
+  spec.SplitSetupStatements(&grown_before, &grown_after);
+  std::vector<std::string> grown_all = grown_before;
+  grown_all.insert(grown_all.end(), grown_after.begin(), grown_after.end());
 
   const int workers = options.measure_workers > 1 ? options.measure_workers : 4;
   // Full strategy matrix under both execution modes, 6 legs, plus the
-  // grouped-vec engine's warm rerun. The base leg is the naive strategy on
-  // the row-at-a-time interpreter — the literal evaluation — so every
-  // optimization (plan rewrite, memoization, value tables, the inline fast
-  // path, parallelism, vectorized kernels, the plan cache) is
-  // differentially checked against it bit for bit.
+  // grouped-vec engine's warm rerun and grown sequence. The base leg is the
+  // naive strategy on the row-at-a-time interpreter — the literal
+  // evaluation — so every optimization (plan rewrite, memoization, value
+  // tables, the inline fast path, parallelism, vectorized kernels, the plan
+  // cache, column images extended by later writes) is differentially
+  // checked against it bit for bit.
   const Leg legs[] = {
       {"naive-row", MeasureStrategy::kNaive, 1, ExecMode::kRow},
       {"naive-vec", MeasureStrategy::kNaive, 1, ExecMode::kVectorized},
@@ -125,6 +146,9 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
          default_leg->exec_mode != defaults.exec_mode) {
     ++default_leg;
   }
+  const Leg* warm_leg = legs;
+  while (!warm_leg->warm) ++warm_leg;
+  const std::vector<std::vector<std::string>> kNoReruns, kOneRerun = {{}};
 
   for (size_t ci = 0; ci < spec.checks.size(); ++ci) {
     const Check& check = spec.checks[ci];
@@ -144,13 +168,10 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
       // Every run of the query, labelled by leg; runs[0] is the base leg.
       std::vector<std::pair<std::string, QueryRun>> runs;
       for (const Leg& leg : legs) {
-        EngineOptions eopts;
-        eopts.measure_strategy = leg.strategy;
-        eopts.measure_parallelism = leg.parallelism;
-        eopts.exec_mode = leg.exec_mode;
         Status setup_error;
         std::vector<QueryRun> leg_runs =
-            RunOn(eopts, leg.warm, setup, query, &setup_error);
+            RunOn(LegOptions(leg), setup, leg.warm ? kOneRerun : kNoReruns,
+                  query, &setup_error);
         if (!setup_error.ok()) {
           outcome.setup_failed = true;
           fail(StrCat("setup failed on leg ", leg.name, ": ",
@@ -175,18 +196,16 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
         runs.emplace_back(StrCat(leg.name, "-warm"), std::move(leg_runs[1]));
       }
 
-      const std::string& base_name = runs[0].first;
-      const QueryRun& base = runs[0].second;
-      for (size_t ri = 1; ri < runs.size(); ++ri) {
-        const std::string& name = runs[ri].first;
-        const QueryRun& other = runs[ri].second;
+      // Each run against the base run of its sequence.
+      auto compare = [&](const std::string& base_name, const QueryRun& base,
+                         const std::string& name, const QueryRun& other) {
         if (base.status.ok() != other.status.ok()) {
           fail(StrCat(base_name, " vs ", name, ": ",
                       base.status.ok() ? "ok" : base.status.ToString(), " vs ",
                       other.status.ok() ? "ok" : other.status.ToString(),
                       "\n  query: ", query));
           differential_failed = true;
-          continue;
+          return;
         }
         if (!base.status.ok()) {
           if (base.status.code() != other.status.code()) {
@@ -195,13 +214,42 @@ CaseOutcome RunCase(const CaseSpec& spec, const OracleOptions& options) {
                         " vs ", other.status.ToString(), "\n  query: ", query));
             differential_failed = true;
           }
-          continue;
+          return;
         }
         if (auto diff = DiffResults(base.rs, other.rs, options.compare)) {
           fail(StrCat(base_name, " vs ", name, ": ", *diff,
                       "\n  query: ", query));
           differential_failed = true;
         }
+      };
+      const std::string& base_name = runs[0].first;
+      const QueryRun& base = runs[0].second;
+      for (size_t ri = 1; ri < runs.size(); ++ri) {
+        compare(base_name, base, runs[ri].first, runs[ri].second);
+      }
+
+      // Grown leg: the warm leg's engine runs the query over each table's
+      // first half, which warms the plan cache, the shared measure cache and
+      // the column images, then again after one INSERT per table adds the
+      // second half. Its reference is the base leg's engine running the
+      // same statements without the intermediate query.
+      if (!grown_after.empty()) {
+        Status setup_error;
+        std::vector<QueryRun> ref = RunOn(LegOptions(legs[0]), grown_all,
+                                          kNoReruns, query, &setup_error);
+        std::vector<QueryRun> grown;
+        if (setup_error.ok()) {
+          grown = RunOn(LegOptions(*warm_leg), grown_before, {grown_after},
+                        query, &setup_error);
+        }
+        if (!setup_error.ok()) {
+          outcome.setup_failed = true;
+          fail(StrCat("setup failed on the grown leg: ",
+                      setup_error.ToString()));
+          return outcome;
+        }
+        compare(StrCat(legs[0].name, "-grown"), ref[0],
+                StrCat(warm_leg->name, "-grown"), grown[1]);
       }
 
       // Expansion leg: rewrite to plain SQL, then execute on a fresh engine.

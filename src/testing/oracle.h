@@ -46,10 +46,17 @@ struct CaseOutcome {
 // turns off every optimization: the plan rewrite, the caches, the value
 // tables, the inline fast path and subquery memoization), so the other
 // legs check each of them. The grouped-vec leg's engine has the plan cache
-// on and runs the query a second time as leg `grouped-vec-warm`: a
-// raw-text plan-cache hit (which must be reported as one when the first
-// run succeeded) over a warm shared measure cache, the path msqld serves a
-// repeated dashboard statement on.
+// on (setup included) and runs the query a second time as leg
+// `grouped-vec-warm`: a raw-text plan-cache hit (which must be reported as
+// one when the first run succeeded) over a warm shared measure cache, the
+// path msqld serves a repeated dashboard statement on. Leg
+// `grouped-vec-grown` runs the grouped-vec engine over a grown sequence:
+// each table's first half of rows, the setup statements, the query (which
+// warms the plan cache, the shared measure cache and the column images),
+// one INSERT per table with its second half, and the query again. It is
+// compared with `naive-row-grown`, a naive-row engine running the same
+// statements without the intermediate query. Cases without table rows
+// (replayed scripts) skip it.
 // All runs of a query must agree: same success/error outcome (error codes
 // must match), and on success, normalized-equal results. kEqualPair / kTlp
 // checks additionally enforce their metamorphic relation on the default

@@ -1,15 +1,19 @@
 // Unit tests for the columnar batch layer: typed column vectors, validity
-// bitmaps, the arena allocator and its guard-charged accounting.
+// bitmaps, the arena allocator and its guard-charged accounting, and the
+// table image an append extends (ColumnarAppender).
 
 #include "exec/column_vector.h"
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/query_guard.h"
+#include "catalog/table.h"
 #include "common/value.h"
 #include "gtest/gtest.h"
 
@@ -268,6 +272,174 @@ TEST(ColumnVectorTest, BuilderReportsGuardExhaustionMidAppend) {
   EXPECT_FALSE(ok);
   EXPECT_EQ(builder.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_EQ(builder.Finish(), nullptr);
+}
+
+// `got` must equal `want` (a ColumnarizeRows image) column by column:
+// kind, length, validity bits, payload, dictionary contents, dict_unique,
+// and which columns stay row-major.
+void ExpectSameImage(const ColumnarRelation& got, const ColumnarRelation& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.num_rows, want.num_rows) << where;
+  ASSERT_EQ(got.cols.size(), want.cols.size()) << where;
+  ASSERT_EQ(got.batches.size(), want.batches.size()) << where;
+  for (size_t b = 0; b < want.batches.size(); ++b) {
+    EXPECT_EQ(got.batches[b].offset, want.batches[b].offset) << where;
+    EXPECT_EQ(got.batches[b].length, want.batches[b].length) << where;
+  }
+  for (size_t c = 0; c < want.cols.size(); ++c) {
+    const std::string at = where + " column " + std::to_string(c);
+    if (want.cols[c] == nullptr) {
+      EXPECT_EQ(got.cols[c], nullptr) << at << ": should stay row-major";
+      continue;
+    }
+    ASSERT_NE(got.cols[c], nullptr) << at << ": went row-major";
+    const ColumnVector& g = *got.cols[c];
+    const ColumnVector& w = *want.cols[c];
+    ASSERT_EQ(g.kind, w.kind) << at;
+    ASSERT_EQ(g.length, w.length) << at;
+    EXPECT_EQ(g.valid == nullptr, w.valid == nullptr) << at;
+    EXPECT_EQ(g.dict_unique, w.dict_unique) << at;
+    EXPECT_EQ(g.dict == nullptr, w.dict == nullptr) << at;
+    if (g.dict != nullptr && w.dict != nullptr) {
+      EXPECT_EQ(*g.dict, *w.dict) << at << ": dictionary contents";
+    }
+    for (int64_t i = 0; i < w.length; ++i) {
+      ASSERT_EQ(g.IsValid(i), w.IsValid(i)) << at << " row " << i;
+      if (w.kind == TypeKind::kDouble) {
+        ASSERT_EQ(std::memcmp(&g.doubles[i], &w.doubles[i], sizeof(double)),
+                  0)
+            << at << " row " << i;
+      } else if (w.kind != TypeKind::kNull) {
+        ASSERT_EQ(g.ints[i], w.ints[i]) << at << " row " << i;
+      }
+    }
+  }
+}
+
+void ExpectImageOf(ColumnarAppender* appender, const std::vector<Row>& rows,
+                   size_t n, size_t width, const std::string& where) {
+  const std::span<const Row> prefix(rows.data(), n);
+  auto got = appender->ImageOf(prefix);
+  ASSERT_TRUE(got.ok()) << where;
+  auto want = ColumnarizeRows(width, prefix, NewArena());
+  ASSERT_TRUE(want.ok()) << where;
+  ExpectSameImage(*got.value(), *want.value(), where);
+}
+
+// Seeded random append sequences; after each append the extended image
+// must equal ColumnarizeRows over the same rows. Columns: 0 int64 whose
+// first NULL arrives in an extension, 1 double with NULLs, 2 low-cardinality
+// string with NULLs and new strings over time, 3 bool, 4 date, 5 all-NULL
+// until an extension brings its first value, 6 int64 until an extension
+// brings a string (row-major from then on).
+TEST(ColumnarAppenderTest, ExtendedImageEqualsAFreshBuild) {
+  constexpr size_t kWidth = 7;
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+    ColumnarAppender appender(kWidth);
+    std::vector<Row> rows;
+    for (int step = 0; step < 40; ++step) {
+      // Steps 0 and 7 are empty appends.
+      const int batch = (step == 0 || step == 7) ? 0 : pick(150) + 1;
+      for (int k = 0; k < batch; ++k) {
+        const int64_t i = static_cast<int64_t>(rows.size());
+        Row r(kWidth);
+        r[0] = step >= 10 && pick(9) == 0 ? Value::Null() : Value::Int(i);
+        r[1] = pick(5) == 0 ? Value::Null() : Value::Double(i * 0.5);
+        r[2] = pick(7) == 0 ? Value::Null()
+                            : Value::String("s" + std::to_string(pick(8 + step)));
+        r[3] = Value::Bool(pick(2) == 0);
+        r[4] = Value::Date(pick(1000));
+        r[5] = step >= 15 && pick(3) == 0 ? Value::Int(pick(10)) : Value::Null();
+        r[6] = step >= 25 && pick(50) == 0 ? Value::String("x")
+                                           : Value::Int(pick(10));
+        rows.push_back(std::move(r));
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      ExpectImageOf(&appender, rows, rows.size(), kWidth, where);
+      if (step % 9 == 8) {
+        // An older snapshot gets a correct image of its own length and
+        // leaves the cached one as it was.
+        ExpectImageOf(&appender, rows, rows.size() / 2, kWidth,
+                      where + " (older)");
+        EXPECT_EQ(appender.num_rows(), static_cast<int64_t>(rows.size()));
+      }
+    }
+  }
+}
+
+TEST(ColumnarAppenderTest, DictionaryCrossesTheCodeLimitInsideOneExtension) {
+  const int64_t limit = static_cast<int64_t>(ColumnBuilder::kMaxDictCodes);
+  std::vector<Row> rows;
+  auto add = [&](int64_t from, int64_t to) {
+    for (int64_t i = from; i < to; ++i) {
+      rows.push_back(Row{Value::String("s" + std::to_string(i)),
+                         Value::String("s" + std::to_string(i % 3))});
+    }
+  };
+  ColumnarAppender appender(2);
+  add(0, limit - 10);
+  ExpectImageOf(&appender, rows, rows.size(), 2, "below the limit");
+  // 50 new strings: the dictionary fills and degrades mid-extension.
+  add(limit - 10, limit + 40);
+  ExpectImageOf(&appender, rows, rows.size(), 2, "crossing");
+  add(limit + 40, limit + 60);
+  ExpectImageOf(&appender, rows, rows.size(), 2, "past the limit");
+  EXPECT_FALSE(appender.ImageOf(rows).value()->cols[0]->dict_unique);
+}
+
+TEST(ColumnarAppenderTest, EarlierImagesKeepTheirContents) {
+  // An extension copies the validity word and the dictionary an earlier
+  // image shares instead of writing them.
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 100; ++i) {
+    rows.push_back(Row{i % 3 == 0 ? Value::Null() : Value::Int(i),
+                       Value::String("a" + std::to_string(i % 4))});
+  }
+  ColumnarAppender appender(2);
+  ASSERT_TRUE(appender.ImageOf(rows).ok());  // the base image
+  rows.push_back(Row{Value::Int(100), Value::String("new")});
+  auto first = appender.ImageOf(rows).take();  // grows the arrays
+  const std::vector<Row> first_rows = rows;
+  for (int64_t i = 101; i < 110; ++i) {
+    rows.push_back(Row{Value::Int(i), Value::String("newer" + std::to_string(i))});
+  }
+  auto second = appender.ImageOf(rows).take();  // writes in place
+  EXPECT_NE(first->cols[0]->valid, second->cols[0]->valid);
+  EXPECT_NE(first->cols[1]->dict, second->cols[1]->dict);
+  EXPECT_EQ(first->cols[0]->ints, second->cols[0]->ints);  // shared payload
+  ExpectSameImage(*first, *ColumnarizeRows(2, first_rows, NewArena()).value(),
+                  "first image after the second extension");
+}
+
+TEST(ColumnarAppenderTest, TableServesOlderAndNewerSnapshots) {
+  Schema schema;
+  schema.AddColumn(Column("x", DataType::Int64()));
+  schema.AddColumn(Column("s", DataType::String()));
+  Table t("t", schema);
+  std::vector<Row> load;
+  for (int64_t i = 0; i < 300; ++i) {
+    load.push_back(Row{Value::Int(i), Value::String("v" + std::to_string(i % 5))});
+  }
+  ASSERT_TRUE(t.AppendRows(load).ok());
+  const Table::RowsSnapshot older = t.snapshot();
+  EXPECT_EQ(t.ColumnsFor(older), t.ColumnsFor(older));  // cached
+  for (int64_t i = 300; i < 360; ++i) {
+    ASSERT_TRUE(
+        t.AppendRow(Row{i % 7 == 0 ? Value::Null() : Value::Int(i),
+                        Value::String("w" + std::to_string(i % 9))})
+            .ok());
+  }
+  const Table::RowsSnapshot newer = t.snapshot();
+  ASSERT_EQ(newer.size(), 360u);
+  auto want_newer = ColumnarizeRows(2, newer.rows(), NewArena()).take();
+  auto want_older = ColumnarizeRows(2, older.rows(), NewArena()).take();
+  ExpectSameImage(*t.ColumnsFor(newer), *want_newer, "newer snapshot");
+  ExpectSameImage(*t.ColumnsFor(older), *want_older, "older snapshot");
+  ExpectSameImage(*t.ColumnsFor(newer), *want_newer, "newer again");
+  EXPECT_EQ(t.ColumnsFor(newer), t.ColumnsFor(newer));
 }
 
 }  // namespace

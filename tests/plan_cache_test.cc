@@ -371,5 +371,56 @@ TEST_F(RawTextAliasTest, ExplainReturnsPlanTextEveryTime) {
   }
 }
 
+// INSERT ... VALUES binds its rows once into a Values plan and runs it
+// without the plan cache: a 300-row insert neither probes nor fills the
+// cache, so it cannot evict a served SELECT's plan.
+TEST(PlanCacheTest, InsertValuesMakesNoPlanCacheTraffic) {
+  Engine db(MakeOptions(MeasureStrategy::kGrouped, /*enable_cache=*/true));
+  ASSERT_TRUE(db.Execute(kSetup).ok());
+  const std::string select =
+      "SELECT prodName, SUM(revenue) AS r FROM Orders GROUP BY prodName "
+      "ORDER BY prodName";
+  auto outcome = [&] {
+    auto r = db.Query(select);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r.value().stats() != nullptr
+               ? r.value().stats()->plan_cache
+               : QueryStats::PlanCacheOutcome::kOff;
+  };
+  // `rows` distinct VALUES rows; with `bad_last`, the last one has a
+  // fourth value.
+  auto insert = [](int rows, bool bad_last) {
+    std::string sql = "INSERT INTO Orders VALUES ";
+    for (int i = 0; i < rows; ++i) {
+      sql += (i > 0 ? ", ('P" : "('P") + std::to_string(i) + "', 'C" +
+             std::to_string(i % 7) + "', " + std::to_string(i) +
+             (bad_last && i == rows - 1 ? ", 1)" : ")");
+    }
+    return sql;
+  };
+  EXPECT_EQ(outcome(), QueryStats::PlanCacheOutcome::kMiss);
+  EXPECT_EQ(outcome(), QueryStats::PlanCacheOutcome::kHit);
+
+  PlanCache::Stats before = db.plan_cache().stats();
+  ASSERT_TRUE(db.Execute(insert(300, false)).ok());
+  PlanCache::Stats after = db.plan_cache().stats();
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  auto count = db.Query("SELECT COUNT(*) FROM Orders");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value().Get(0, 0).int_val(), 305);
+
+  // The rows changed, so the SELECT binds once more and is served again.
+  EXPECT_EQ(outcome(), QueryStats::PlanCacheOutcome::kMiss);
+  EXPECT_EQ(outcome(), QueryStats::PlanCacheOutcome::kHit);
+  // A 300-row insert that fails leaves the data, and so the warmed plan, as
+  // they were: the SELECT still hits.
+  before = db.plan_cache().stats();
+  EXPECT_FALSE(db.Execute(insert(300, true)).ok());
+  after = db.plan_cache().stats();
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(outcome(), QueryStats::PlanCacheOutcome::kHit);
+}
+
 }  // namespace
 }  // namespace msql

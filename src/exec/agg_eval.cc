@@ -1,9 +1,10 @@
 #include "exec/agg_eval.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 
 #include "exec/vector_eval.h"
 
@@ -233,6 +234,162 @@ Result<Value> EvalAggCall(AggId agg, const std::vector<BoundExprPtr>& args,
   return acc.Finish();
 }
 
+namespace {
+
+// A key column whose payload code equals IS NOT DISTINCT FROM among its
+// non-NULL rows: BOOL/INT64/DATE payloads are the values, and a dedup'd
+// dictionary's codes are its strings. DOUBLE is not: -0.0 == 0.0 differ
+// bitwise and NaN equals nothing. Nor is a dictionary that degraded to one
+// entry per row.
+bool Codeable(const ColumnVector& c) {
+  switch (c.kind) {
+    case TypeKind::kBool:
+    case TypeKind::kInt64:
+    case TypeKind::kDate:
+    case TypeKind::kNull:
+      return true;
+    case TypeKind::kString:
+      return c.dict_unique;
+    case TypeKind::kDouble:
+      return false;
+  }
+  return false;
+}
+
+// Folds one key's code (or the NULL tag) into a row's running hash.
+inline uint64_t HashStep(uint64_t h, uint64_t code) {
+  h = (h ^ code) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 29);
+}
+
+// Finishes a hash so its low bits (the slot) depend on every key.
+inline uint64_t HashFinish(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  return h ^ (h >> 33);
+}
+
+// Row i's slot in a flat open-addressing table of group ids.
+struct GroupSlot {
+  uint64_t hash = 0;
+  int64_t group = -1;  // -1: empty
+};
+
+// Groups rows [0, n) by the tuple of the codes of `cols` (all Codeable)
+// plus a NULL mask into `rows`: rows[g] holds group g's row indexes,
+// ascending. Rows with equal tuples share a group, so groups are the Value
+// tuples' IS NOT DISTINCT FROM classes, numbered in first-seen order.
+Status GroupByCodes(const std::vector<const ColumnVector*>& cols, int64_t n,
+                    ExecState* state,
+                    std::vector<std::vector<int64_t>>* rows) {
+  // An all-NULL column is the same in every row: it splits nothing.
+  struct Key {
+    const int64_t* codes;
+    const uint64_t* valid;  // null: no NULLs
+  };
+  std::vector<Key> keys;
+  for (const ColumnVector* c : cols) {
+    if (c->kind != TypeKind::kNull) keys.push_back({c->ints, c->valid});
+  }
+  auto is_valid = [](const Key& k, int64_t i) {
+    return k.valid == nullptr || ((k.valid[i >> 6] >> (i & 63)) & 1) != 0;
+  };
+  // Rows a and b of equal hashes: equal tuples? With one key the hash is a
+  // bijection of the code (HashStep and HashFinish are), so only the NULL
+  // bits can differ, and without NULLs the hash decides.
+  const bool hash_is_code = keys.size() == 1;
+  const bool hash_decides =
+      keys.empty() || (hash_is_code && keys[0].valid == nullptr);
+  auto same_tuple = [&](int64_t a, int64_t b) {
+    for (const Key& k : keys) {
+      const bool valid = is_valid(k, a);
+      if (valid != is_valid(k, b) ||
+          (valid && !hash_is_code && k.codes[a] != k.codes[b])) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Slot table of at least twice the groups, re-placing each group by its
+  // stored hash as it grows. Its bytes are charged to the guard.
+  std::vector<GroupSlot> slots;
+  auto allocate = [&](size_t capacity) -> Status {
+    MSQL_RETURN_IF_ERROR(
+        state->guard.ChargeBytes(capacity * sizeof(GroupSlot)));
+    std::vector<GroupSlot> grown(capacity);
+    const size_t mask = capacity - 1;
+    for (const GroupSlot& s : slots) {
+      if (s.group < 0) continue;
+      size_t at = s.hash & mask;
+      while (grown[at].group >= 0) at = (at + 1) & mask;
+      grown[at] = s;
+    }
+    slots = std::move(grown);
+    return Status::Ok();
+  };
+  MSQL_RETURN_IF_ERROR(allocate(std::bit_ceil(
+      std::clamp<size_t>(2 * static_cast<size_t>(n), 16, 256))));
+
+  constexpr uint64_t kNullCode = 0x5bd1e9955bd1e995ULL;
+  uint64_t hashes[kRowsPerBatch];
+  for (int64_t begin = 0; begin < n; begin += kRowsPerBatch) {
+    MSQL_RETURN_IF_ERROR(state->guard.Check());
+    const int64_t len = std::min(kRowsPerBatch, n - begin);
+    std::fill(hashes, hashes + len, uint64_t{0});
+    for (const Key& k : keys) {
+      const int64_t* codes = k.codes + begin;
+      if (k.valid == nullptr) {
+        for (int64_t j = 0; j < len; ++j) {
+          hashes[j] = HashStep(hashes[j], static_cast<uint64_t>(codes[j]));
+        }
+      } else {
+        for (int64_t j = 0; j < len; ++j) {
+          hashes[j] = HashStep(hashes[j], is_valid(k, begin + j)
+                                              ? static_cast<uint64_t>(codes[j])
+                                              : kNullCode);
+        }
+      }
+    }
+    for (int64_t j = 0; j < len; ++j) {
+      const int64_t i = begin + j;
+      const uint64_t h = HashFinish(hashes[j]);
+      const size_t mask = slots.size() - 1;
+      size_t at = h & mask;
+      int64_t g;
+      for (;;) {
+        const GroupSlot& slot = slots[at];
+        g = slot.group;
+        if (g < 0 ||
+            (slot.hash == h &&
+             (hash_decides ||
+              same_tuple((*rows)[static_cast<size_t>(g)].front(), i)))) {
+          break;
+        }
+        at = (at + 1) & mask;
+      }
+      if (g < 0) {
+        g = static_cast<int64_t>(rows->size());
+        slots[at] = {h, g};
+        rows->emplace_back();
+        if (rows->size() * 2 > slots.size()) {
+          // When most rows so far opened a group, the table will likely
+          // need room for about every row: grow in fewer, larger steps,
+          // up to the room n groups take.
+          const bool mostly_new = rows->size() * 2 > static_cast<size_t>(i);
+          MSQL_RETURN_IF_ERROR(allocate(
+              std::min(slots.size() * (mostly_new ? 8 : 2),
+                       std::bit_ceil(2 * static_cast<size_t>(n)))));
+        }
+      }
+      (*rows)[static_cast<size_t>(g)].push_back(i);
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
                       const std::vector<Row>& key_rows,
                       const std::vector<int>& set, int64_t n, bool keep_map,
@@ -240,47 +397,64 @@ Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
   out->keys.clear();
   out->map.clear();
   out->rows.clear();
-  const bool columnar = !key_cols.empty();
-  if (columnar && set.size() == 1) {
-    // Single-key fast path over comparable codes: for BOOL/INT64/DATE the
-    // payload IS the value, and for a dedup'd dictionary the code equals
-    // the string. Code equality then coincides with IS NOT DISTINCT FROM
-    // (same-kind payload equality), so grouping hashes an int64 instead of
-    // a Value. DOUBLE is excluded: -0.0 == 0.0 yet differs bitwise. With
-    // `keep_map` each group's tuple is hashed once more into the map, so
-    // only a dictionary key takes this path there: its codes are bounded
-    // by the dictionary, and it saves copying a string per row. An
-    // unbounded integer key with `keep_map` would pay two maps per row.
-    const ColumnVector& c = *key_cols[static_cast<size_t>(set[0])];
-    const bool dict = c.kind == TypeKind::kString && c.dict_unique;
-    if (dict || (!keep_map && (c.kind == TypeKind::kBool ||
-                               c.kind == TypeKind::kInt64 ||
-                               c.kind == TypeKind::kDate ||
-                               c.kind == TypeKind::kNull))) {
-      std::unordered_map<int64_t, size_t> by_code;
-      size_t null_group = SIZE_MAX;
-      for (int64_t i = 0; i < n; ++i) {
-        if ((i & (kRowsPerBatch - 1)) == 0) {
-          MSQL_RETURN_IF_ERROR(state->guard.Check());
-        }
-        size_t* gi = &null_group;
-        if (c.IsValid(i)) {
-          gi = &by_code.try_emplace(c.ints[i], SIZE_MAX).first->second;
-        }
-        if (*gi == SIZE_MAX) {
-          *gi = out->rows.size();
-          if (keep_map) {
-            out->map.emplace(Row{c.At(i)}, *gi);
-          } else {
-            out->keys.push_back(Row{c.At(i)});
-          }
-          out->rows.emplace_back();
-        }
-        out->rows[*gi].push_back(i);
+  // Group g's key tuple (emitted in group order).
+  auto emit_key = [&](Row key, size_t g) {
+    if (keep_map) {
+      out->map.emplace(std::move(key), g);
+    } else {
+      out->keys.push_back(std::move(key));
+    }
+  };
+
+  // The empty key set: one group of every row, nothing to hash.
+  if (set.empty()) {
+    if (n == 0) return Status::Ok();
+    std::vector<int64_t>& all = out->rows.emplace_back();
+    all.resize(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      if ((i & (kRowsPerBatch - 1)) == 0) {
+        MSQL_RETURN_IF_ERROR(state->guard.Check());
       }
-      return Status::Ok();
+      all[static_cast<size_t>(i)] = i;
+    }
+    emit_key(Row{}, 0);
+    return Status::Ok();
+  }
+
+  const bool columnar = !key_cols.empty();
+  std::vector<const ColumnVector*> cols;
+  if (columnar) {
+    for (int k : set) {
+      const ColumnVector* c = key_cols[static_cast<size_t>(k)].get();
+      if (!Codeable(*c)) {
+        cols.clear();
+        ++state->exec_row_fallbacks;
+        break;
+      }
+      cols.push_back(c);
     }
   }
+
+  // Code tuples: one hash probe per row; the key Values, row lists and map
+  // entries are built once per group.
+  if (!cols.empty()) {
+    MSQL_RETURN_IF_ERROR(GroupByCodes(cols, n, state, &out->rows));
+    const size_t groups = out->rows.size();
+    if (keep_map) out->map.reserve(groups);
+    for (size_t g = 0; g < groups; ++g) {
+      if ((g & (kRowsPerBatch - 1)) == 0) {
+        MSQL_RETURN_IF_ERROR(state->guard.Check());
+      }
+      Row key;
+      key.reserve(cols.size());
+      for (const ColumnVector* c : cols) key.push_back(c->At(out->rows[g][0]));
+      emit_key(std::move(key), g);
+    }
+    return Status::Ok();
+  }
+
+  // Row tuples: keys no code represents (row-evaluated, DOUBLE, or a
+  // degraded dictionary), hashed as Values.
   RowGroupMap& map = out->map;
   map.reserve(static_cast<size_t>(n / 4 + 1));
   for (int64_t i = 0; i < n; ++i) {
@@ -291,8 +465,11 @@ Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
       key.push_back(columnar ? key_cols[static_cast<size_t>(k)]->At(i)
                              : key_rows[static_cast<size_t>(i)][k]);
     }
-    auto [it, inserted] = map.emplace(std::move(key), out->rows.size());
-    if (inserted) out->rows.emplace_back();
+    auto it = map.find(key);
+    if (it == map.end()) {
+      it = map.emplace(std::move(key), out->rows.size()).first;
+      out->rows.emplace_back();
+    }
     out->rows[it->second].push_back(i);
   }
   if (!keep_map) {

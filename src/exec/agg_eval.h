@@ -38,12 +38,15 @@ struct RowGroups {
 // Groups rows [0, n) by the key positions `set` selects, under IS NOT
 // DISTINCT FROM equality. Keys come from `key_cols` (one column per key
 // position) when it is non-empty, else from `key_rows` (row i's full key
-// tuple). A single deduplicated-dictionary key column — and, unless
-// `keep_map`, a single BOOL/INT64/DATE one — groups by its payload code,
-// which coincides with the Value equality. With `keep_map` the tuples are
-// returned in out->map, a lookup structure for the caller (out->keys stays
-// empty); otherwise out->keys holds them (out->map is empty). Shared by
-// the Aggregate operator and the grouped measure partition.
+// tuple). The empty set is one group of every row (none when n is 0).
+// Columns of kind BOOL, INT64, DATE, NULL or dedup'd-dictionary STRING
+// group by their tuple of payload codes and NULL mask in a flat hash table,
+// building each group's key Values once; other keys (row-evaluated, DOUBLE,
+// a degraded dictionary) hash Value tuples, and columnar ones among them
+// count an exec row fallback. With `keep_map` the tuples are returned in
+// out->map, a lookup structure for the caller (out->keys stays empty);
+// otherwise out->keys holds them (out->map is empty). Shared by the
+// Aggregate operator and the grouped measure partition.
 Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
                       const std::vector<Row>& key_rows,
                       const std::vector<int>& set, int64_t n, bool keep_map,

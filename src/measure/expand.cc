@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "binder/functions.h"
 #include "common/fault_injection.h"
 #include "common/string_util.h"
 
@@ -655,17 +656,25 @@ Result<std::string> ExpandMeasures(const SelectStmt& query,
 
   // Ungrouped queries: classify the grain (see RewriteOuterExpr).
   bool aggregate_grain = false;
+  // A plain aggregate call beside AGGREGATE(...) still scans the outer
+  // source, so that query keeps its FROM and WHERE.
+  bool plain_aggregate = false;
   if (query.group_by.empty()) {
     // Is any measure consumed through AGGREGATE(...)? Then the query
     // collapses to a single row, like a plain aggregate query would.
-    std::function<bool(const Expr&)> has_aggregate = [&](const Expr& e) {
-      if (e.kind == ExprKind::kFuncCall &&
-          EqualsIgnoreCase(e.func_name, "AGGREGATE")) {
-        return true;
-      }
+    auto is_aggregate = [](const Expr& e) {
+      return EqualsIgnoreCase(e.func_name, "AGGREGATE");
+    };
+    auto is_plain_aggregate = [](const Expr& e) {
+      return !EqualsIgnoreCase(e.func_name, "AGGREGATE") &&
+             LookupAggFunction(e.func_name) != AggId::kInvalid;
+    };
+    std::function<bool(const Expr&, bool (*)(const Expr&))> has_call =
+        [&](const Expr& e, bool (*pred)(const Expr&)) {
+      if (e.kind == ExprKind::kFuncCall && pred(e)) return true;
       bool found = false;
       auto visit = [&](const ExprPtr& c) {
-        if (c != nullptr && !found) found = has_aggregate(*c);
+        if (c != nullptr && !found) found = has_call(*c, pred);
       };
       for (const auto& a : e.args) visit(a);
       visit(e.filter);
@@ -683,10 +692,10 @@ Result<std::string> ExpandMeasures(const SelectStmt& query,
       return found;
     };
     for (const SelectItem& item : query.select_list) {
-      if (!item.is_star && item.expr != nullptr &&
-          has_aggregate(*item.expr)) {
-        aggregate_grain = true;
-      }
+      if (item.is_star || item.expr == nullptr) continue;
+      aggregate_grain = aggregate_grain || has_call(*item.expr, is_aggregate);
+      plain_aggregate =
+          plain_aggregate || has_call(*item.expr, is_plain_aggregate);
     }
 
     if (!aggregate_grain) {
@@ -738,13 +747,13 @@ Result<std::string> ExpandMeasures(const SelectStmt& query,
     rewritten->select_list.push_back(std::move(out));
   }
 
-  if (aggregate_grain) {
+  if (aggregate_grain && query.having != nullptr) {
+    return NotImpl("HAVING without GROUP BY");
+  }
+  if (aggregate_grain && !plain_aggregate) {
     // Single-row query: every measure context already folds in the visible
     // predicate, so the outer scan (and its WHERE) would only multiply the
     // row out per source row. ORDER BY over one row is dropped.
-    if (query.having != nullptr) {
-      return NotImpl("HAVING without GROUP BY");
-    }
     if (query.limit != nullptr) rewritten->limit = query.limit->Clone();
     if (query.offset != nullptr) rewritten->offset = query.offset->Clone();
     return rewritten->ToString();

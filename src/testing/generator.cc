@@ -1,5 +1,7 @@
 #include "testing/generator.h"
 
+#include <iterator>
+
 #include "common/string_util.h"
 #include "testing/rng.h"
 
@@ -21,6 +23,7 @@ struct SchemaInfo {
   bool has_y2 = false;    // derived YEAR(d2) dimension in the view
   bool has_join = false;  // dim table t1(d0, attr) exists
   bool has_level2 = false;  // view V1 over V0, measure n0 composing m0
+  bool empty_fact = false;  // t0 has no rows
   int d0_domain = 3;      // 'A'.. up to 'E'
   int d1_domain = 3;      // 0 .. d1_domain
   std::vector<MeasureDef> measures;
@@ -29,8 +32,9 @@ struct SchemaInfo {
 
 const char* kDates[] = {"DATE '2023-01-15'", "DATE '2023-06-01'",
                         "DATE '2024-02-29'", "DATE '2024-12-31'"};
-const char* kDoubles[] = {"0.5",    "1.5",   "-2.25",      "0.125",
-                          "1000.25", "-0.75", "123456.789", "1e100"};
+// 0.0 and -0.0 are one group key (IS NOT DISTINCT FROM) but differ bitwise.
+const char* kDoubles[] = {"0.5",   "1.5",        "-2.25", "0.125", "1000.25",
+                          "-0.75", "123456.789", "1e100", "0.0",   "-0.0"};
 const char* kExtremeInts[] = {"1099511627776", "-1099511627776", "2147483647",
                               "-2147483648"};
 
@@ -47,7 +51,8 @@ class Generator {
       Check c;
       c.kind = CheckKind::kDifferential;
       c.label = StrCat("q", i);
-      c.queries.push_back(GenQuery());
+      c.queries.push_back(i == 0 && info_.empty_fact ? GenScalarAggQuery()
+                                                     : GenQuery());
       spec.checks.push_back(std::move(c));
     }
     if (opts_.metamorphic) {
@@ -82,7 +87,7 @@ class Generator {
   }
   std::string V1Lit() {
     if (rng_.Chance(15)) return "NULL";
-    return kDoubles[rng_.Range(0, 7)];
+    return kDoubles[rng_.Range(0, std::size(kDoubles) - 1)];
   }
 
   // ---- schema -------------------------------------------------------------
@@ -103,6 +108,7 @@ class Generator {
     if (info_.has_v1) fact.columns.push_back({"v1", "DOUBLE"});
 
     int n = rng_.Chance(8) ? 0 : static_cast<int>(rng_.Range(1, opts_.max_rows));
+    info_.empty_fact = n == 0;
     for (int i = 0; i < n; ++i) {
       if (!fact.rows.empty() && rng_.Chance(15)) {
         // Exact duplicate row: duplicate dimension tuples must group and
@@ -375,6 +381,12 @@ class Generator {
     if (join && rng_.Chance(40)) {
       group_exprs.push_back("c.attr");
     }
+    // A DOUBLE key (0.0 and -0.0 must share a group) or a BOOL expression
+    // key beside the dims: the two key kinds grouping treats apart.
+    if (!group_exprs.empty() && rng_.Chance(10)) {
+      group_exprs.push_back(info_.has_v1 && rng_.Chance(50) ? q + "v1"
+                                                           : q + "v0 > 0");
+    }
 
     std::vector<std::string> items = group_exprs;
     int nm = static_cast<int>(rng_.Range(1, 3));
@@ -412,6 +424,15 @@ class Generator {
       sql += " ORDER BY " + Join(obs, ", ");
     }
     return sql;
+  }
+
+  // Aggregates with no GROUP BY over the empty fact table: one group of
+  // no rows, so COUNT reads 0 and every other aggregate NULL.
+  std::string GenScalarAggQuery() {
+    return StrCat("SELECT COUNT(*) AS c0, SUM(v0) AS c1, MAX(d0) AS c2, "
+                  "AGGREGATE(", rng_.Pick(info_.measures).name,
+                  ") AS x0 FROM V0",
+                  rng_.Chance(50) ? " WHERE " + Pred() : "");
   }
 
   // ---- metamorphic checks -------------------------------------------------

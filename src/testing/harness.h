@@ -2,6 +2,7 @@
 #define MSQL_TESTING_HARNESS_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -27,6 +28,12 @@ struct HarnessOptions {
   // When non-empty, failing seeds write `seed_<N>.sql` repro scripts here
   // (directory is created if missing).
   std::string repro_dir;
+  // Runs one case through the oracle (RunCase; tests substitute a runner
+  // that misbehaves).
+  std::function<CaseOutcome(const CaseSpec&, const OracleOptions&)> run_case =
+      [](const CaseSpec& spec, const OracleOptions& options) {
+        return RunCase(spec, options);
+      };
 };
 
 struct SeedReport {
@@ -54,8 +61,13 @@ struct RunSummary {
   bool ok() const { return seeds_failed == 0; }
 };
 
-// Runs seeds [first_seed, first_seed + count). When `progress` is non-null,
-// one line per failing seed (plus a periodic heartbeat) is streamed to it.
+// Runs seeds [first_seed, first_seed + count), each RunSeed in a forked
+// child, so a crash fails only its own seed. A child that dies by a signal
+// or exits abnormally counts as a failed seed with a `crash` failure; its
+// case is shrunk with every candidate run in a child of its own (a
+// candidate still fails when that child crashes too) and written to
+// `repro_dir` like any repro. When `progress` is non-null, one line per
+// failing seed (plus a periodic heartbeat) is streamed to it.
 RunSummary RunSeeds(uint64_t first_seed, int count,
                     const HarnessOptions& options = {},
                     std::ostream* progress = nullptr);

@@ -149,6 +149,28 @@ TEST_F(ExplainAnalyzeTest, InListFilterOverMeasureViewRunsVectorized) {
   EXPECT_NE(filter.find("fallbacks=0"), std::string::npos) << filter;
 }
 
+TEST_F(ExplainAnalyzeTest, GroupingByADoubleKeyCountsOneRowFallback) {
+  // String and integer keys group by their codes. A DOUBLE key cannot
+  // (0.0 and -0.0 are one key with different bits), so grouping hashes its
+  // Values and the Aggregate reports one row fallback.
+  MustExecute(&db_, R"sql(
+    CREATE TABLE t (a VARCHAR, d DOUBLE, i INTEGER);
+    INSERT INTO t VALUES ('x', 1.5, 1), ('y', -0.0, 2), ('x', 0.0, 1);
+  )sql");
+  std::string coded = LineWith(
+      Render("EXPLAIN ANALYZE SELECT a, i, COUNT(*) AS c FROM t "
+             "GROUP BY a, i"),
+      "Aggregate");
+  EXPECT_NE(coded.find("exec=vectorized"), std::string::npos) << coded;
+  EXPECT_NE(coded.find("fallbacks=0"), std::string::npos) << coded;
+  std::string doubled = LineWith(
+      Render("EXPLAIN ANALYZE SELECT d, COUNT(*) AS c FROM t GROUP BY d"),
+      "Aggregate");
+  EXPECT_NE(doubled.find("rows=2"), std::string::npos) << doubled;
+  EXPECT_NE(doubled.find("exec=mixed"), std::string::npos) << doubled;
+  EXPECT_NE(doubled.find("fallbacks=1"), std::string::npos) << doubled;
+}
+
 TEST_F(ExplainAnalyzeTest, WarmBareMeasuresHitOneTablePerMeasureColumn) {
   // Each bare measure column of a GROUP BY is answered from one value
   // table: cold, one partition of the source (shared by every column);

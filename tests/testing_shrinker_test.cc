@@ -5,6 +5,10 @@
 // "simplify" a failure into a case whose setup no longer runs.
 
 #include <algorithm>
+#include <csignal>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -224,6 +228,45 @@ TEST(HarnessTest, SmokeWindowIsGreen) {
   for (const SeedReport& f : summary.failures) {
     ADD_FAILURE() << "seed " << f.seed << " failed:\n" << f.repro_sql;
   }
+}
+
+TEST(HarnessTest, ACrashingSeedIsNamedAndLeavesARepro) {
+  HarnessOptions options;
+  options.generator.max_rows = 8;
+  options.generator.num_queries = 1;
+  options.shrink_budget = 40;
+  options.repro_dir = ::testing::TempDir() + "msqlcheck_crash_repros";
+  // Seed 2's case takes the process down; the other seeds pass.
+  options.run_case = [](const CaseSpec& spec, const OracleOptions&) {
+    if (spec.seed == 2) std::abort();
+    return CaseOutcome{};
+  };
+  std::ostringstream progress;
+  RunSummary summary = RunSeeds(1, 3, options, &progress);
+  EXPECT_EQ(summary.seeds_run, 3);
+  ASSERT_EQ(summary.seeds_failed, 1);
+  const SeedReport& crash = summary.failures[0];
+  EXPECT_EQ(crash.seed, 2u);
+  ASSERT_EQ(crash.outcome.failures.size(), 1u);
+  EXPECT_EQ(crash.outcome.failures[0].label, "crash");
+  EXPECT_NE(crash.outcome.failures[0].detail.find(
+                "signal " + std::to_string(SIGABRT)),
+            std::string::npos)
+      << crash.outcome.failures[0].detail;
+  EXPECT_NE(progress.str().find("FAIL seed 2 "), std::string::npos)
+      << progress.str();
+
+  // The repro on disk is the seed's case, shrunk by candidates that each
+  // crashed a child of their own.
+  ASSERT_FALSE(crash.repro_path.empty());
+  std::ifstream in(crash.repro_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), crash.repro_sql);
+  EXPECT_NE(crash.repro_sql.find("seed=2"), std::string::npos);
+  EXPECT_GT(crash.shrink_stats.accepted_edits, 0);
+  EXPECT_LT(crash.repro_sql.size(),
+            GenerateCase(2, options.generator).ToSql().size());
 }
 
 TEST(HarnessTest, ReplayScriptRunsACorpusStyleCase) {

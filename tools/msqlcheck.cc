@@ -3,8 +3,10 @@
 //
 // Modes:
 //   msqlcheck --seeds=N [--start=S]   run N generated seeds through the
-//                                     six-leg oracle; shrink + dump a
-//                                     repro for every failing seed
+//                                     six-leg oracle, each in a forked
+//                                     child (a crash fails its seed);
+//                                     shrink + dump a repro for every
+//                                     failing seed
 //   msqlcheck --replay=FILE           replay a corpus / repro .sql script
 //   msqlcheck --dump-seed=S           print the generated script for a seed
 //
@@ -17,7 +19,8 @@
 //   --no-metamorphic   generate differential checks only
 //   --max-rows=N / --queries=N / --shrink-budget=N
 //
-// Exit status: 0 all checks passed, 1 discrepancies found, 2 usage error.
+// Exit status: 0 all checks passed, 1 discrepancies or crashes found, 2
+// usage error.
 // Output is deterministic for a fixed command line.
 
 #include <cstdint>

@@ -141,26 +141,12 @@ Status Client::SendFrame(FrameType type, const std::string& payload) {
 }
 
 Result<Frame> Client::ReadFrame() {
-  uint8_t header[kFrameHeaderBytes];
+  char header[kFrameHeaderBytes];
   MSQL_RETURN_IF_ERROR(
       ReadExact(sock_.fd(), header, sizeof(header), options_.io_timeout_ms));
-  const uint32_t len = static_cast<uint32_t>(header[0]) |
-                       (static_cast<uint32_t>(header[1]) << 8) |
-                       (static_cast<uint32_t>(header[2]) << 16) |
-                       (static_cast<uint32_t>(header[3]) << 24);
-  if (len > kMaxFramePayload) {
-    return Status(ErrorCode::kIo,
-                  StrCat("frame payload of ", len, " bytes exceeds the ",
-                         kMaxFramePayload, "-byte cap"));
-  }
-  const uint8_t type = header[4];
-  if (type < static_cast<uint8_t>(FrameType::kHello) ||
-      type > static_cast<uint8_t>(FrameType::kError)) {
-    return Status(ErrorCode::kIo,
-                  StrCat("unknown frame type ", static_cast<int>(type)));
-  }
   Frame frame;
-  frame.type = static_cast<FrameType>(type);
+  MSQL_ASSIGN_OR_RETURN(const uint32_t len,
+                        DecodeFrameHeader(header, &frame.type));
   frame.payload.resize(len);
   if (len > 0) {
     MSQL_RETURN_IF_ERROR(ReadExact(sock_.fd(), frame.payload.data(), len,

@@ -36,6 +36,24 @@ Status FaultAt(const char* site) {
   return Status::Ok();
 }
 
+// msql_system.connections: one row per ConnInfo.
+Schema ConnectionsSchema() {
+  Schema schema;
+  schema.AddColumn(Column("id", DataType::Int64()));
+  schema.AddColumn(Column("peer", DataType::String()));
+  schema.AddColumn(Column("user", DataType::String()));
+  schema.AddColumn(Column("state", DataType::String()));
+  schema.AddColumn(Column("statement", DataType::String()));
+  schema.AddColumn(Column("inflight_stmt", DataType::Int64()));
+  schema.AddColumn(Column("bytes_in", DataType::Int64()));
+  schema.AddColumn(Column("bytes_out", DataType::Int64()));
+  schema.AddColumn(Column("outbuf_bytes", DataType::Int64()));
+  schema.AddColumn(Column("statements", DataType::Int64()));
+  schema.AddColumn(Column("errors", DataType::Int64()));
+  schema.AddColumn(Column("rate_limited", DataType::Int64()));
+  return schema;
+}
+
 }  // namespace
 
 MsqldServer::MsqldServer(Engine* engine, ServerOptions options)
@@ -133,21 +151,8 @@ Status MsqldServer::Start() {
   // registry (visible to SQL when the engine enables system tables).
   engine_->system_tables().Register(
       "msql_system.connections", [this] {
-        Schema schema;
-        schema.AddColumn(Column("id", DataType::Int64()));
-        schema.AddColumn(Column("peer", DataType::String()));
-        schema.AddColumn(Column("user", DataType::String()));
-        schema.AddColumn(Column("state", DataType::String()));
-        schema.AddColumn(Column("statement", DataType::String()));
-        schema.AddColumn(Column("inflight_stmt", DataType::Int64()));
-        schema.AddColumn(Column("bytes_in", DataType::Int64()));
-        schema.AddColumn(Column("bytes_out", DataType::Int64()));
-        schema.AddColumn(Column("outbuf_bytes", DataType::Int64()));
-        schema.AddColumn(Column("statements", DataType::Int64()));
-        schema.AddColumn(Column("errors", DataType::Int64()));
-        schema.AddColumn(Column("rate_limited", DataType::Int64()));
         auto table = std::make_shared<Table>("msql_system.connections",
-                                             std::move(schema));
+                                             ConnectionsSchema());
         std::vector<Row> rows;
         for (const ConnInfo& c : SnapshotConnections()) {
           rows.push_back({Value::Int(static_cast<int64_t>(c.id)),
@@ -325,21 +330,8 @@ void MsqldServer::Stop() {
   // The engine outlives this server; replace the live connections provider
   // with an empty-table one so a later SELECT cannot reach a dead `this`.
   engine_->system_tables().Register("msql_system.connections", [] {
-    Schema schema;
-    schema.AddColumn(Column("id", DataType::Int64()));
-    schema.AddColumn(Column("peer", DataType::String()));
-    schema.AddColumn(Column("user", DataType::String()));
-    schema.AddColumn(Column("state", DataType::String()));
-    schema.AddColumn(Column("statement", DataType::String()));
-    schema.AddColumn(Column("inflight_stmt", DataType::Int64()));
-    schema.AddColumn(Column("bytes_in", DataType::Int64()));
-    schema.AddColumn(Column("bytes_out", DataType::Int64()));
-    schema.AddColumn(Column("outbuf_bytes", DataType::Int64()));
-    schema.AddColumn(Column("statements", DataType::Int64()));
-    schema.AddColumn(Column("errors", DataType::Int64()));
-    schema.AddColumn(Column("rate_limited", DataType::Int64()));
     return std::make_shared<Table>("msql_system.connections",
-                                   std::move(schema));
+                                   ConnectionsSchema());
   });
   running_.store(false);
 }
@@ -413,7 +405,7 @@ void MsqldServer::AcceptLoop() {
 void MsqldServer::HandlerLoop(Handler* handler) {
   std::vector<ConnPtr> conns;
   std::vector<epoll_event> events(256);
-  char scratch[64 * 1024];
+  std::vector<char> scratch(64 * 1024);  // one read() takes up to this much
   auto last_scan = std::chrono::steady_clock::now();
 
   while (true) {
@@ -486,7 +478,7 @@ void MsqldServer::HandlerLoop(Handler* handler) {
 }
 
 void MsqldServer::ServiceConn(Handler* handler, const ConnPtr& conn,
-                              uint32_t revents, char* scratch,
+                              uint32_t revents, std::span<char> scratch,
                               std::chrono::steady_clock::time_point now) {
   if (conn->dead.load(std::memory_order_acquire)) return;
 
@@ -498,142 +490,100 @@ void MsqldServer::ServiceConn(Handler* handler, const ConnPtr& conn,
 
   // Read side. EPOLLHUP without EPOLLIN also lands here so a half-close
   // is observed as read() == 0.
-  if (!conn->saw_eof && (revents & (EPOLLIN | EPOLLHUP))) {
-        bool fatal = false;
-        while (true) {
-          const ssize_t got =
-              ::read(conn->sock.fd(), scratch, sizeof(scratch));
-          if (got > 0) {
-            metrics_.bytes_read->Increment(static_cast<uint64_t>(got));
-            conn->stats.bytes_in.fetch_add(static_cast<uint64_t>(got),
-                                           std::memory_order_relaxed);
-            conn->inbuf.append(scratch, static_cast<size_t>(got));
-            if (conn->inbuf.size() > options_.max_inbuf_bytes) {
-              SendError(conn,
-                        Status(ErrorCode::kResourceExhausted,
-                               StrCat("input buffer overflow (cap ",
-                                      options_.max_inbuf_bytes, " bytes)")));
-              metrics_.protocol_errors->Increment();
-              conn->close_after_flush.store(true);
-              fatal = true;
-              break;
-            }
-            continue;
-          }
-          if (got == 0) {
-            // Half-close: no more requests. An in-flight statement is
-            // cancelled (its kCancelled Error still flushes — the client
-            // may have shut down only its write side); pending output is
-            // flushed, then the connection closes.
-            conn->saw_eof = true;
-            if (conn->busy.load(std::memory_order_acquire) &&
-                conn->session != nullptr) {
-              conn->session->Cancel();
-            }
-            conn->close_after_flush.store(true);
-            break;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          if (errno == EINTR) continue;
-          if (conn->session != nullptr) conn->session->Cancel();
-          CloseConn(conn);
-          fatal = true;
-          break;
-        }
-        if (fatal && conn->dead.load()) return;
+  while (!conn->saw_eof && (revents & (EPOLLIN | EPOLLHUP))) {
+    const ssize_t got = ::read(conn->sock.fd(), scratch.data(), scratch.size());
+    if (got > 0) {
+      metrics_.bytes_read->Increment(static_cast<uint64_t>(got));
+      conn->stats.bytes_in.fetch_add(static_cast<uint64_t>(got),
+                                     std::memory_order_relaxed);
+      conn->inbuf.append(scratch.data(), static_cast<size_t>(got));
+      if (conn->inbuf.size() > options_.max_inbuf_bytes) {
+        ProtocolError(conn, Status(ErrorCode::kResourceExhausted,
+                                   StrCat("input buffer overflow (cap ",
+                                          options_.max_inbuf_bytes,
+                                          " bytes)")));
+        break;
       }
+      continue;
+    }
+    if (got == 0) {
+      // Half-close: no more requests. An in-flight statement is cancelled
+      // (its kCancelled Error still flushes — the client may have shut
+      // down only its write side); pending output is flushed, then the
+      // connection closes.
+      conn->saw_eof = true;
+      if (conn->busy.load(std::memory_order_acquire) &&
+          conn->session != nullptr) {
+        conn->session->Cancel();
+      }
+      conn->close_after_flush.store(true);
+      break;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EINTR) continue;
+    if (conn->session != nullptr) conn->session->Cancel();
+    CloseConn(conn);
+    return;
+  }
 
-      ProcessInput(conn);
-      if (conn->dead.load()) return;
+  ProcessInput(conn);
+  if (conn->dead.load()) return;
+  // Read before the flush: a worker enqueues its last frame before it
+  // clears `busy`, so output found drained behind an idle flag stays so.
+  const bool idle = !conn->busy.load();
 
-      // Write side: flush as much pending output as the socket accepts.
-      {
-        std::unique_lock<std::mutex> lock(conn->out_mu);
-        bool progressed = false;
-        while (conn->out_off < conn->outbuf.size()) {
-          if (Status fault = FaultAt("net.write_frame"); !fault.ok()) {
-            // Injected write failure: never leave a half-written frame on
-            // the wire — drop the connection at once.
-            lock.unlock();
-            if (conn->session != nullptr) conn->session->Cancel();
-            CloseConn(conn);
-            break;
-          }
-          const ssize_t put = ::send(
-              conn->sock.fd(), conn->outbuf.data() + conn->out_off,
-              conn->outbuf.size() - conn->out_off, MSG_NOSIGNAL);
-          if (put > 0) {
-            conn->out_off += static_cast<size_t>(put);
-            metrics_.bytes_written->Increment(static_cast<uint64_t>(put));
-            conn->stats.bytes_out.fetch_add(static_cast<uint64_t>(put),
-                                            std::memory_order_relaxed);
-            progressed = true;
-            continue;
-          }
-          if (put < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (put < 0 && errno == EINTR) continue;
-          lock.unlock();
-          if (conn->session != nullptr) conn->session->Cancel();
-          CloseConn(conn);
-          break;
-        }
-        if (conn->dead.load()) return;
-        if (conn->out_off >= conn->outbuf.size()) {
-          conn->outbuf.clear();
-          conn->out_off = 0;
-          conn->write_stalled = false;
-        } else if (progressed) {
-          conn->write_stalled = false;
-        } else if (!conn->write_stalled) {
-          conn->write_stalled = true;
-          conn->write_stall_since = now;
-        } else if (options_.write_timeout_ms > 0 &&
-                   now - conn->write_stall_since >
-                       std::chrono::milliseconds(options_.write_timeout_ms)) {
-          // Slow client: pending bytes made no progress for the whole
-          // write budget. Drop it; healthy clients are unaffected.
-          lock.unlock();
-          metrics_.write_timeouts->Increment();
-          if (conn->session != nullptr) conn->session->Cancel();
-          CloseConn(conn);
-          return;
-        }
+  // Write side: flush what the socket accepts, and drop a client whose
+  // pending output made no progress for write_timeout_ms.
+  bool drained;
+  bool timed_out = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    const bool progressed = Flush(*conn);
+    drained = conn->out_off >= conn->outbuf.size();
+    if (!drained && !progressed) {
+      if (!conn->write_stalled) {
+        conn->write_stalled = true;
+        conn->write_stall_since = now;
+      } else {
+        timed_out = options_.write_timeout_ms > 0 &&
+                    now - conn->write_stall_since >
+                        std::chrono::milliseconds(options_.write_timeout_ms);
       }
+    }
+  }
+  if (timed_out) {
+    metrics_.write_timeouts->Increment();
+    if (conn->session != nullptr) conn->session->Cancel();
+    CloseConn(conn);
+    return;
+  }
 
-      // Close once all output is flushed and nothing is in flight.
-      if (conn->close_after_flush.load(std::memory_order_acquire) &&
-          !conn->busy.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        if (conn->outbuf.size() <= conn->out_off) CloseConn(conn);
-      }
-      if (conn->dead.load(std::memory_order_acquire)) return;
+  // Close once all output is flushed and nothing is in flight.
+  if (conn->close_after_flush.load()) {
+    if (drained && idle) {
+      CloseConn(conn);
+      return;
+    }
+    // A closing connection leaves the epoll set: level-triggered
+    // EPOLLHUP/EPOLLIN would otherwise spin the loop; its remaining flush
+    // and close ride the periodic scans and FinishStatement wakeups.
+    if (conn->epoll_registered) {
+      epoll_ctl(handler->epfd, EPOLL_CTL_DEL, conn->sock.fd(), nullptr);
+      conn->epoll_registered = false;
+    }
+    return;
+  }
 
-      // Epoll interest maintenance. A closing or half-closed connection
-      // leaves the set: level-triggered EPOLLHUP/EPOLLIN would otherwise
-      // spin the loop; its remaining flush/close work rides the periodic
-      // scans and FinishStatement wakeups instead.
-      if (conn->saw_eof ||
-          conn->close_after_flush.load(std::memory_order_acquire)) {
-        if (conn->epoll_registered) {
-          epoll_ctl(handler->epfd, EPOLL_CTL_DEL, conn->sock.fd(), nullptr);
-          conn->epoll_registered = false;
-        }
-        return;
-      }
-      bool want_out;
-      {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        want_out = conn->outbuf.size() > conn->out_off;
-      }
-      if (conn->epoll_registered && want_out != conn->epoll_out) {
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0);
-        ev.data.ptr = conn.get();
-        if (epoll_ctl(handler->epfd, EPOLL_CTL_MOD, conn->sock.fd(), &ev) ==
-            0) {
-          conn->epoll_out = want_out;
-        }
-      }
+  // Epoll interest: EPOLLOUT only while output is pending.
+  const bool want_out = !drained;
+  if (conn->epoll_registered && want_out != conn->epoll_out) {
+    epoll_event ev{};
+    ev.events = want_out ? EPOLLIN | EPOLLOUT : EPOLLIN;
+    ev.data.ptr = conn.get();
+    if (epoll_ctl(handler->epfd, EPOLL_CTL_MOD, conn->sock.fd(), &ev) == 0) {
+      conn->epoll_out = want_out;
+    }
+  }
 }
 
 void MsqldServer::ProcessInput(const ConnPtr& conn) {
@@ -642,9 +592,7 @@ void MsqldServer::ProcessInput(const ConnPtr& conn) {
     Frame frame;
     Result<bool> parsed = TryParseFrame(conn->inbuf, &off, &frame);
     if (!parsed.ok()) {
-      metrics_.protocol_errors->Increment();
-      SendError(conn, parsed.status());
-      conn->close_after_flush.store(true);
+      ProtocolError(conn, parsed.status());
       return;
     }
     if (!parsed.value()) return;  // need more bytes
@@ -675,6 +623,31 @@ void MsqldServer::ProcessInput(const ConnPtr& conn) {
   }
 }
 
+void MsqldServer::ProtocolError(const ConnPtr& conn, const Status& status) {
+  metrics_.protocol_errors->Increment();
+  SendError(conn, status);
+  conn->close_after_flush.store(true);
+}
+
+void MsqldServer::Dispatch(const ConnPtr& conn, std::string statement,
+                           const AdmissionTicket* ticket,
+                           std::function<void()> job) {
+  const uint64_t ordinal =
+      conn->stats.statements.fetch_add(1, std::memory_order_relaxed) + 1;
+  conn->stats.inflight_stmt.store(ordinal, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(conn->stats.mu);
+    conn->stats.statement = std::move(statement);
+  }
+  conn->stats.state.store(2, std::memory_order_relaxed);
+  conn->busy.store(true, std::memory_order_release);
+  if (workers_->Submit(std::move(job))) return;
+  if (ticket != nullptr) admission_.Release(*conn->session, *ticket);
+  conn->busy.store(false, std::memory_order_release);
+  SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
+  conn->close_after_flush.store(true);
+}
+
 void MsqldServer::DispatchFrame(const ConnPtr& conn, const Frame& frame) {
   if (frame.type == FrameType::kCancel) {
     if (conn->session != nullptr) conn->session->Cancel();
@@ -682,11 +655,9 @@ void MsqldServer::DispatchFrame(const ConnPtr& conn, const Frame& frame) {
   }
   if (!conn->authenticated) {
     if (frame.type != FrameType::kHello) {
-      metrics_.protocol_errors->Increment();
-      SendError(conn, Status(ErrorCode::kPermission,
-                             StrCat("expected Hello before ",
-                                    FrameTypeName(frame.type))));
-      conn->close_after_flush.store(true);
+      ProtocolError(conn, Status(ErrorCode::kPermission,
+                                 StrCat("expected Hello before ",
+                                        FrameTypeName(frame.type))));
       return;
     }
     HandleHello(conn, frame);
@@ -694,23 +665,56 @@ void MsqldServer::DispatchFrame(const ConnPtr& conn, const Frame& frame) {
   }
   switch (frame.type) {
     case FrameType::kHello:
-      metrics_.protocol_errors->Increment();
-      SendError(conn, Status(ErrorCode::kInvalidArgument,
-                             "connection already authenticated"));
-      conn->close_after_flush.store(true);
+      ProtocolError(conn, Status(ErrorCode::kInvalidArgument,
+                                 "connection already authenticated"));
       return;
-    case FrameType::kQuery:
-      DispatchQuery(conn, frame);
+    case FrameType::kQuery: {
+      Result<QueryMsg> msg = DecodeQuery(frame.payload);
+      if (!msg.ok()) {
+        ProtocolError(conn, msg.status());
+        return;
+      }
+      metrics_.queries->Increment();
+      AdmissionTicket ticket = OpenTicket(conn, msg.value().timeout_ms);
+      std::string sql = msg.value().sql;
+      Dispatch(conn, std::move(sql), &ticket,
+               [this, conn, m = msg.take(), ticket]() mutable {
+                 RunQuery(conn, std::move(m), std::move(ticket));
+               });
       return;
-    case FrameType::kPrepare:
-      DispatchPrepare(conn, frame);
+    }
+    case FrameType::kPrepare: {
+      Result<PrepareMsg> msg = DecodePrepare(frame.payload);
+      if (!msg.ok()) {
+        ProtocolError(conn, msg.status());
+        return;
+      }
+      const uint32_t stmt_id = conn->next_stmt_id++;
+      std::string sql = msg.value().sql;
+      Dispatch(conn, std::move(sql), nullptr,
+               [this, conn, stmt_id, m = msg.take()]() mutable {
+                 RunPrepare(conn, stmt_id, std::move(m));
+               });
       return;
+    }
     case FrameType::kBind:
       HandleBind(conn, frame);
       return;
-    case FrameType::kExecute:
-      DispatchExecute(conn, frame);
+    case FrameType::kExecute: {
+      Result<ExecuteMsg> msg = DecodeExecute(frame.payload);
+      if (!msg.ok()) {
+        ProtocolError(conn, msg.status());
+        return;
+      }
+      metrics_.queries->Increment();
+      AdmissionTicket ticket = OpenTicket(conn, msg.value().timeout_ms);
+      std::string text = StrCat("<execute #", msg.value().stmt_id, ">");
+      Dispatch(conn, std::move(text), &ticket,
+               [this, conn, m = msg.take(), ticket]() mutable {
+                 RunExecute(conn, std::move(m), std::move(ticket));
+               });
       return;
+    }
     case FrameType::kClose:
       HandleClose(conn, frame);
       return;
@@ -719,19 +723,15 @@ void MsqldServer::DispatchFrame(const ConnPtr& conn, const Frame& frame) {
     case FrameType::kError:
       break;
   }
-  metrics_.protocol_errors->Increment();
-  SendError(conn, Status(ErrorCode::kInvalidArgument,
-                         StrCat("unexpected ", FrameTypeName(frame.type),
-                                " frame from client")));
-  conn->close_after_flush.store(true);
+  ProtocolError(conn, Status(ErrorCode::kInvalidArgument,
+                             StrCat("unexpected ", FrameTypeName(frame.type),
+                                    " frame from client")));
 }
 
 void MsqldServer::HandleHello(const ConnPtr& conn, const Frame& frame) {
   Result<HelloMsg> msg = DecodeHello(frame.payload);
   if (!msg.ok()) {
-    metrics_.protocol_errors->Increment();
-    SendError(conn, msg.status());
-    conn->close_after_flush.store(true);
+    ProtocolError(conn, msg.status());
     return;
   }
   if (msg.value().version != kProtocolVersion) {
@@ -781,9 +781,7 @@ void MsqldServer::HandleHello(const ConnPtr& conn, const Frame& frame) {
 void MsqldServer::HandleBind(const ConnPtr& conn, const Frame& frame) {
   Result<BindMsg> msg = DecodeBind(frame.payload);
   if (!msg.ok()) {
-    metrics_.protocol_errors->Increment();
-    SendError(conn, msg.status());
-    conn->close_after_flush.store(true);
+    ProtocolError(conn, msg.status());
     return;
   }
   BindMsg& bind = msg.value();
@@ -828,9 +826,7 @@ void MsqldServer::HandleBind(const ConnPtr& conn, const Frame& frame) {
 void MsqldServer::HandleClose(const ConnPtr& conn, const Frame& frame) {
   Result<CloseMsg> msg = DecodeClose(frame.payload);
   if (!msg.ok()) {
-    metrics_.protocol_errors->Increment();
-    SendError(conn, msg.status());
-    conn->close_after_flush.store(true);
+    ProtocolError(conn, msg.status());
     return;
   }
   ResultBatchMsg ack;
@@ -846,70 +842,6 @@ void MsqldServer::HandleClose(const ConnPtr& conn, const Frame& frame) {
     conn->stmts.erase(msg.value().stmt_id);
   }
   SendBatch(conn, ack);
-}
-
-void MsqldServer::DispatchQuery(const ConnPtr& conn, const Frame& frame) {
-  Result<QueryMsg> msg = DecodeQuery(frame.payload);
-  if (!msg.ok()) {
-    metrics_.protocol_errors->Increment();
-    SendError(conn, msg.status());
-    conn->close_after_flush.store(true);
-    return;
-  }
-  metrics_.queries->Increment();
-  NoteStatementStart(conn, msg.value().sql);
-  conn->busy.store(true, std::memory_order_release);
-  AdmissionTicket ticket = OpenTicket(conn, msg.value().timeout_ms);
-  if (!workers_->Submit([this, conn, m = msg.take(), ticket]() mutable {
-        RunQuery(conn, std::move(m), std::move(ticket));
-      })) {
-    admission_.Release(*conn->session, ticket);
-    conn->busy.store(false, std::memory_order_release);
-    SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
-    conn->close_after_flush.store(true);
-  }
-}
-
-void MsqldServer::DispatchPrepare(const ConnPtr& conn, const Frame& frame) {
-  Result<PrepareMsg> msg = DecodePrepare(frame.payload);
-  if (!msg.ok()) {
-    metrics_.protocol_errors->Increment();
-    SendError(conn, msg.status());
-    conn->close_after_flush.store(true);
-    return;
-  }
-  const uint32_t stmt_id = conn->next_stmt_id++;
-  NoteStatementStart(conn, msg.value().sql);
-  conn->busy.store(true, std::memory_order_release);
-  if (!workers_->Submit([this, conn, stmt_id, m = msg.take()]() mutable {
-        RunPrepare(conn, stmt_id, std::move(m));
-      })) {
-    conn->busy.store(false, std::memory_order_release);
-    SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
-    conn->close_after_flush.store(true);
-  }
-}
-
-void MsqldServer::DispatchExecute(const ConnPtr& conn, const Frame& frame) {
-  Result<ExecuteMsg> msg = DecodeExecute(frame.payload);
-  if (!msg.ok()) {
-    metrics_.protocol_errors->Increment();
-    SendError(conn, msg.status());
-    conn->close_after_flush.store(true);
-    return;
-  }
-  metrics_.queries->Increment();
-  NoteStatementStart(conn, StrCat("<execute #", msg.value().stmt_id, ">"));
-  conn->busy.store(true, std::memory_order_release);
-  AdmissionTicket ticket = OpenTicket(conn, msg.value().timeout_ms);
-  if (!workers_->Submit([this, conn, m = msg.value(), ticket]() mutable {
-        RunExecute(conn, m, std::move(ticket));
-      })) {
-    admission_.Release(*conn->session, ticket);
-    conn->busy.store(false, std::memory_order_release);
-    SendError(conn, Status(ErrorCode::kCancelled, "server shutting down"));
-    conn->close_after_flush.store(true);
-  }
 }
 
 AdmissionTicket MsqldServer::OpenTicket(const ConnPtr& conn,
@@ -1049,18 +981,6 @@ void MsqldServer::RunExecute(const ConnPtr& conn, ExecuteMsg msg,
   FinishStatement(conn);
 }
 
-void MsqldServer::NoteStatementStart(const ConnPtr& conn,
-                                     const std::string& sql) {
-  const uint64_t ordinal =
-      conn->stats.statements.fetch_add(1, std::memory_order_relaxed) + 1;
-  conn->stats.inflight_stmt.store(ordinal, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(conn->stats.mu);
-    conn->stats.statement = sql;
-  }
-  conn->stats.state.store(2, std::memory_order_relaxed);
-}
-
 void MsqldServer::FinishStatement(const ConnPtr& conn) {
   conn->stats.inflight_stmt.store(0, std::memory_order_relaxed);
   {
@@ -1078,78 +998,75 @@ void MsqldServer::FinishStatement(const ConnPtr& conn) {
   }
 }
 
+bool MsqldServer::Flush(Conn& conn) {
+  bool progressed = false;
+  while (conn.out_off < conn.outbuf.size() &&
+         !conn.dead.load(std::memory_order_acquire)) {
+    if (FaultAt("net.write_frame").ok()) {
+      const ssize_t put =
+          ::send(conn.sock.fd(), conn.outbuf.data() + conn.out_off,
+                 conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
+      if (put > 0) {
+        conn.out_off += static_cast<size_t>(put);
+        metrics_.bytes_written->Increment(static_cast<uint64_t>(put));
+        conn.stats.bytes_out.fetch_add(static_cast<uint64_t>(put),
+                                       std::memory_order_relaxed);
+        progressed = true;
+        continue;
+      }
+      if (put < 0 && errno == EINTR) continue;
+      if (put < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    }
+    // Failed flush. Shutting down the write side makes later sends fail
+    // too, so the client reads a clean close, never a frame that follows
+    // a discarded one.
+    conn.outbuf.clear();
+    conn.out_off = 0;
+    ::shutdown(conn.sock.fd(), SHUT_WR);
+    conn.close_after_flush.store(true);
+    if (conn.session != nullptr) conn.session->Cancel();
+    break;
+  }
+  const bool drained = conn.out_off >= conn.outbuf.size();
+  if (drained) {
+    conn.outbuf.clear();
+    conn.out_off = 0;
+  }
+  if (drained || progressed) conn.write_stalled = false;
+  return progressed;
+}
+
 void MsqldServer::EnqueueFrames(const ConnPtr& conn, std::string frames,
                                 size_t nframes) {
-  if (conn->dead.load(std::memory_order_acquire)) return;
-  bool overflow = false;
-  bool flushed = false;
-  bool fault_drop = false;
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
-    const size_t pending = conn->outbuf.size() - conn->out_off;
-    if (pending + frames.size() > options_.max_outbuf_bytes) {
-      overflow = true;
+    if (conn->dead.load(std::memory_order_acquire)) return;
+    if (conn->outbuf.size() - conn->out_off + frames.size() >
+        options_.max_outbuf_bytes) {
+      // Slow client: its bounded output buffer is full. Shed the response
+      // with a typed error (small, always permitted on top of the cap) and
+      // close once — never block a handler or grow without bound.
+      metrics_.slow_client_sheds->Increment();
+      if (!conn->close_after_flush.exchange(true)) {
+        AppendFrame(&conn->outbuf, FrameType::kError,
+                    EncodeError(ErrorFromStatus(Status(
+                        ErrorCode::kResourceExhausted,
+                        StrCat("response shed: output buffer over ",
+                               options_.max_outbuf_bytes,
+                               " bytes (slow client)")))));
+        metrics_.frames_written->Increment();
+        metrics_.errors_sent->Increment();
+      }
     } else {
       conn->outbuf.append(frames);
       metrics_.frames_written->Increment(nframes);
-      // Opportunistic inline flush: push the bytes out right here so the
-      // common request/response cycle costs one handler wakeup (the read),
-      // not two. EAGAIN or a socket error leaves the remainder for the
-      // handler's poll-driven write path.
-      while (conn->out_off < conn->outbuf.size() &&
-             !conn->dead.load(std::memory_order_acquire)) {
-        if (Status fault = FaultAt("net.write_frame"); !fault.ok()) {
-          // Injected write failure: discard pending output (never leave a
-          // half-written frame) and let the handler drop the connection.
-          conn->outbuf.clear();
-          conn->out_off = 0;
-          conn->close_after_flush.store(true);
-          fault_drop = true;
-          break;
-        }
-        const ssize_t put =
-            ::send(conn->sock.fd(), conn->outbuf.data() + conn->out_off,
-                   conn->outbuf.size() - conn->out_off, MSG_NOSIGNAL);
-        if (put > 0) {
-          conn->out_off += static_cast<size_t>(put);
-          metrics_.bytes_written->Increment(static_cast<uint64_t>(put));
-          conn->stats.bytes_out.fetch_add(static_cast<uint64_t>(put),
-                                          std::memory_order_relaxed);
-          continue;
-        }
-        if (put < 0 && errno == EINTR) continue;
-        break;  // EAGAIN or a real error: the handler flush takes over
+      // Flush inline so the common request/response cycle costs one
+      // handler wakeup (the read), not two.
+      Flush(*conn);
+      if (conn->out_off >= conn->outbuf.size() &&
+          !conn->close_after_flush.load(std::memory_order_acquire)) {
+        return;  // everything is on the wire; the handler has nothing to do
       }
-      if (conn->out_off >= conn->outbuf.size()) {
-        conn->outbuf.clear();
-        conn->out_off = 0;
-        conn->write_stalled = false;
-        flushed = true;
-      }
-    }
-  }
-  if (fault_drop && conn->session != nullptr) conn->session->Cancel();
-  if (flushed && !fault_drop &&
-      !conn->close_after_flush.load(std::memory_order_acquire)) {
-    return;  // everything is on the wire; the handler has nothing to do
-  }
-  if (overflow) {
-    // Slow client: its bounded output buffer is full. Shed the response
-    // with a typed error (small, always permitted on top of the cap) and
-    // close once — never block a handler or grow without bound.
-    metrics_.slow_client_sheds->Increment();
-    if (!conn->close_after_flush.exchange(true)) {
-      std::string err;
-      AppendFrame(&err, FrameType::kError,
-                  EncodeError(ErrorFromStatus(Status(
-                      ErrorCode::kResourceExhausted,
-                      StrCat("response shed: output buffer over ",
-                             options_.max_outbuf_bytes,
-                             " bytes (slow client)")))));
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      conn->outbuf.append(err);
-      metrics_.frames_written->Increment();
-      metrics_.errors_sent->Increment();
     }
   }
   WakeHandler(conn->handler_index);
@@ -1223,7 +1140,11 @@ void MsqldServer::SendResult(const ConnPtr& conn, uint32_t stmt_id,
 void MsqldServer::CloseConn(const ConnPtr& conn) {
   if (conn->dead.exchange(true)) return;
   conn->stats.state.store(3, std::memory_order_relaxed);
-  conn->sock.Close();
+  {
+    // Under out_mu: a worker's Flush never sends on a closed (or reused) fd.
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    conn->sock.Close();
+  }
   metrics_.connections_active->Add(-1.0);
   active_conns_.fetch_sub(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(conns_mu_);

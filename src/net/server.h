@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -23,7 +25,7 @@
 // The msqld network front end (docs/NETWORKING.md): a TCP server speaking
 // the length-prefixed frame protocol of net/wire.h. One acceptor thread
 // distributes connections round-robin over N handler threads, each running
-// a poll() event loop over its connections with non-blocking sockets and
+// an epoll event loop over its connections with non-blocking sockets and
 // bounded input/output buffers; statement execution happens on a separate
 // worker pool so a long query never wedges an event loop. Each
 // authenticated connection owns one Engine session
@@ -151,9 +153,9 @@ class MsqldServer {
     std::string statement;  // SQL in flight
   };
 
-  // One client connection. The handler thread owns parsing and fd I/O;
-  // worker threads only append to the (locked) output buffer and flip
-  // `busy` back off.
+  // One client connection. The handler thread owns parsing, reads, the
+  // epoll registration and closing the fd; worker threads append to the
+  // (locked) output buffer, flush it, and flip `busy` back off.
   struct Conn : std::enable_shared_from_this<Conn> {
     Socket sock;
     size_t handler_index = 0;
@@ -164,8 +166,6 @@ class MsqldServer {
     bool authenticated = false;
     bool saw_eof = false;
     uint32_t next_stmt_id = 1;
-    std::chrono::steady_clock::time_point write_stall_since{};
-    bool write_stalled = false;
     bool epoll_registered = false;  // fd present in the handler's epoll set
     bool epoll_out = false;         // EPOLLOUT currently requested
 
@@ -174,10 +174,13 @@ class MsqldServer {
     std::mutex stmts_mu;
     std::unordered_map<uint32_t, StmtEntry> stmts;
 
-    // Output buffer; guarded (workers enqueue result frames).
+    // Output buffer and write-stall timer; guarded (workers enqueue and
+    // flush result frames). CloseConn closes `sock` under it too.
     std::mutex out_mu;
     std::string outbuf;
     size_t out_off = 0;
+    bool write_stalled = false;
+    std::chrono::steady_clock::time_point write_stall_since{};
 
     std::atomic<bool> busy{false};
     std::atomic<bool> close_after_flush{false};
@@ -225,11 +228,13 @@ class MsqldServer {
   void AcceptLoop();
   void HandlerLoop(Handler* handler);
   // One servicing pass over a connection: read newly arrived bytes (when
-  // `revents` says there are any), parse/dispatch frames, flush pending
-  // output, enforce the write-stall timeout, and maintain the conn's epoll
-  // registration. Called with revents=0 from periodic maintenance scans.
+  // `revents` says there are any) through `scratch`, up to its size per
+  // read(); parse and dispatch frames; Flush pending output; enforce the
+  // write-stall timeout; close a drained close-after-flush connection; and
+  // keep EPOLLOUT requested exactly while output is pending. Called with
+  // revents=0 from periodic maintenance scans.
   void ServiceConn(Handler* handler, const ConnPtr& conn, uint32_t revents,
-                   char* scratch,
+                   std::span<char> scratch,
                    std::chrono::steady_clock::time_point now);
   void WakeHandler(size_t index);
 
@@ -239,9 +244,18 @@ class MsqldServer {
   void HandleHello(const ConnPtr& conn, const Frame& frame);
   void HandleBind(const ConnPtr& conn, const Frame& frame);
   void HandleClose(const ConnPtr& conn, const Frame& frame);
-  void DispatchQuery(const ConnPtr& conn, const Frame& frame);
-  void DispatchPrepare(const ConnPtr& conn, const Frame& frame);
-  void DispatchExecute(const ConnPtr& conn, const Frame& frame);
+  // A malformed or out-of-order frame: counts it in
+  // msql_net_protocol_errors_total, answers with an Error frame and closes
+  // the connection after the flush.
+  void ProtocolError(const ConnPtr& conn, const Status& status);
+  // Starts one Query/Prepare/Execute on the worker pool: marks the
+  // connection busy with `statement` (the /statusz text) and submits
+  // `job`. Query/Execute pass the admission ticket they opened at dispatch
+  // (and captured in `job`); Prepare passes none. When the pool refuses
+  // the job (shutdown) the ticket is released and the client gets
+  // kCancelled, then a close.
+  void Dispatch(const ConnPtr& conn, std::string statement,
+                const AdmissionTicket* ticket, std::function<void()> job);
 
   // Opens a Query/Execute statement's admission ticket on the handler
   // thread at frame dispatch (budget: the frame's timeout_ms, else
@@ -261,22 +275,27 @@ class MsqldServer {
   template <typename Fn>
   Result<ResultSet> RunAdmitted(const ConnPtr& conn, AdmissionTicket ticket,
                                 const std::string* trace_id, Fn run);
-  // Connection-stats bookkeeping around one statement: dispatch marks the
-  // connection busy with the statement's text, FinishStatement returns it
-  // to idle.
-  void NoteStatementStart(const ConnPtr& conn, const std::string& sql);
-
-  // Clears `busy` and wakes the handler only if it has work left to do
-  // (deferred input, a pending close, or a dead conn to reap). The common
-  // request/response cycle finishes without touching the handler: the
-  // worker flushed the response inline from EnqueueFrames.
+  // Returns the connection to idle (the counterpart of Dispatch), clears
+  // `busy`, and wakes the handler only if it has work left: deferred
+  // input, a pending close (a failed flush sets one), or a dead conn to
+  // reap. The common request/response cycle finishes without touching the
+  // handler, because EnqueueFrames already flushed the response.
   void FinishStatement(const ConnPtr& conn);
 
   // Output path. EnqueueFrames appends whole pre-encoded frames to the
-  // connection's bounded output buffer and wakes its handler; overflow
-  // sheds the client with kResourceExhausted. SendError/SendBatch are
-  // convenience encoders on top of it.
+  // connection's bounded output buffer and Flushes it on the calling
+  // thread; only output the socket would not take (or a pending close)
+  // wakes the handler, whose ServiceConn flushes the rest on EPOLLOUT.
+  // Overflow sheds the client with kResourceExhausted. SendError/SendBatch
+  // are convenience encoders on top of it.
   void EnqueueFrames(const ConnPtr& conn, std::string frames, size_t nframes);
+  // The one writer of connection output, run under out_mu by the handler
+  // and by workers: sends pending bytes until the socket would block and
+  // returns whether any went out. On a failed flush (a send error or an
+  // injected net.write_frame fault) it discards the pending output, shuts
+  // the socket's write side, cancels the session and marks the connection
+  // close-after-flush; the handler then closes the fd.
+  bool Flush(Conn& conn);
   void SendError(const ConnPtr& conn, const Status& status);
   void SendBatch(const ConnPtr& conn, const ResultBatchMsg& msg);
   // `with_footer` appends the server-side span summary (per-phase µs,

@@ -9,7 +9,7 @@
 // Thin POSIX socket helpers for the msqld server and client: RAII fd
 // ownership plus the handful of blocking-with-deadline operations the
 // blocking client needs. The server side uses non-blocking fds driven by
-// poll() directly (net/server.cc).
+// an epoll loop per handler thread (net/server.cc).
 namespace msql::net {
 
 class Socket {

@@ -194,26 +194,31 @@ void AppendFrame(std::string* out, FrameType type,
   out->append(payload);
 }
 
-Result<bool> TryParseFrame(const std::string& buf, size_t* off, Frame* out) {
-  if (buf.size() - *off < kFrameHeaderBytes) return false;
+Result<uint32_t> DecodeFrameHeader(const char* header, FrameType* type) {
   uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(buf[*off + i]))
-           << (8 * i);
+    len |= static_cast<uint32_t>(static_cast<uint8_t>(header[i])) << (8 * i);
   }
   if (len > kMaxFramePayload) {
     return Status(ErrorCode::kIo,
                   StrCat("frame payload of ", len, " bytes exceeds the ",
                          kMaxFramePayload, "-byte cap"));
   }
-  const uint8_t type = static_cast<uint8_t>(buf[*off + 4]);
-  if (type < static_cast<uint8_t>(FrameType::kHello) ||
-      type > static_cast<uint8_t>(FrameType::kError)) {
+  const uint8_t tag = static_cast<uint8_t>(header[4]);
+  if (tag < static_cast<uint8_t>(FrameType::kHello) ||
+      tag > static_cast<uint8_t>(FrameType::kError)) {
     return Status(ErrorCode::kIo,
-                  StrCat("unknown frame type ", static_cast<int>(type)));
+                  StrCat("unknown frame type ", static_cast<int>(tag)));
   }
+  *type = static_cast<FrameType>(tag);
+  return len;
+}
+
+Result<bool> TryParseFrame(const std::string& buf, size_t* off, Frame* out) {
+  if (buf.size() - *off < kFrameHeaderBytes) return false;
+  MSQL_ASSIGN_OR_RETURN(const uint32_t len,
+                        DecodeFrameHeader(buf.data() + *off, &out->type));
   if (buf.size() - *off < kFrameHeaderBytes + len) return false;
-  out->type = static_cast<FrameType>(type);
   out->payload = buf.substr(*off + kFrameHeaderBytes, len);
   *off += kFrameHeaderBytes + len;
   return true;

@@ -95,6 +95,12 @@ class WireReader {
 // Appends one complete frame (header + payload) to `out`.
 void AppendFrame(std::string* out, FrameType type, const std::string& payload);
 
+// Decodes the frame header at `header` (kFrameHeaderBytes bytes): sets
+// *type and returns the payload length, or kIo for a payload over
+// kMaxFramePayload or an unknown frame type. TryParseFrame and the
+// client's blocking reader both check headers here.
+Result<uint32_t> DecodeFrameHeader(const char* header, FrameType* type);
+
 // Attempts to parse one complete frame starting at buf[*off]. Returns true
 // and advances *off past the frame when one is fully buffered; false when
 // more bytes are needed; an error Status for malformed input (oversized

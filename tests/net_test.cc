@@ -186,6 +186,15 @@ TEST(WireTest, TryParseFrameHandlesPartialAndMalformedInput) {
   net::PutU8(&unknown, 250);
   off = 0;
   EXPECT_FALSE(net::TryParseFrame(unknown, &off, &frame).ok());
+
+  // The blocking client checks headers with the same decoder.
+  net::FrameType type;
+  EXPECT_FALSE(net::DecodeFrameHeader(huge.data(), &type).ok());
+  EXPECT_FALSE(net::DecodeFrameHeader(unknown.data(), &type).ok());
+  auto header = net::DecodeFrameHeader(buf.data(), &type);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header.value(), buf.size() - net::kFrameHeaderBytes);
+  EXPECT_EQ(type, net::FrameType::kQuery);
 }
 
 TEST_F(NetTest, QueryRoundTripAndPlanCacheWarmth) {
@@ -342,6 +351,103 @@ TEST_F(NetTest, ProtocolViolationsGetCleanErrors) {
   ASSERT_TRUE(
       healthy.Connect("127.0.0.1", server_->port(), User("frank")).ok());
   EXPECT_TRUE(healthy.Query("SELECT 1").ok());
+}
+
+TEST_F(NetTest, QueryLargerThanOneReadArrivesWhole) {
+  StartServer();
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(), User("lena")).ok());
+  // A 200 KiB string literal: the Query frame spans several of the
+  // handler's 64 KiB reads and stays under max_inbuf_bytes (1 MiB). The
+  // letters vary with position, so a lost or reordered chunk shows.
+  std::string text(200 * 1024, 'x');
+  for (size_t i = 0; i < text.size(); i += 1000) {
+    text[i] = static_cast<char>('a' + (i / 1000) % 26);
+  }
+  auto r =
+      client.Query("SELECT '" + text + "' AS s, COUNT(*) AS n FROM Orders");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().num_rows(), 1u);
+  EXPECT_EQ(r.value().Get(0, "s").str(), text);
+  EXPECT_EQ(r.value().Get(0, "n").int_val(), 5);
+}
+
+// Reads one frame from a blocking socket.
+Result<net::Frame> ReadFrameFrom(int fd) {
+  char header[net::kFrameHeaderBytes];
+  MSQL_RETURN_IF_ERROR(net::ReadExact(fd, header, sizeof(header), 5000));
+  net::Frame frame;
+  MSQL_ASSIGN_OR_RETURN(const uint32_t len,
+                        net::DecodeFrameHeader(header, &frame.type));
+  frame.payload.resize(len);
+  if (len > 0) {
+    MSQL_RETURN_IF_ERROR(net::ReadExact(fd, frame.payload.data(), len, 5000));
+  }
+  return frame;
+}
+
+TEST_F(NetTest, ResultLargerThanTheSocketBufferIsFlushedByTheHandler) {
+  StartServer();
+  // About 6 MB on the wire: more than the loopback socket buffers hold
+  // while the client is not reading, less than max_outbuf_bytes (8 MiB).
+  constexpr int kRows = 100000;
+  auto text_of = [](int i) {
+    return std::string(40, static_cast<char>('a' + i % 26));
+  };
+  ASSERT_TRUE(engine_->Execute("CREATE TABLE Big (i INTEGER, s VARCHAR)").ok());
+  std::vector<Row> rows;
+  rows.reserve(kRows);
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back({Value::Int(i), Value::String(text_of(i))});
+  }
+  ASSERT_TRUE(engine_->InsertRows("Big", std::move(rows)).ok());
+
+  auto sock = net::ConnectTo("127.0.0.1", server_->port(), 2000);
+  ASSERT_TRUE(sock.ok());
+  const int fd = sock.value().fd();
+  net::HelloMsg hello;
+  hello.user = "maya";
+  std::string frames;
+  net::AppendFrame(&frames, net::FrameType::kHello, net::EncodeHello(hello));
+  ASSERT_TRUE(net::WriteAll(fd, frames.data(), frames.size(), 2000).ok());
+  auto reply = ReadFrameFrom(fd);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, net::FrameType::kHello);
+
+  net::QueryMsg query;
+  query.sql = "SELECT i, s FROM Big ORDER BY i";
+  frames.clear();
+  net::AppendFrame(&frames, net::FrameType::kQuery, net::EncodeQuery(query));
+  ASSERT_TRUE(net::WriteAll(fd, frames.data(), frames.size(), 2000).ok());
+  // The worker's inline flush stops at a full socket; the rest waits in
+  // the server's output buffer for the handler's EPOLLOUT-driven flush.
+  bool pending = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pending && std::chrono::steady_clock::now() < deadline) {
+    for (const auto& conn : server_->SnapshotConnections()) {
+      if (conn.user == "maya" && conn.outbuf_bytes > 0) pending = true;
+    }
+    if (!pending) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(pending);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  int next = 0;
+  while (true) {
+    auto frame = ReadFrameFrom(fd);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame.value().type, net::FrameType::kResultBatch);
+    auto batch = net::DecodeResultBatch(frame.value().payload);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    for (const Row& row : batch.value().rows) {
+      ASSERT_EQ(row[0].int_val(), next);
+      ASSERT_EQ(row[1].str(), text_of(next));
+      ++next;
+    }
+    if (batch.value().last) break;
+  }
+  EXPECT_EQ(next, kRows);
 }
 
 TEST_F(NetTest, HalfClosedClientIsDrainedNotWedged) {

@@ -86,7 +86,9 @@ TEST(RetryTest, OnlyResourceExhaustedIsRetryable) {
 
 TEST(AdmissionTest, BoundedWaitRidesOutTransientSaturation) {
   Engine db;
-  LoadInts(&db, 120, 120);
+  // 50^3 rows in the slow join: under 2 s even in an unoptimized coverage
+  // build, well inside the 10 s admission wait below.
+  LoadInts(&db, 50, 50);
   SchedulerOptions opts;
   opts.num_threads = 1;
   opts.max_pending = 1;  // the slow query saturates the scheduler
@@ -102,7 +104,7 @@ TEST(AdmissionTest, BoundedWaitRidesOutTransientSaturation) {
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   auto fast_result = fast.take().get();
   ASSERT_TRUE(fast_result.ok()) << fast_result.status().ToString();
-  EXPECT_EQ(fast_result.value().Get(0, 0).int_val(), 120);
+  EXPECT_EQ(fast_result.value().Get(0, 0).int_val(), 50);
   ASSERT_TRUE(slow.take().get().ok());
   scheduler.Drain();
 }

@@ -187,10 +187,10 @@ std::string Value::ToSqlLiteral() const {
   }
 }
 
-size_t HashRow(const Row& row, size_t n) {
+size_t RowKeyHash::operator()(const Row& row) const {
   size_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < n && i < row.size(); ++i) {
-    h ^= row[i].Hash();
+  for (const Value& v : row) {
+    h ^= v.Hash();
     h *= 0x100000001b3ULL;
   }
   return h;

@@ -95,16 +95,13 @@ class Value {
 
 using Row = std::vector<Value>;
 
-// Hash of a row prefix (the first `n` values), used for group keys.
-size_t HashRow(const Row& row, size_t n);
-
 // NotDistinct over all values of two equal-length rows.
 bool RowsNotDistinct(const Row& a, const Row& b);
 
 // Hash and equality for Row-keyed hash maps under GROUP BY key semantics
 // (IS NOT DISTINCT FROM, so NULL keys form a group like any other value).
 struct RowKeyHash {
-  size_t operator()(const Row& r) const { return HashRow(r, r.size()); }
+  size_t operator()(const Row& row) const;
 };
 struct RowKeyEq {
   bool operator()(const Row& a, const Row& b) const {

@@ -4,25 +4,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <set>
+#include <numeric>
 
 #include "exec/vector_eval.h"
 
 namespace msql {
 
 namespace {
-
-// Lexicographic ordering of value tuples for DISTINCT aggregation.
-struct RowLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = Value::Compare(a[i], b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
 
 inline double ColAsDouble(const ColumnVector& c, int64_t i) {
   return c.kind == TypeKind::kDouble ? c.doubles[i]
@@ -206,11 +194,8 @@ Result<Value> EvalAggCall(AggId agg, const std::vector<BoundExprPtr>& args,
 
   Evaluator ev(state);
   AggAccumulator acc(agg);
-  std::set<std::vector<Value>, RowLess> seen;
-  RowStack stack;
-  stack.reserve(outer.size() + 1);
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  std::vector<Row> distinct_args;  // DISTINCT: every tuple, deduped below
+  RowStack stack = StackOver(outer);
 
   for (int64_t idx : rows) {
     MSQL_RETURN_IF_ERROR(state->guard.Check());
@@ -226,10 +211,23 @@ Result<Value> EvalAggCall(AggId agg, const std::vector<BoundExprPtr>& args,
       arg_values.push_back(std::move(v));
     }
     if (distinct) {
-      // NULLs are skipped by aggregates anyway; dedupe on the arg tuple.
-      if (!seen.insert(arg_values).second) continue;
+      distinct_args.push_back(std::move(arg_values));
+      continue;
     }
     MSQL_RETURN_IF_ERROR(acc.Accumulate(arg_values));
+  }
+  if (distinct) {
+    // NULLs are skipped by aggregates anyway; dedupe on the arg tuple. The
+    // groups come in first-seen order, so each tuple's first occurrence
+    // accumulates in the order the rows hold it.
+    RowGroups groups;
+    MSQL_RETURN_IF_ERROR(GroupRowsByKey(
+        {}, distinct_args, AllPositions(args.size()),
+        static_cast<int64_t>(distinct_args.size()), /*keep_map=*/false, state,
+        &groups));
+    for (const Row& tuple : groups.keys) {
+      MSQL_RETURN_IF_ERROR(acc.Accumulate(tuple));
+    }
   }
   return acc.Finish();
 }
@@ -390,8 +388,14 @@ Status GroupByCodes(const std::vector<const ColumnVector*>& cols, int64_t n,
 
 }  // namespace
 
+std::vector<int> AllPositions(size_t n) {
+  std::vector<int> set(n);
+  std::iota(set.begin(), set.end(), 0);
+  return set;
+}
+
 Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
-                      const std::vector<Row>& key_rows,
+                      std::span<const Row> key_rows,
                       const std::vector<int>& set, int64_t n, bool keep_map,
                       ExecState* state, RowGroups* out) {
   out->keys.clear();
@@ -455,7 +459,7 @@ Status GroupRowsByKey(const std::vector<ColumnPtr>& key_cols,
 
   // Row tuples: keys no code represents (row-evaluated, DOUBLE, or a
   // degraded dictionary), hashed as Values.
-  RowGroupMap& map = out->map;
+  TupleToGroup& map = out->map;
   map.reserve(static_cast<size_t>(n / 4 + 1));
   for (int64_t i = 0; i < n; ++i) {
     MSQL_RETURN_IF_ERROR(state->guard.Check());

@@ -24,6 +24,13 @@ struct Frame {
 // stack[0] is the innermost row.
 using RowStack = std::vector<Frame>;
 
+// `outer` under a new innermost frame, stack[0], for the caller to set.
+inline RowStack StackOver(const RowStack& outer) {
+  RowStack stack{Frame{}};
+  stack.insert(stack.end(), outer.begin(), outer.end());
+  return stack;
+}
+
 // Row-at-a-time expression evaluator. Aggregate calls never reach it (they
 // live in Aggregate nodes, window defs and measure formulas); measure
 // evaluations are delegated to the CSE evaluator in src/measure/.

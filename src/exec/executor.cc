@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <numeric>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
@@ -17,8 +17,46 @@ namespace msql {
 
 namespace {
 
-using GroupMap =
-    std::unordered_map<Row, std::vector<int64_t>, RowKeyHash, RowKeyEq>;
+// Evaluates `exprs` once per row of `rel`, the key input of GroupRowsByKey:
+// as whole columns into *cols when every expression has a kernel, else as
+// row tuples into *rows (rows[i] for rel's row i). No expressions, no keys.
+Status EvalGroupKeys(const std::vector<BoundExprPtr>& exprs,
+                     const Relation& rel, const RowStack& outer,
+                     ExecState* state, std::vector<ColumnPtr>* cols,
+                     std::vector<Row>* rows) {
+  if (exprs.empty()) return Status::Ok();
+  const int64_t n = static_cast<int64_t>(rel.rows.size());
+  if (outer.empty() && VectorizedGate(state) == VectorGate::kOk) {
+    auto arena = std::make_shared<Arena>();
+    for (const auto& e : exprs) {
+      MSQL_ASSIGN_OR_RETURN(ColumnPtr col, EvalVector(*e, rel, arena, state));
+      if (col == nullptr) {
+        cols->clear();
+        break;
+      }
+      cols->push_back(std::move(col));
+    }
+    if (!cols->empty()) {
+      state->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(n));
+      return Status::Ok();
+    }
+    ++state->exec_row_fallbacks;
+  }
+  rows->resize(static_cast<size_t>(n));
+  Evaluator ev(state);
+  RowStack stack = StackOver(outer);
+  for (int64_t i = 0; i < n; ++i) {
+    MSQL_RETURN_IF_ERROR(state->guard.Check());
+    stack[0] = Frame{&rel.rows[i], i, &rel};
+    Row& key = (*rows)[static_cast<size_t>(i)];
+    key.reserve(exprs.size());
+    for (const auto& e : exprs) {
+      MSQL_ASSIGN_OR_RETURN(Value v, ev.Eval(*e, stack));
+      key.push_back(std::move(v));
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -163,9 +201,7 @@ Result<RelationPtr> Executor::ExecValues(const LogicalPlan& plan,
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
   Evaluator ev(state_);
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
   for (const auto& row_exprs : plan.values_rows) {
     MSQL_RETURN_IF_ERROR(state_->guard.Check());
     Row row;
@@ -260,9 +296,7 @@ Result<RelationPtr> Executor::ExecProject(const LogicalPlan& plan,
   }
   rel->rows.reserve(child->rows.size());
   Evaluator ev(state_);
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
   for (int64_t i = 0; i < static_cast<int64_t>(child->rows.size()); ++i) {
     MSQL_RETURN_IF_ERROR(state_->guard.Check());
     stack[0] = Frame{&child->rows[i], i, child.get()};
@@ -295,9 +329,7 @@ Result<RelationPtr> Executor::ExecFilter(const LogicalPlan& plan,
     ++state_->exec_row_fallbacks;
   }
   Evaluator ev(state_);
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
   for (int64_t i = 0; i < static_cast<int64_t>(child->rows.size()); ++i) {
     MSQL_RETURN_IF_ERROR(state_->guard.Check());
     stack[0] = Frame{&child->rows[i], i, child.get()};
@@ -316,16 +348,21 @@ namespace {
 
 // Extracts hash-join keys from a conjunction of equalities where one side
 // references only left columns and the other only right columns (SideOf,
-// plan/rewrite.h, over the join's combined layout).
+// plan/rewrite.h, over the join's combined layout). Each key comes over its
+// own input's layout; the residual conjuncts stay over the combined one.
 struct JoinKeys {
-  std::vector<const BoundExpr*> left;   // evaluated against combined-left row
-  std::vector<const BoundExpr*> right;
+  std::vector<BoundExprPtr> left;
+  std::vector<BoundExprPtr> right;
   std::vector<const BoundExpr*> residual;
 };
 
 JoinKeys AnalyzeJoin(const BoundExpr* cond, size_t lv, size_t rv, size_t lh) {
   JoinKeys keys;
   if (cond == nullptr) return keys;
+  auto add = [&](const BoundExpr& l, const BoundExpr& r) {
+    keys.left.push_back(ToInputLayout(l, JoinSide::kLeft, lv, rv, lh));
+    keys.right.push_back(ToInputLayout(r, JoinSide::kRight, lv, rv, lh));
+  };
   std::vector<const BoundExpr*> conjuncts;
   CollectConjuncts(*cond, &conjuncts);
   for (const BoundExpr* c : conjuncts) {
@@ -336,14 +373,12 @@ JoinKeys AnalyzeJoin(const BoundExpr* cond, size_t lv, size_t rv, size_t lh) {
       if ((s0 == JoinSide::kLeft || s0 == JoinSide::kNeither) &&
           (s1 == JoinSide::kRight || s1 == JoinSide::kNeither) &&
           !(s0 == JoinSide::kNeither && s1 == JoinSide::kNeither)) {
-        keys.left.push_back(c->args[0].get());
-        keys.right.push_back(c->args[1].get());
+        add(*c->args[0], *c->args[1]);
         continue;
       }
       if (s0 == JoinSide::kRight &&
           (s1 == JoinSide::kLeft || s1 == JoinSide::kNeither)) {
-        keys.left.push_back(c->args[1].get());
-        keys.right.push_back(c->args[0].get());
+        add(*c->args[1], *c->args[0]);
         continue;
       }
     }
@@ -379,9 +414,7 @@ Result<RelationPtr> Executor::ExecJoin(const LogicalPlan& plan,
   Row null_right(right->schema.size(), Value::Null());
   Row null_left(left->schema.size(), Value::Null());
 
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
 
   const bool keep_left = plan.join_type == JoinType::kLeft ||
                          plan.join_type == JoinType::kFull;
@@ -402,86 +435,60 @@ Result<RelationPtr> Executor::ExecJoin(const LogicalPlan& plan,
     return true;
   };
 
-  if (!keys.left.empty()) {
-    // Hash join: build on the right side.
-    GroupMap table;
-    for (int64_t j = 0; j < static_cast<int64_t>(right->rows.size()); ++j) {
-      MSQL_RETURN_IF_ERROR(state_->guard.Check());
-      Row combined = combine(null_left, right->rows[j]);
-      stack[0] = Frame{&combined, -1, nullptr};
-      Row key;
-      key.reserve(keys.right.size());
-      bool has_null = false;
-      for (const BoundExpr* k : keys.right) {
-        MSQL_ASSIGN_OR_RETURN(Value v, ev.Eval(*k, stack));
-        if (v.is_null()) has_null = true;
-        key.push_back(std::move(v));
-      }
-      if (has_null) continue;  // `=` never matches NULL
-      table[std::move(key)].push_back(j);
-    }
-    for (const Row& l : left->rows) {
-      MSQL_RETURN_IF_ERROR(state_->guard.Check());
-      Row probe_combined = combine(l, null_right);
-      stack[0] = Frame{&probe_combined, -1, nullptr};
-      Row key;
-      key.reserve(keys.left.size());
-      bool has_null = false;
-      for (const BoundExpr* k : keys.left) {
-        MSQL_ASSIGN_OR_RETURN(Value v, ev.Eval(*k, stack));
-        if (v.is_null()) has_null = true;
-        key.push_back(std::move(v));
-      }
-      bool matched = false;
-      if (!has_null) {
-        auto it = table.find(key);
-        if (it != table.end()) {
-          for (int64_t j : it->second) {
-            MSQL_RETURN_IF_ERROR(state_->guard.Check());
-            Row combined = combine(l, right->rows[j]);
-            MSQL_ASSIGN_OR_RETURN(bool ok, eval_residual(combined));
-            if (ok) {
-              matched = true;
-              if (keep_right) right_matched[j] = 1;
-              MSQL_RETURN_IF_ERROR(
-                  state_->guard.ChargeRows(1, combined.size()));
-              rel->rows.push_back(std::move(combined));
-            }
-          }
-        }
-      }
-      if (!matched && keep_left) {
-        MSQL_RETURN_IF_ERROR(
-            state_->guard.ChargeRows(1, rel->schema.size()));
-        rel->rows.push_back(combine(l, null_right));
+  // Hash join: each input's keys are evaluated over its own rows, and the
+  // right rows grouped by key are the build table.
+  const bool hash = !keys.left.empty();
+  std::vector<ColumnPtr> build_cols, probe_cols;
+  std::vector<Row> build_rows, probe_rows;
+  RowGroups table;
+  MSQL_RETURN_IF_ERROR(EvalGroupKeys(keys.right, *right, outer, state_,
+                                     &build_cols, &build_rows));
+  if (hash) {
+    MSQL_RETURN_IF_ERROR(GroupRowsByKey(
+        build_cols, build_rows, AllPositions(keys.right.size()),
+        static_cast<int64_t>(right->rows.size()), /*keep_map=*/true, state_,
+        &table));
+  }
+  MSQL_RETURN_IF_ERROR(EvalGroupKeys(keys.left, *left, outer, state_,
+                                     &probe_cols, &probe_rows));
+
+  // The right rows a left row meets: under a hash join the build group of
+  // its key (none for a key holding a NULL, since `=` never matches NULL),
+  // else every right row.
+  std::vector<int64_t> every_right(hash ? 0 : right->rows.size());
+  std::iota(every_right.begin(), every_right.end(), 0);
+  const std::vector<int64_t> no_rows;
+  Row key;
+  for (int64_t i = 0; i < static_cast<int64_t>(left->rows.size()); ++i) {
+    MSQL_RETURN_IF_ERROR(state_->guard.Check());
+    const Row& l = left->rows[i];
+    const std::vector<int64_t>* meets = &every_right;
+    if (hash) {
+      key.clear();
+      for (const ColumnPtr& c : probe_cols) key.push_back(c->At(i));
+      const Row& probe = probe_cols.empty() ? probe_rows[i] : key;
+      meets = &no_rows;
+      if (std::none_of(probe.begin(), probe.end(),
+                       [](const Value& v) { return v.is_null(); })) {
+        auto it = table.map.find(probe);
+        if (it != table.map.end()) meets = &table.rows[it->second];
       }
     }
-  } else {
-    // Nested loop.
-    for (const Row& l : left->rows) {
-      bool matched = false;
-      for (size_t j = 0; j < right->rows.size(); ++j) {
-        MSQL_RETURN_IF_ERROR(state_->guard.Check());
-        Row combined = combine(l, right->rows[j]);
-        bool ok = true;
-        if (plan.join_condition != nullptr) {
-          stack[0] = Frame{&combined, -1, nullptr};
-          MSQL_ASSIGN_OR_RETURN(ok,
-                                ev.EvalPredicate(*plan.join_condition, stack));
-        }
-        if (ok) {
-          matched = true;
-          if (keep_right) right_matched[j] = 1;
-          MSQL_RETURN_IF_ERROR(
-              state_->guard.ChargeRows(1, combined.size()));
-          rel->rows.push_back(std::move(combined));
-        }
+    bool matched = false;
+    for (int64_t j : *meets) {
+      MSQL_RETURN_IF_ERROR(state_->guard.Check());
+      Row combined = combine(l, right->rows[j]);
+      MSQL_ASSIGN_OR_RETURN(bool ok, eval_residual(combined));
+      if (ok) {
+        matched = true;
+        if (keep_right) right_matched[j] = 1;
+        MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(1, combined.size()));
+        rel->rows.push_back(std::move(combined));
       }
-      if (!matched && keep_left) {
-        MSQL_RETURN_IF_ERROR(
-            state_->guard.ChargeRows(1, rel->schema.size()));
-        rel->rows.push_back(combine(l, null_right));
-      }
+    }
+    if (!matched && keep_left) {
+      MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(1, rel->schema.size()));
+      rel->rows.push_back(combine(l, null_right));
     }
   }
   // RIGHT / FULL OUTER: emit right rows no left row matched.
@@ -504,59 +511,21 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
   MSQL_ASSIGN_OR_RETURN(RelationPtr child, Execute(*plan.children[0], outer));
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  Evaluator ev(state_);
 
   const size_t num_keys = plan.group_exprs.size();
   const int64_t n = static_cast<int64_t>(child->rows.size());
 
-  // Evaluate all group expressions once per child row — as whole columns
-  // when every group expression has a kernel, row-at-a-time otherwise.
+  // Evaluate all group expressions once per child row.
   std::vector<ColumnPtr> key_cols;
   std::vector<Row> key_values;
-  if (num_keys > 0 && outer.empty() &&
-      VectorizedGate(state_) == VectorGate::kOk) {
-    auto arena = std::make_shared<Arena>();
-    for (const auto& g : plan.group_exprs) {
-      MSQL_ASSIGN_OR_RETURN(ColumnPtr col,
-                            EvalVector(*g, *child, arena, state_));
-      if (col == nullptr) {
-        key_cols.clear();
-        break;
-      }
-      key_cols.push_back(std::move(col));
-    }
-    if (key_cols.size() == num_keys) {
-      state_->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(n));
-    } else {
-      ++state_->exec_row_fallbacks;
-    }
-  }
-  const bool keys_columnar = key_cols.size() == num_keys && num_keys > 0;
-  if (!keys_columnar && num_keys > 0) {
-    key_values.resize(static_cast<size_t>(n));
-    RowStack stack;
-    stack.push_back(Frame{});
-    for (const Frame& f : outer) stack.push_back(f);
-    for (int64_t i = 0; i < n; ++i) {
-      MSQL_RETURN_IF_ERROR(state_->guard.Check());
-      stack[0] = Frame{&child->rows[i], i, child.get()};
-      Row& kv = key_values[i];
-      kv.reserve(num_keys);
-      for (const auto& g : plan.group_exprs) {
-        MSQL_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, stack));
-        kv.push_back(std::move(v));
-      }
-    }
-  }
+  MSQL_RETURN_IF_ERROR(EvalGroupKeys(plan.group_exprs, *child, outer, state_,
+                                     &key_cols, &key_values));
 
   for (const std::vector<int>& set : plan.grouping_sets) {
-    // Group rows for this grouping set: parallel arrays in first-seen order
-    // (identical to the row path's GroupMap + group_order, without the
-    // repeated map lookups downstream).
+    // Group rows for this grouping set: parallel arrays in first-seen order.
     RowGroups groups;
-    MSQL_RETURN_IF_ERROR(GroupRowsByKey(
-        keys_columnar ? key_cols : std::vector<ColumnPtr>{}, key_values, set,
-        n, /*keep_map=*/false, state_, &groups));
+    MSQL_RETURN_IF_ERROR(GroupRowsByKey(key_cols, key_values, set, n,
+                                        /*keep_map=*/false, state_, &groups));
     std::vector<Row>& group_keys = groups.keys;
     std::vector<std::vector<int64_t>>& group_rows = groups.rows;
     // The empty grouping set aggregates over all rows, producing one row
@@ -670,8 +639,7 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
         // site. Read from the columnar image when there is one: touching
         // child->rows would force a lazy columnar child to materialize
         // every row.
-        RowStack call_stack;
-        Frame rep;
+        RowStack call_stack = StackOver(outer);
         if (wants_rep && !rows.empty()) {
           const ColumnarRelation* cols = child->columns.get();
           if (cols != nullptr && cols->Complete()) {
@@ -679,13 +647,11 @@ Result<RelationPtr> Executor::ExecAggregate(const LogicalPlan& plan,
             for (size_t c = 0; c < cols->cols.size(); ++c) {
               rep_row[c] = cols->cols[c]->At(rows[0]);
             }
-            rep = Frame{&rep_row, rows[0], child.get()};
+            call_stack[0] = Frame{&rep_row, rows[0], child.get()};
           } else {
-            rep = Frame{&child->rows[rows[0]], rows[0], child.get()};
+            call_stack[0] = Frame{&child->rows[rows[0]], rows[0], child.get()};
           }
         }
-        call_stack.push_back(rep);
-        for (const Frame& f : outer) call_stack.push_back(f);
 
         // VISIBLE: the distinct source rows reachable from this group.
         std::shared_ptr<const std::vector<int64_t>> visible;
@@ -724,9 +690,7 @@ Result<RelationPtr> Executor::ExecSort(const LogicalPlan& plan,
 
   // Evaluate sort keys per row.
   Evaluator ev(state_);
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
   std::vector<Row> keys(in.size());
   std::vector<size_t> order(in.size());
   for (int64_t i = 0; i < static_cast<int64_t>(in.size()); ++i) {
@@ -763,9 +727,7 @@ Result<RelationPtr> Executor::ExecLimit(const LogicalPlan& plan,
                                         const RowStack& outer) {
   MSQL_ASSIGN_OR_RETURN(RelationPtr child, Execute(*plan.children[0], outer));
   Evaluator ev(state_);
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
   int64_t limit = -1, offset = 0;
   if (plan.limit_expr) {
     MSQL_ASSIGN_OR_RETURN(Value v, ev.Eval(*plan.limit_expr, stack));
@@ -800,17 +762,22 @@ Result<RelationPtr> Executor::ExecDistinct(const LogicalPlan& plan,
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
   const size_t width = plan.schema.size();  // visible only
-  GroupMap seen;
-  for (const Row& r : child->rows) {
-    MSQL_RETURN_IF_ERROR(state_->guard.Check());
-    Row key(r.begin(), r.begin() + width);
-    auto [it, inserted] = seen.emplace(std::move(key), std::vector<int64_t>{});
-    if (inserted) {
-      MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(1, width));
-      rel->rows.push_back(Row(r.begin(), r.begin() + width));
-    }
-    (void)it;
+  const int64_t n = static_cast<int64_t>(child->rows.size());
+  // Group the child's visible prefix: over its columns when it has a whole
+  // columnar image (its rows stay unmaterialized), else over its rows.
+  const ColumnarRelation* image = child->columns.get();
+  std::vector<ColumnPtr> cols;
+  if (image != nullptr && image->Complete() &&
+      VectorizedGate(state_) == VectorGate::kOk) {
+    cols = image->cols;
+    state_->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(n));
   }
+  RowGroups groups;
+  MSQL_RETURN_IF_ERROR(GroupRowsByKey(
+      cols, cols.empty() ? child->rows.vec() : std::span<const Row>(),
+      AllPositions(width), n, /*keep_map=*/false, state_, &groups));
+  MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(groups.keys.size(), width));
+  rel->rows = std::move(groups.keys);
   return RelationPtr(rel);
 }
 
@@ -821,75 +788,45 @@ Result<RelationPtr> Executor::ExecSetOp(const LogicalPlan& plan,
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
   const size_t width = plan.schema.size();
-  auto truncate = [&](const Row& r) {
-    return Row(r.begin(), r.begin() + std::min(width, r.size()));
-  };
-  switch (plan.set_op) {
-    case SetOpKind::kUnionAll:
-      MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(
-          left->rows.size() + right->rows.size(), width));
-      for (const Row& r : left->rows) rel->rows.push_back(truncate(r));
-      for (const Row& r : right->rows) rel->rows.push_back(truncate(r));
-      break;
-    case SetOpKind::kUnion: {
-      GroupMap seen;
-      for (const auto* side : {&left->rows, &right->rows}) {
-        for (const Row& r : *side) {
-          MSQL_RETURN_IF_ERROR(state_->guard.Check());
-          Row key = truncate(r);
-          auto [it, inserted] = seen.emplace(key, std::vector<int64_t>{});
-          (void)it;
-          if (inserted) {
-            MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(1, width));
-            rel->rows.push_back(std::move(key));
-          }
-        }
-      }
-      break;
-    }
-    case SetOpKind::kExcept: {
-      GroupMap right_set;
-      for (const Row& r : right->rows) {
-        MSQL_RETURN_IF_ERROR(state_->guard.Check());
-        right_set.emplace(truncate(r), std::vector<int64_t>{});
-      }
-      GroupMap emitted;
-      for (const Row& r : left->rows) {
-        MSQL_RETURN_IF_ERROR(state_->guard.Check());
-        Row key = truncate(r);
-        if (right_set.count(key)) continue;
-        auto [it, inserted] = emitted.emplace(key, std::vector<int64_t>{});
-        (void)it;
-        if (inserted) {
-          MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(1, width));
-          rel->rows.push_back(std::move(key));
-        }
-      }
-      break;
-    }
-    case SetOpKind::kIntersect: {
-      GroupMap right_set;
-      for (const Row& r : right->rows) {
-        MSQL_RETURN_IF_ERROR(state_->guard.Check());
-        right_set.emplace(truncate(r), std::vector<int64_t>{});
-      }
-      GroupMap emitted;
-      for (const Row& r : left->rows) {
-        MSQL_RETURN_IF_ERROR(state_->guard.Check());
-        Row key = truncate(r);
-        if (!right_set.count(key)) continue;
-        auto [it, inserted] = emitted.emplace(key, std::vector<int64_t>{});
-        (void)it;
-        if (inserted) {
-          MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(1, width));
-          rel->rows.push_back(std::move(key));
-        }
-      }
-      break;
-    }
-    case SetOpKind::kNone:
-      return Status(ErrorCode::kExecution, "SetOp node without operator");
+  if (plan.set_op == SetOpKind::kNone) {
+    return Status(ErrorCode::kExecution, "SetOp node without operator");
   }
+  const size_t total = left->rows.size() + right->rows.size();
+  const bool all = plan.set_op == SetOpKind::kUnionAll;
+  if (all) MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(total, width));
+  // The left rows, then the right ones, truncated to the visible width.
+  std::vector<Row> both;
+  both.reserve(total);
+  for (const auto* side : {&left->rows, &right->rows}) {
+    for (const Row& r : *side) {
+      MSQL_RETURN_IF_ERROR(state_->guard.Check());
+      both.emplace_back(r.begin(), r.begin() + width);
+    }
+  }
+  if (all) {
+    rel->rows = std::move(both);
+    return RelationPtr(rel);
+  }
+  // One group per distinct row, in first-seen order. A group's ascending
+  // row list starts in the left input when the left has the row, and ends
+  // in the right input when the right has it.
+  const int64_t nl = static_cast<int64_t>(left->rows.size());
+  RowGroups groups;
+  MSQL_RETURN_IF_ERROR(GroupRowsByKey(
+      {}, both, AllPositions(width), static_cast<int64_t>(both.size()),
+      /*keep_map=*/false, state_, &groups));
+  std::vector<Row> out;
+  for (size_t g = 0; g < groups.keys.size(); ++g) {
+    const bool in_left = groups.rows[g].front() < nl;
+    const bool in_right = groups.rows[g].back() >= nl;
+    const bool keep = plan.set_op == SetOpKind::kUnion ||
+                      (in_left && (plan.set_op == SetOpKind::kIntersect
+                                       ? in_right
+                                       : !in_right));
+    if (keep) out.push_back(std::move(groups.keys[g]));
+  }
+  MSQL_RETURN_IF_ERROR(state_->guard.ChargeRows(out.size(), width));
+  rel->rows = std::move(out);
   return RelationPtr(rel);
 }
 
@@ -902,9 +839,7 @@ Result<RelationPtr> Executor::ExecWindow(const LogicalPlan& plan,
   const size_t num_windows = plan.windows.size();
 
   Evaluator ev(state_);
-  RowStack stack;
-  stack.push_back(Frame{});
-  for (const Frame& f : outer) stack.push_back(f);
+  RowStack stack = StackOver(outer);
 
   // Window results per row.
   std::vector<std::vector<Value>> results(n,
@@ -913,20 +848,15 @@ Result<RelationPtr> Executor::ExecWindow(const LogicalPlan& plan,
   for (size_t w = 0; w < num_windows; ++w) {
     const WindowDef& def = plan.windows[w];
     // Partition rows.
-    GroupMap partitions;
-    std::vector<Row> order_seen;
-    for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
-      MSQL_RETURN_IF_ERROR(state_->guard.Check());
-      stack[0] = Frame{&child->rows[i], i, child.get()};
-      Row key;
-      key.reserve(def.partition_by.size());
-      for (const auto& p : def.partition_by) {
-        MSQL_ASSIGN_OR_RETURN(Value v, ev.Eval(*p, stack));
-        key.push_back(std::move(v));
-      }
-      partitions[std::move(key)].push_back(i);
-    }
-    for (auto& [key, rows] : partitions) {
+    std::vector<ColumnPtr> key_cols;
+    std::vector<Row> key_rows;
+    MSQL_RETURN_IF_ERROR(EvalGroupKeys(def.partition_by, *child, outer,
+                                       state_, &key_cols, &key_rows));
+    RowGroups partitions;
+    MSQL_RETURN_IF_ERROR(GroupRowsByKey(
+        key_cols, key_rows, AllPositions(def.partition_by.size()),
+        static_cast<int64_t>(n), /*keep_map=*/false, state_, &partitions));
+    for (const std::vector<int64_t>& rows : partitions.rows) {
       if (def.order_by.empty()) {
         if (def.agg == AggId::kRowNumber || def.agg == AggId::kRank) {
           return Status(ErrorCode::kExecution,

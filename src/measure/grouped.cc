@@ -22,7 +22,7 @@ namespace msql {
 // indexes are rows[group]. The last group is empty; it stands for every
 // tuple no source row has.
 struct GroupedIndex {
-  RowGroupMap groups;
+  TupleToGroup groups;
   std::vector<std::vector<int64_t>> rows;
   uint64_t approx_bytes = 0;
 
@@ -249,8 +249,7 @@ Status PartitionSource(const ContextShape& shape, const Relation& src,
   DimExprs dims;
   dims.reserve(shape.dims.size());
   for (const ContextTerm* t : shape.dims) dims.push_back(t->src_expr);
-  std::vector<int> set(dims.size());
-  for (size_t d = 0; d < dims.size(); ++d) set[d] = static_cast<int>(d);
+  const std::vector<int> set = AllPositions(dims.size());
 
   if (VectorizedGate(state) == VectorGate::kOk) {
     auto arena = std::make_shared<Arena>();

@@ -587,7 +587,9 @@ void MsqldServer::ServiceConn(Handler* handler, const ConnPtr& conn,
 }
 
 void MsqldServer::ProcessInput(const ConnPtr& conn) {
-  while (!conn->dead.load(std::memory_order_acquire)) {
+  // Frames pipelined behind one that closes the connection are dropped.
+  while (!conn->dead.load(std::memory_order_acquire) &&
+         !conn->close_after_flush.load()) {
     size_t off = 0;
     Frame frame;
     Result<bool> parsed = TryParseFrame(conn->inbuf, &off, &frame);

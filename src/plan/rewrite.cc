@@ -29,6 +29,23 @@ JoinSide SideOf(const BoundExpr& e, size_t lv, size_t rv, size_t lh) {
   return side;
 }
 
+BoundExprPtr ToInputLayout(const BoundExpr& e, JoinSide side, size_t lv,
+                           size_t rv, size_t lh) {
+  BoundExprPtr copy = e.Clone();
+  VisitNodes(copy.get(), [&](BoundExpr* n) {
+    if (n->kind != BoundExprKind::kColumnRef || n->depth != 0) return;
+    const size_t c = static_cast<size_t>(n->column);
+    if (side == JoinSide::kLeft) {
+      // Left visible columns keep their index; left hidden ones follow the
+      // right visible block in the combined layout.
+      if (c >= lv) n->column -= static_cast<int>(rv);
+    } else {
+      n->column -= static_cast<int>(c < lv + rv ? lv : lv + lh);
+    }
+  });
+  return copy;
+}
+
 void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out) {
   if (e.kind == BoundExprKind::kFunc && e.func == FunctionId::kOpAnd) {
     CollectConjuncts(*e.args[0], out);
@@ -127,26 +144,12 @@ PlanPtr PushIntoJoinInputs(PlanPtr filter) {
   std::vector<BoundExprPtr> kept;
   for (const BoundExpr* c : conjuncts) {
     const JoinSide side = SideOf(*c, lv, rv, lh);
-    BoundExprPtr copy = c->Clone();
     if (side == JoinSide::kLeft && to_left) {
-      // Left visible columns keep their index; left hidden ones follow
-      // the right visible block in the combined layout.
-      VisitNodes(copy.get(), [&](BoundExpr* n) {
-        if (n->kind != BoundExprKind::kColumnRef) return;
-        if (static_cast<size_t>(n->column) >= lv) {
-          n->column -= static_cast<int>(rv);
-        }
-      });
-      moved[0].push_back(std::move(copy));
+      moved[0].push_back(ToInputLayout(*c, side, lv, rv, lh));
     } else if (side == JoinSide::kRight && to_right) {
-      VisitNodes(copy.get(), [&](BoundExpr* n) {
-        if (n->kind != BoundExprKind::kColumnRef) return;
-        n->column -= static_cast<int>(
-            static_cast<size_t>(n->column) < lv + rv ? lv : lv + lh);
-      });
-      moved[1].push_back(std::move(copy));
+      moved[1].push_back(ToInputLayout(*c, side, lv, rv, lh));
     } else {
-      kept.push_back(std::move(copy));
+      kept.push_back(c->Clone());
     }
   }
   if (moved[0].empty() && moved[1].empty()) return filter;

@@ -16,6 +16,12 @@ namespace msql {
 enum class JoinSide { kLeft, kRight, kBoth, kNeither };
 JoinSide SideOf(const BoundExpr& e, size_t lv, size_t rv, size_t lh);
 
+// A copy of `e`, an expression over the join's combined layout that reads
+// `side` only (kLeft or kRight), over that input's own layout: its depth-0
+// column references move to the input's column positions.
+BoundExprPtr ToInputLayout(const BoundExpr& e, JoinSide side, size_t lv,
+                           size_t rv, size_t lh);
+
 // Flattens nested ANDs into their conjuncts, left to right.
 void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out);
 

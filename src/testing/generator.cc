@@ -52,7 +52,8 @@ class Generator {
       c.kind = CheckKind::kDifferential;
       c.label = StrCat("q", i);
       c.queries.push_back(i == 0 && info_.empty_fact ? GenScalarAggQuery()
-                                                     : GenQuery());
+                          : rng_.Chance(20)             ? GenRowGroupingQuery()
+                                                        : GenQuery());
       spec.checks.push_back(std::move(c));
     }
     if (opts_.metamorphic) {
@@ -433,6 +434,43 @@ class Generator {
                   "AGGREGATE(", rng_.Pick(info_.measures).name,
                   ") AS x0 FROM V0",
                   rng_.Chance(50) ? " WHERE " + Pred() : "");
+  }
+
+  // A query over t0's base columns through an operator that groups whole
+  // rows: SELECT DISTINCT, UNION / EXCEPT / INTERSECT of two SELECTs, or
+  // DISTINCT aggregates over the DOUBLE column (0.0 and -0.0 are one
+  // value). The row leg groups these by Value tuples, the vectorized one by
+  // code tuples where the columns allow.
+  std::string GenRowGroupingQuery() {
+    std::vector<std::string> base = {"d0", "d1", "v0"};
+    if (info_.has_d2) base.push_back("d2");
+    if (info_.has_v1) base.push_back("v1");
+    std::vector<std::string> cols;
+    for (const auto& c : base) {
+      if (rng_.Chance(35)) cols.push_back(c);
+    }
+    if (cols.empty()) cols.push_back(rng_.Pick(base));
+    const std::string select = "SELECT " + Join(cols, ", ") + " FROM t0";
+    auto where = [&] { return rng_.Chance(50) ? " WHERE " + Pred() : ""; };
+    switch (rng_.Range(0, 2)) {
+      case 0:
+        return StrCat("SELECT DISTINCT", select.substr(6), where());
+      case 1: {
+        // One draw per statement: argument evaluation order is unspecified.
+        const std::string lhs = select + where();
+        const std::string op = rng_.PickStr({"UNION", "EXCEPT", "INTERSECT"});
+        return StrCat(lhs, " ", op, " ", select, where());
+      }
+      default: {
+        const std::string v = info_.has_v1 ? "v1" : "v0";
+        const bool grouped = rng_.Chance(50);
+        const bool sum = rng_.Chance(50);
+        return StrCat("SELECT ", grouped ? "d0, " : "", "COUNT(DISTINCT ", v,
+                      ") AS c0", sum ? StrCat(", SUM(DISTINCT ", v, ") AS c1")
+                                     : "",
+                      " FROM t0", where(), grouped ? " GROUP BY d0" : "");
+      }
+    }
   }
 
   // ---- metamorphic checks -------------------------------------------------

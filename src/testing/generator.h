@@ -25,7 +25,9 @@ struct GeneratorOptions {
 // measure view over the fact table (sometimes with a second-level view
 // whose measure composes a first-level one), and a batch of queries
 // exercising AT modifiers (ALL / ALL dim / SET / VISIBLE / WHERE), CURRENT
-// dim, joins, inline measure providers, and GROUP BY. The same (seed, options) pair
+// dim, joins, inline measure providers, and GROUP BY, plus plain queries
+// through the row-grouping operators (SELECT DISTINCT, UNION / EXCEPT /
+// INTERSECT, COUNT(DISTINCT) and SUM(DISTINCT)). The same (seed, options) pair
 // always produces the identical CaseSpec on every platform.
 CaseSpec GenerateCase(uint64_t seed, const GeneratorOptions& options = {});
 

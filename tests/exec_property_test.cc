@@ -6,6 +6,7 @@
 // row-at-a-time Evaluator bit for bit on randomized nullable batches.
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <vector>
@@ -506,6 +507,184 @@ TEST_P(VectorKernelTest, ArithmeticAgreesWithScalarEvaluator) {
   ExpectAgreement(
       *Fn(FunctionId::kOpMul, "*", DataType::Double(), Col(2), Col(4)));
   ExpectAgreement(*Fn(FunctionId::kOpNeg, "-", DataType::Int64(), Col(2)));
+}
+
+// The operators that group rows (DISTINCT, UNION / EXCEPT / INTERSECT, the
+// window PARTITION BY, DISTINCT aggregates and the hash-join build) share
+// one semantics, IS NOT DISTINCT FROM: NULL equals NULL, NaN equals
+// nothing, 0.0 equals -0.0, INT 2 equals DOUBLE 2.0, and dictionary strings
+// compare by content. Every query runs under both exec modes, over a
+// columnar child (a vectorized Filter) and a row child (rows out of a
+// LIMIT); all four runs must return the same rows in the same order, since
+// each operator emits its groups in first-seen order.
+class GroupingOperatorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MustExecute(&db_,
+                "CREATE TABLE g (i INTEGER, x DOUBLE, s VARCHAR, v INTEGER)");
+    MustExecute(&db_,
+                "INSERT INTO g VALUES (NULL, NULL, NULL, 1), "
+                "(0, 0.0, 'a', 2), (0, CAST('-0.0' AS DOUBLE), 'a', 3), "
+                "(1, CAST('nan' AS DOUBLE), 'b', 4), "
+                "(1, CAST('nan' AS DOUBLE), 'b', 5), (2, 2.0, '', 6), "
+                "(2, 2.0, NULL, 7), (NULL, 1.0, 'a', 8)");
+    MustExecute(&db_,
+                "CREATE TABLE h (i INTEGER, x DOUBLE, s VARCHAR, v INTEGER)");
+    MustExecute(&db_,
+                "INSERT INTO h VALUES (2, 0.0, 'a', 1), "
+                "(NULL, NULL, NULL, 2), (5, CAST('nan' AS DOUBLE), 'c', 3), "
+                "(0, CAST('-0.0' AS DOUBLE), 'c', 4), (3, 2.0, '', 5)");
+  }
+
+  // Runs `sql` with {g} and {h} standing for each child form under each
+  // exec mode; expects all runs to agree row for row and returns the rows.
+  ResultSet Agreed(const std::string& sql) {
+    const char* forms[] = {"(SELECT * FROM # WHERE v > 0)",
+                           "(SELECT * FROM # LIMIT 100)"};
+    std::vector<ResultSet> runs;
+    for (const char* form : forms) {
+      std::string text = sql;
+      for (const char* table : {"g", "h"}) {
+        std::string child = form;
+        child.replace(child.find('#'), 1, table);
+        const std::string slot = StrCat("{", table, "}");
+        for (size_t at; (at = text.find(slot)) != std::string::npos;) {
+          text.replace(at, slot.size(), child);
+        }
+      }
+      for (ExecMode mode : {ExecMode::kVectorized, ExecMode::kRow}) {
+        db_.options().exec_mode = mode;
+        runs.push_back(MustQuery(&db_, text));
+        testing::CompareOptions in_order;
+        in_order.ignore_row_order = false;
+        EXPECT_TRUE(testing::ResultsAgree(runs.front(), runs.back(), in_order))
+            << text << " under "
+            << (mode == ExecMode::kRow ? "row" : "vectorized") << " mode";
+      }
+    }
+    db_.options().exec_mode = ExecMode::kVectorized;
+    // The columnar form really ran vectorized.
+    EXPECT_GT(runs.front().stats()->exec_vectorized_batches, 0u) << sql;
+    return std::move(runs.front());
+  }
+
+  Engine db_;
+};
+
+TEST_F(GroupingOperatorTest, TheDataHoldsNegativeZeroAndNaN) {
+  ResultSet rs = MustQuery(&db_, "SELECT x FROM g WHERE v IN (3, 4)");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_TRUE(std::signbit(rs.Get(0, 0).double_val()));
+  EXPECT_TRUE(std::isnan(rs.Get(1, 0).double_val()));
+}
+
+TEST_F(GroupingOperatorTest, Distinct) {
+  // NULL, 0.0 (= -0.0), NaN, NaN, 2.0, 1.0.
+  ResultSet x = Agreed("SELECT DISTINCT x FROM {g}");
+  ASSERT_EQ(x.num_rows(), 6u);
+  EXPECT_TRUE(x.Get(0, 0).is_null());
+  EXPECT_TRUE(std::isnan(x.Get(2, 0).double_val()));
+  EXPECT_TRUE(std::isnan(x.Get(3, 0).double_val()));
+  EXPECT_EQ(Agreed("SELECT DISTINCT s FROM {g}").num_rows(), 4u);
+  EXPECT_EQ(Agreed("SELECT DISTINCT i, s FROM {g}").num_rows(), 6u);
+  EXPECT_EQ(Agreed("SELECT DISTINCT i, x, s FROM {g}").num_rows(), 7u);
+}
+
+TEST_F(GroupingOperatorTest, DistinctAggregatesDedupeLikeSelectDistinct) {
+  // NaN is distinct from every value, NaN included: five non-NULL values.
+  ResultSet counted = Agreed("SELECT COUNT(DISTINCT x) AS c FROM {g}");
+  ResultSet listed = Agreed(
+      "SELECT COUNT(*) AS c FROM "
+      "(SELECT DISTINCT x FROM {g} WHERE x IS NOT NULL) AS d");
+  EXPECT_EQ(counted.Get(0, 0).int_val(), listed.Get(0, 0).int_val());
+  EXPECT_EQ(counted.Get(0, 0).int_val(), 5);
+
+  ResultSet r = Agreed(
+      "SELECT COUNT(DISTINCT i) AS ci, SUM(DISTINCT i) AS si, "
+      "COUNT(DISTINCT s) AS cs, SUM(DISTINCT x) AS sx FROM {g}");
+  EXPECT_EQ(r.Get(0, 0).int_val(), 3);
+  EXPECT_EQ(r.Get(0, 1).int_val(), 3);
+  EXPECT_EQ(r.Get(0, 2).int_val(), 3);
+  EXPECT_TRUE(std::isnan(r.Get(0, 3).double_val()));
+  // 0.0 and -0.0 are one value; 0.0 + 2.0 + 1.0 in first-seen order.
+  ResultSet finite =
+      Agreed("SELECT SUM(DISTINCT x) AS sx FROM {g} WHERE x < 100");
+  EXPECT_EQ(finite.Get(0, 0).double_val(), 3.0);
+  ResultSet grouped = Agreed(
+      "SELECT s, COUNT(DISTINCT x) AS c FROM {g} GROUP BY s");
+  ASSERT_EQ(grouped.num_rows(), 4u);
+  EXPECT_EQ(grouped.Get(1, 1).int_val(), 2);  // 'a': 0.0, 1.0
+  EXPECT_EQ(grouped.Get(2, 1).int_val(), 2);  // 'b': NaN, NaN
+}
+
+TEST_F(GroupingOperatorTest, SetOperations) {
+  // g.x then h.x: NULL, 0.0, NaN, NaN, 2.0, 1.0, and h's NaN.
+  EXPECT_EQ(Agreed("SELECT x FROM {g} UNION SELECT x FROM {h}").num_rows(),
+            7u);
+  // NaN matches nothing in h: NaN, NaN, 1.0.
+  EXPECT_EQ(Agreed("SELECT x FROM {g} EXCEPT SELECT x FROM {h}").num_rows(),
+            3u);
+  // NULL, 0.0, 2.0.
+  EXPECT_EQ(
+      Agreed("SELECT x FROM {g} INTERSECT SELECT x FROM {h}").num_rows(), 3u);
+  // INTEGER beside DOUBLE: 0 = 0.0 = -0.0 and 2 = 2.0.
+  EXPECT_EQ(Agreed("SELECT i FROM {g} UNION SELECT x FROM {h}").num_rows(),
+            5u);
+  EXPECT_EQ(Agreed("SELECT i FROM {g} EXCEPT SELECT x FROM {h}").num_rows(),
+            1u);
+  EXPECT_EQ(
+      Agreed("SELECT i FROM {g} INTERSECT SELECT x FROM {h}").num_rows(), 3u);
+  // Dictionary strings.
+  EXPECT_EQ(Agreed("SELECT s FROM {g} EXCEPT SELECT s FROM {h}").num_rows(),
+            1u);
+  EXPECT_EQ(
+      Agreed("SELECT s FROM {g} INTERSECT SELECT s FROM {h}").num_rows(), 3u);
+  EXPECT_EQ(Agreed("SELECT i, s FROM {g} UNION SELECT i, s FROM {h}")
+                .num_rows(),
+            10u);
+}
+
+TEST_F(GroupingOperatorTest, WindowPartitions) {
+  ResultSet r = Agreed(
+      "SELECT v, COUNT(*) OVER (PARTITION BY x) AS c, "
+      "SUM(v) OVER (PARTITION BY i, s) AS t, "
+      "ROW_NUMBER() OVER (PARTITION BY s ORDER BY v) AS n FROM {g}");
+  ASSERT_EQ(r.num_rows(), 8u);
+  // Partitions by x: {1}, {2, 3}, {4}, {5}, {6, 7}, {8}.
+  const int64_t by_x[] = {1, 2, 2, 1, 1, 2, 2, 1};
+  // Partitions by s: NULL {1, 7}, 'a' {2, 3, 8}, 'b' {4, 5}, '' {6}.
+  const int64_t by_s[] = {1, 1, 2, 1, 2, 1, 2, 3};
+  for (size_t row = 0; row < 8; ++row) {
+    EXPECT_EQ(r.Get(row, 1).int_val(), by_x[row]) << "v=" << row + 1;
+    EXPECT_EQ(r.Get(row, 3).int_val(), by_s[row]) << "v=" << row + 1;
+  }
+  EXPECT_EQ(r.Get(1, 2).int_val(), 5);  // (0, 'a'): v 2 + 3
+}
+
+TEST_F(GroupingOperatorTest, EquiJoins) {
+  // 0.0 and -0.0 meet both of h's zeros; NaN and NULL meet nothing.
+  EXPECT_EQ(Agreed("SELECT a.v, b.v FROM {g} AS a JOIN {h} AS b "
+                   "ON a.x = b.x")
+                .num_rows(),
+            6u);
+  // INTEGER keys probing DOUBLE ones.
+  EXPECT_EQ(Agreed("SELECT a.v, b.v FROM {g} AS a JOIN {h} AS b "
+                   "ON a.i = b.x")
+                .num_rows(),
+            6u);
+  EXPECT_EQ(Agreed("SELECT a.v, b.v FROM {g} AS a JOIN {h} AS b "
+                   "ON a.s = b.s")
+                .num_rows(),
+            4u);
+  EXPECT_EQ(Agreed("SELECT a.v, b.v FROM {g} AS a JOIN {h} AS b "
+                   "ON a.x = b.x AND b.s = a.s")
+                .num_rows(),
+            3u);
+  // Unmatched rows of either side, NULL keys included.
+  EXPECT_EQ(Agreed("SELECT a.v, b.v FROM {g} AS a FULL JOIN {h} AS b "
+                   "ON a.x = b.x")
+                .num_rows(),
+            6u + 4u + 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorKernelTest,

@@ -14,6 +14,7 @@
 
 #include "catalog/csv.h"
 #include "common/fault_injection.h"
+#include "common/string_util.h"
 #include "engine/engine.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
@@ -111,9 +112,20 @@ TEST_F(FaultInjectionTest, SweepFailsCleanlyAtEveryCheckpoint) {
   for (int64_t i = 1; i <= n; ++i) {
     fi.ArmAt(i);
     std::vector<Status> statuses = RunWorkload();
-    EXPECT_TRUE(fi.fired()) << "checkpoint " << i << " never reached";
-    std::string fired_site = fi.fired_site();
+    const bool fired = fi.fired();
+    const std::string fired_site = fi.fired_site();
+    const int64_t hits = fi.hits();
     fi.Reset();
+    // Every failure below leads with the run: a cut-off log still names
+    // the checkpoint, the site that fired and what each statement returned.
+    std::string run = StrCat("checkpoint ", i, " of ", n, " ('", fired_site,
+                             "', ", hits, " crossed):");
+    for (size_t s = 0; s < statuses.size(); ++s) {
+      if (!statuses[s].ok()) {
+        run += StrCat(" [", s, "] ", statuses[s].ToString(), ";");
+      }
+    }
+    EXPECT_TRUE(fired) << run << " never reached";
 
     // Exactly the injected failure must surface in some Status; cascading
     // follow-on failures (e.g. queries against a table whose import was
@@ -134,23 +146,21 @@ TEST_F(FaultInjectionTest, SweepFailsCleanlyAtEveryCheckpoint) {
       // vectorized-kernel fault drops the operator to row-at-a-time
       // execution. None may leak into a query Status.
       EXPECT_EQ(injected, 0)
-          << "checkpoint " << i << " ('" << fired_site
-          << "'): a degradable fault leaked into a query Status";
+          << run << " a degradable fault leaked into a query Status";
     } else {
       EXPECT_EQ(injected, 1)
-          << "checkpoint " << i << " ('" << fired_site
-          << "'): injected fault did not surface exactly once";
+          << run << " the injected fault did not surface exactly once";
     }
 
     // The engine (a fresh one per run) must still work after the fault.
     Engine probe;
     ASSERT_TRUE(
         probe.Execute("CREATE TABLE T (x INTEGER); INSERT INTO T VALUES (1)")
-            .ok());
+            .ok())
+        << run;
     auto r = probe.Query("SELECT x + 1 FROM T");
-    ASSERT_TRUE(r.ok()) << "after checkpoint " << i << ": "
-                        << r.status().ToString();
-    EXPECT_EQ(r.value().Get(0, 0).int_val(), 2);
+    ASSERT_TRUE(r.ok()) << run << " probe: " << r.status().ToString();
+    EXPECT_EQ(r.value().Get(0, 0).int_val(), 2) << run;
   }
 }
 

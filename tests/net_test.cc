@@ -597,6 +597,68 @@ Result<net::Socket> RawConnect(uint16_t port, const std::string& user) {
   return sock;
 }
 
+// Expects the server to have closed `fd`: end of stream, no further frame.
+void ExpectClosedByServer(int fd) {
+  char byte;
+  Status st = net::ReadExact(fd, &byte, 1, 5000);
+  EXPECT_EQ(st.code(), ErrorCode::kIo) << st.ToString();
+}
+
+TEST_F(NetTest, FramesPipelinedBehindACloseAreDropped) {
+  StartServer();
+  ASSERT_TRUE(
+      engine_->Execute("CREATE TABLE T (v INTEGER); INSERT INTO T VALUES (1)")
+          .ok());
+  auto sock = net::ConnectTo("127.0.0.1", server_->port(), 2000);
+  ASSERT_TRUE(sock.ok());
+  const int fd = sock.value().fd();
+  // Hello, Close(0) and an INSERT in one write.
+  net::HelloMsg hello;
+  hello.user = "ivy";
+  std::string frames;
+  net::AppendFrame(&frames, net::FrameType::kHello, net::EncodeHello(hello));
+  net::AppendFrame(&frames, net::FrameType::kClose, net::EncodeClose({0}));
+  net::AppendFrame(&frames, net::FrameType::kQuery,
+                   QueryPayload("INSERT INTO T VALUES (2)"));
+  ASSERT_TRUE(net::WriteAll(fd, frames.data(), frames.size(), 2000).ok());
+
+  auto hello_reply = ReadRawFrame(fd, 5000);
+  ASSERT_TRUE(hello_reply.ok()) << hello_reply.status().ToString();
+  EXPECT_EQ(hello_reply.value().type, net::FrameType::kHello);
+  auto close_ack = ReadRawFrame(fd, 5000);
+  ASSERT_TRUE(close_ack.ok()) << close_ack.status().ToString();
+  ASSERT_EQ(close_ack.value().type, net::FrameType::kResultBatch);
+  EXPECT_EQ(net::DecodeResultBatch(close_ack.value().payload).value().stmt_id,
+            0u);
+  ExpectClosedByServer(fd);
+  auto count = engine_->Query("SELECT COUNT(*) FROM T");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().Get(0, 0).int_val(), 1);
+}
+
+TEST_F(NetTest, FramesPipelinedBehindARefusedQueryAreDropped) {
+  StartServer();
+  auto sock = net::ConnectTo("127.0.0.1", server_->port(), 2000);
+  ASSERT_TRUE(sock.ok());
+  const int fd = sock.value().fd();
+  // A Query before Hello, then a Hello in the same write: the refusal
+  // closes the connection, so the Hello must not authenticate it.
+  net::HelloMsg hello;
+  hello.user = "mallory";
+  std::string frames;
+  net::AppendFrame(&frames, net::FrameType::kQuery, QueryPayload("SELECT 1"));
+  net::AppendFrame(&frames, net::FrameType::kHello, net::EncodeHello(hello));
+  ASSERT_TRUE(net::WriteAll(fd, frames.data(), frames.size(), 2000).ok());
+
+  auto reply = ReadRawFrame(fd, 5000);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, net::FrameType::kError);
+  auto error = net::DecodeError(reply.value().payload);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error.value().code, static_cast<uint8_t>(ErrorCode::kPermission));
+  ExpectClosedByServer(fd);
+}
+
 TEST_F(NetTest, CancelReachesStatementWaitingInAdmission) {
   net::ServerOptions options;
   options.admission.per_user_rate_limit_qps = 0.2;  // a token every 5s

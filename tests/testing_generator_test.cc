@@ -95,6 +95,36 @@ TEST(GeneratorTest, AdversarialShapesAppearAcrossSeeds) {
   EXPECT_TRUE(any_empty);
 }
 
+TEST(GeneratorTest, RowGroupingShapesAppearAcrossSeeds) {
+  // Plain queries through the operators that group whole rows, so the row
+  // and vectorized legs compare both grouping arms on them. The expansion
+  // leg skips a set operation under a named reason.
+  std::set<std::string> seen;
+  Engine db;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    for (const Check& c : GenerateCase(seed).checks) {
+      for (const std::string& q : c.queries) {
+        for (const char* shape : {"SELECT DISTINCT", " UNION ", " EXCEPT ",
+                                  " INTERSECT ", "COUNT(DISTINCT v1)"}) {
+          if (q.find(shape) != std::string::npos) seen.insert(shape);
+        }
+        if (q.find(" UNION ") == std::string::npos &&
+            q.find(" EXCEPT ") == std::string::npos &&
+            q.find(" INTERSECT ") == std::string::npos) {
+          continue;
+        }
+        auto expanded = db.ExpandSql(q);
+        ASSERT_FALSE(expanded.ok()) << q;
+        EXPECT_EQ(expanded.status().code(), ErrorCode::kNotImplemented) << q;
+        EXPECT_NE(expanded.status().message().find("set operations"),
+                  std::string::npos)
+            << expanded.status().ToString();
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), 5u);
+}
+
 TEST(CaseSpecTest, ScriptRoundTripPreservesTheCase) {
   for (uint64_t seed = 0; seed < 30; ++seed) {
     CaseSpec spec = GenerateCase(seed);

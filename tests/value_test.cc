@@ -90,8 +90,11 @@ TEST(ValueTest, RowHelpers) {
   Row c = {Value::Int(1), Value::String("y"), Value::Null()};
   EXPECT_TRUE(RowsNotDistinct(a, b));
   EXPECT_FALSE(RowsNotDistinct(a, c));
-  EXPECT_EQ(HashRow(a, 3), HashRow(b, 3));
-  EXPECT_EQ(HashRow(a, 1), HashRow(c, 1));  // prefix equal
+  const RowKeyHash hash;
+  EXPECT_EQ(hash(a), hash(b));
+  // Consistent with NotDistinct: INT 2 = DOUBLE 2.0 and 0.0 = -0.0.
+  EXPECT_EQ(hash({Value::Int(2), Value::Double(0.0)}),
+            hash({Value::Double(2.0), Value::Double(-0.0)}));
 }
 
 TEST(DateTest, CivilRoundTrip) {

@@ -8,10 +8,17 @@
 # there and in this working tree, alternating which goes first in each pair.
 # Each side builds into its own directory. For every end-to-end metric of
 # BENCHMARK.json it prints the median [q1-q3] of both sides, the change of
-# the medians, and in how many pairs the working tree was better.
+# the medians, and in how many pairs the working tree was better. The
+# end-to-end metrics are scaled by the run's yardstick; below them follow
+# the same runs' unscaled wall-clock metrics (wall.setup_s, wall.qps,
+# wall.measure_p50_ms, wall.plain_p50_ms) and the yardstick itself
+# (yardstick_ms), so a change in the scaled rows can be told apart from a
+# change in the yardstick.
 #
 # The work directory is $BENCH_PAIRS_DIR if set (kept, so builds are reused),
-# else a temporary one removed on exit. Raw results go to <work>/results.
+# else a temporary one removed on exit. Each run's whole stdout goes to
+# <work>/results/<workload>-<side>-<pair>.out; its last line is the JSON
+# result.
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 4 ]]; then
@@ -43,15 +50,15 @@ fi
 results="$work/results"
 mkdir -p "$results"
 
-# run <side> <pair>: one benchmark run; its JSON line lands in results/.
+# run <side> <pair>: one benchmark run; its stdout lands in results/.
 run() {
   local side="$1" pair="$2" tree build
   if [[ "$side" == base ]]; then tree="$base"; else tree="$root"; fi
   build="$work/build-$side"
   echo "pair $pair: $side" >&2
   CARGO_TARGET_DIR="$build" bash "$tree/bench/e2e/run.sh" \
-    --workload "$workload" --seconds "$seconds" 2>>"$work/build.log" |
-    tail -n 1 >"$results/$workload-$side-$pair.json"
+    --workload "$workload" --seconds "$seconds" 2>>"$work/build.log" \
+    >"$results/$workload-$side-$pair.out"
 }
 
 for ((p = 1; p <= pairs; p++)); do
@@ -71,9 +78,21 @@ bench_path, results, workload, pairs, sha = sys.argv[1:]
 pairs = int(pairs)
 metrics = json.load(open(bench_path))["end_to_end"]
 
+# The JSON result line holds the end-to-end metrics; the other metrics are
+# lines "<workload>.<name> <value> <unit>" above it.
 def load(side, p):
-    with open(f"{results}/{workload}-{side}-{p}.json") as f:
-        return json.loads(f.read())
+    with open(f"{results}/{workload}-{side}-{p}.out") as f:
+        lines = f.read().splitlines()
+    r = json.loads(lines[-1])
+    for line in lines[:-1]:
+        parts = line.split()
+        if len(parts) >= 2 and parts[0].startswith(workload + "."):
+            name = parts[0][len(workload) + 1:]
+            try:
+                r["metrics"].setdefault(name, {"value": float(parts[1])})
+            except ValueError:
+                pass
+    return r
 
 runs = {s: [load(s, p) for p in range(1, pairs + 1)] for s in ("base", "change")}
 for side, rs in runs.items():
@@ -89,17 +108,23 @@ def spread(xs):
     return med, q1, q3
 
 print(f"{workload}: {pairs} pairs, base {sha[:10]} vs working tree")
-print(f"{'metric':<16} {'base median [q1-q3]':<30} "
+print(f"{'metric':<20} {'base median [q1-q3]':<30} "
       f"{'change median [q1-q3]':<30} {'delta':>8}  won")
-for m in metrics:
-    name, lower = m["name"], m["better"] == "lower"
+wall = [("wall.setup_s", True), ("wall.qps", False),
+        ("wall.measure_p50_ms", True), ("wall.plain_p50_ms", True),
+        ("yardstick_ms", True)]
+rows = [(m["name"], m["better"] == "lower") for m in metrics]
+for name, lower in rows + [("", None)] + wall:
+    if not name:
+        print("unscaled, same runs:")
+        continue
     b = [r["metrics"][name]["value"] for r in runs["base"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
     won = sum(1 for x, y in zip(b, c) if (y < x if lower else y > x))
     bm, bq1, bq3 = spread(b)
     cm, cq1, cq3 = spread(c)
     delta = (cm - bm) / bm * 100 if bm else float("nan")
-    print(f"{name:<16} {f'{bm:.4g} [{bq1:.4g}-{bq3:.4g}]':<30} "
+    print(f"{name:<20} {f'{bm:.4g} [{bq1:.4g}-{bq3:.4g}]':<30} "
           f"{f'{cm:.4g} [{cq1:.4g}-{cq3:.4g}]':<30} {delta:+7.1f}%  "
           f"{won}/{pairs}")
 EOF

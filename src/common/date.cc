@@ -28,6 +28,22 @@ void CivilFromDays(int64_t z, int64_t* y, unsigned* m, unsigned* d) {
 }
 
 int64_t YearOfDate(int64_t days) {
+  if (days >= kFastYearFirstDay && days < kFastYearEndDay) {
+    // Neri & Schneider, "Euclidean affine functions and their application
+    // to calendar algorithms" (2022), in 32-bit arithmetic. n counts days
+    // from 0000-03-01, so every day of the range is non-negative and 4n + 3
+    // fits in 32 bits. c is the century of the March-based year, z the
+    // year within it, and doy the day of that year (>= 306: January or
+    // February, which belong to the next civil year).
+    const uint32_t n = static_cast<uint32_t>(days + 719468);
+    const uint32_t n1 = 4 * n + 3;
+    const uint32_t c = n1 / 146097;
+    const uint32_t n2 = n1 % 146097 | 3;
+    const uint64_t p2 = uint64_t{2939745} * n2;
+    const uint32_t z = static_cast<uint32_t>(p2 >> 32);
+    const uint32_t doy = static_cast<uint32_t>(p2) / 2939745 / 4;
+    return static_cast<int64_t>(100 * c + z + (doy >= 306));
+  }
   int64_t y;
   unsigned m, d;
   CivilFromDays(days, &y, &m, &d);

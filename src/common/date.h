@@ -18,7 +18,11 @@ int64_t DaysFromCivil(int64_t y, unsigned m, unsigned d);
 // Inverse of DaysFromCivil.
 void CivilFromDays(int64_t days, int64_t* y, unsigned* m, unsigned* d);
 
-// Extraction helpers on day counts.
+// Extraction helpers on day counts. YearOfDate takes a 32-bit shortcut on
+// [kFastYearFirstDay, kFastYearEndDay), 0001-01-01 up to 10000-01-01, and
+// CivilFromDays outside it; both give the same year.
+inline constexpr int64_t kFastYearFirstDay = -719162;
+inline constexpr int64_t kFastYearEndDay = 2932897;
 int64_t YearOfDate(int64_t days);
 int64_t MonthOfDate(int64_t days);     // 1..12
 int64_t DayOfDate(int64_t days);       // 1..31

@@ -38,7 +38,7 @@ bool RewritesPlans(const EngineOptions& options) {
 Result<PlanPtr> BindToRun(Binder* binder, const SelectStmt& select,
                           const EngineOptions& options) {
   MSQL_ASSIGN_OR_RETURN(PlanPtr plan, binder->Bind(select));
-  if (RewritesPlans(options)) plan = PushFiltersBelowJoins(std::move(plan));
+  if (RewritesPlans(options)) plan = PushDownFilters(std::move(plan));
   return plan;
 }
 

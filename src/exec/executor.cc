@@ -218,20 +218,115 @@ Result<RelationPtr> Executor::ExecValues(const LogicalPlan& plan,
 
 namespace {
 
-// Vectorized projection: every output expression has a kernel. Produces a
-// columnar relation (rows stay lazy) and charges exactly what the row path
-// charges (n x ChargeRows(1, width) == ChargeRows(n, width) in bytes).
-// Returns false — with nothing charged — when any expression lacks a kernel.
+// The rows of `child` where `predicate` is TRUE, by the predicate's batch
+// kernel. Returns false when it has none.
+Result<bool> SelectRows(const BoundExpr& predicate, const Relation& child,
+                        const std::shared_ptr<Arena>& arena, ExecState* state,
+                        std::vector<int64_t>* sel) {
+  MSQL_ASSIGN_OR_RETURN(ColumnPtr pred,
+                        EvalVector(predicate, child, arena, state));
+  if (pred == nullptr) return false;
+  if (pred->kind != TypeKind::kBool && pred->kind != TypeKind::kNull) {
+    return false;
+  }
+  const int64_t n = static_cast<int64_t>(child.rows.size());
+  for (int64_t i = 0; i < n; ++i) {
+    if (pred->IsValid(i) && pred->ints[i] != 0) sel->push_back(i);
+  }
+  return true;
+}
+
+// The input a pre-filtered projection's output expressions run over: the
+// child's rows listed in `sel`, holding only the columns `exprs` read, each
+// gathered from the child's columnar image. Its rows never materialize,
+// since the kernels read nothing else. Returns false when a column read is
+// not columnar, or when an expression reads the row index below its top
+// (over the gathered rows it would count them, not the child's).
+Result<bool> GatherReadColumns(const std::vector<BoundExprPtr>& exprs,
+                               const Relation& child,
+                               const std::vector<int64_t>& sel,
+                               const std::shared_ptr<Arena>& arena,
+                               Relation* kept) {
+  const ColumnarRelation& in = *child.columns;
+  std::vector<bool> read(in.cols.size(), false);
+  bool ok = true;
+  for (const BoundExprPtr& e : exprs) {
+    if (e->kind == BoundExprKind::kRowIndex) continue;
+    VisitNodes(*e, [&](const BoundExpr& n) {
+      if (n.kind == BoundExprKind::kRowIndex) ok = false;
+      if (n.kind != BoundExprKind::kColumnRef || n.depth != 0) return;
+      const size_t c = static_cast<size_t>(n.column);
+      if (c < in.cols.size() && in.cols[c] != nullptr) {
+        read[c] = true;
+      } else {
+        ok = false;
+      }
+    });
+  }
+  if (!ok) return false;
+  auto cols = std::make_shared<ColumnarRelation>();
+  cols->num_rows = static_cast<int64_t>(sel.size());
+  cols->cols.resize(in.cols.size());
+  for (size_t c = 0; c < in.cols.size(); ++c) {
+    if (!read[c]) continue;
+    MSQL_ASSIGN_OR_RETURN(cols->cols[c], GatherColumn(*in.cols[c], sel, arena));
+  }
+  kept->schema = child.schema;
+  kept->columns = cols;
+  kept->rows.AdoptLazy(std::move(cols));
+  return true;
+}
+
+// `sel` as an INT64 column: the child row index of each row a pre-filtered
+// projection keeps, which is what kRowIndex reads on the row path.
+Result<ColumnPtr> RowIndexColumn(const std::vector<int64_t>& sel,
+                                 const std::shared_ptr<Arena>& arena) {
+  auto col = std::make_shared<ColumnVector>();
+  col->kind = TypeKind::kInt64;
+  col->length = static_cast<int64_t>(sel.size());
+  col->arena = arena;
+  int64_t* ints = arena->AllocateArray<int64_t>(sel.size());
+  if (ints == nullptr && !sel.empty()) return arena->status();
+  std::copy(sel.begin(), sel.end(), ints);
+  col->ints = ints;
+  return ColumnPtr(std::move(col));
+}
+
+// Vectorized projection: every output expression has a kernel, and so does
+// the pre-filter when there is one. Produces a columnar relation (rows stay
+// lazy) and charges exactly what the row path charges (n x ChargeRows(1,
+// width) == ChargeRows(n, width) in bytes). With a pre-filter the output
+// expressions run over only the child rows that pass it, and the row index
+// is the selection itself. Returns false — with nothing charged — when a
+// kernel is missing.
 Result<bool> TryVectorProject(const LogicalPlan& plan, const Relation& child,
                               ExecState* state, Relation* rel) {
   if (child.columns == nullptr) return false;
-  const int64_t n = static_cast<int64_t>(child.rows.size());
   auto arena = std::make_shared<Arena>();
+  const Relation* in = &child;
+  Relation kept;
+  std::vector<int64_t> sel;
+  if (plan.predicate != nullptr) {
+    MSQL_ASSIGN_OR_RETURN(
+        bool selected, SelectRows(*plan.predicate, child, arena, state, &sel));
+    if (!selected) return false;
+    MSQL_ASSIGN_OR_RETURN(
+        bool gathered, GatherReadColumns(plan.exprs, child, sel, arena, &kept));
+    if (!gathered) return false;
+    in = &kept;
+  }
+  const int64_t n = static_cast<int64_t>(in->rows.size());
+  const int64_t child_n = static_cast<int64_t>(child.rows.size());
   auto out = std::make_shared<ColumnarRelation>();
   out->num_rows = n;
   out->cols.reserve(plan.exprs.size());
   for (const auto& e : plan.exprs) {
-    MSQL_ASSIGN_OR_RETURN(ColumnPtr col, EvalVector(*e, child, arena, state));
+    ColumnPtr col;
+    if (plan.predicate != nullptr && e->kind == BoundExprKind::kRowIndex) {
+      MSQL_ASSIGN_OR_RETURN(col, RowIndexColumn(sel, arena));
+    } else {
+      MSQL_ASSIGN_OR_RETURN(col, EvalVector(*e, *in, arena, state));
+    }
     if (col == nullptr) return false;
     out->cols.push_back(std::move(col));
   }
@@ -239,7 +334,7 @@ Result<bool> TryVectorProject(const LogicalPlan& plan, const Relation& child,
   out->batches = MakeBatches(n);
   rel->columns = out;
   rel->rows.AdoptLazy(std::move(out));
-  state->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(n));
+  state->exec_vectorized_batches += static_cast<uint64_t>(NumBatches(child_n));
   return true;
 }
 
@@ -251,16 +346,10 @@ Result<bool> TryVectorFilter(const LogicalPlan& plan, const Relation& child,
   if (child.columns == nullptr || !child.columns->Complete()) return false;
   const int64_t n = static_cast<int64_t>(child.rows.size());
   auto arena = std::make_shared<Arena>();
-  MSQL_ASSIGN_OR_RETURN(ColumnPtr pred,
-                        EvalVector(*plan.predicate, child, arena, state));
-  if (pred == nullptr) return false;
-  if (pred->kind != TypeKind::kBool && pred->kind != TypeKind::kNull) {
-    return false;
-  }
   std::vector<int64_t> sel;
-  for (int64_t i = 0; i < n; ++i) {
-    if (pred->IsValid(i) && pred->ints[i] != 0) sel.push_back(i);
-  }
+  MSQL_ASSIGN_OR_RETURN(bool selected,
+                        SelectRows(*plan.predicate, child, arena, state, &sel));
+  if (!selected) return false;
   MSQL_RETURN_IF_ERROR(
       state->guard.ChargeRows(sel.size(), child.schema.size()));
   auto out = std::make_shared<ColumnarRelation>();
@@ -294,12 +383,19 @@ Result<RelationPtr> Executor::ExecProject(const LogicalPlan& plan,
     }
     ++state_->exec_row_fallbacks;
   }
-  rel->rows.reserve(child->rows.size());
+  // A pre-filtered row keeps its child frame index, so the row index
+  // (the measures' hidden row id) stays the child row's.
+  if (plan.predicate == nullptr) rel->rows.reserve(child->rows.size());
   Evaluator ev(state_);
   RowStack stack = StackOver(outer);
   for (int64_t i = 0; i < static_cast<int64_t>(child->rows.size()); ++i) {
     MSQL_RETURN_IF_ERROR(state_->guard.Check());
     stack[0] = Frame{&child->rows[i], i, child.get()};
+    if (plan.predicate != nullptr) {
+      MSQL_ASSIGN_OR_RETURN(bool keep,
+                            ev.EvalPredicate(*plan.predicate, stack));
+      if (!keep) continue;
+    }
     Row row;
     row.reserve(plan.exprs.size());
     for (const auto& e : plan.exprs) {

@@ -517,21 +517,35 @@ Result<ColumnPtr> EvalFuncVec(const BoundExpr& e, const Relation& rel,
       if (a.kind == TypeKind::kNull) return AllNullColumn(n, arena);
       if (a.kind != TypeKind::kDate) return Result<ColumnPtr>(nullptr);
       MSQL_ASSIGN_OR_RETURN(ColOut out, NewCol(TypeKind::kInt64, n, arena));
-      for (int64_t i = 0; i < n; ++i) {
-        if ((i & (kRowsPerBatch - 1)) == 0) {
-          MSQL_RETURN_IF_ERROR(state->guard.Check());
+      // One loop per date part, chosen once for the column.
+      auto fill = [&](auto part) -> Status {
+        for (int64_t i = 0; i < n; ++i) {
+          if ((i & (kRowsPerBatch - 1)) == 0) {
+            MSQL_RETURN_IF_ERROR(state->guard.Check());
+          }
+          if (!a.IsValid(i)) continue;
+          SetValid(out.valid, i);
+          out.ints[i] = part(a.ints[i]);
         }
-        if (!a.IsValid(i)) continue;
-        SetValid(out.valid, i);
-        switch (e.func) {
-          case FunctionId::kYear: out.ints[i] = YearOfDate(a.ints[i]); break;
-          case FunctionId::kMonth: out.ints[i] = MonthOfDate(a.ints[i]); break;
-          case FunctionId::kDay: out.ints[i] = DayOfDate(a.ints[i]); break;
-          case FunctionId::kQuarter:
-            out.ints[i] = QuarterOfDate(a.ints[i]);
-            break;
-          default: out.ints[i] = DayOfWeek(a.ints[i]); break;
-        }
+        return Status::Ok();
+      };
+      switch (e.func) {
+        case FunctionId::kYear:
+          MSQL_RETURN_IF_ERROR(fill([](int64_t d) { return YearOfDate(d); }));
+          break;
+        case FunctionId::kMonth:
+          MSQL_RETURN_IF_ERROR(fill([](int64_t d) { return MonthOfDate(d); }));
+          break;
+        case FunctionId::kDay:
+          MSQL_RETURN_IF_ERROR(fill([](int64_t d) { return DayOfDate(d); }));
+          break;
+        case FunctionId::kQuarter:
+          MSQL_RETURN_IF_ERROR(
+              fill([](int64_t d) { return QuarterOfDate(d); }));
+          break;
+        default:
+          MSQL_RETURN_IF_ERROR(fill([](int64_t d) { return DayOfWeek(d); }));
+          break;
       }
       return Freeze(out);
     }

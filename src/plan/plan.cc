@@ -59,6 +59,7 @@ std::string LogicalPlan::NodeLabel() const {
         parts.push_back(exprs[i]->ToString());
       }
       s += " [" + Join(parts, ", ") + "]";
+      if (predicate) s += " WHERE " + predicate->ToString();
       break;
     }
     case PlanKind::kFilter:

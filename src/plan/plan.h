@@ -111,7 +111,8 @@ struct LogicalPlan {
   // kProject: one expression per output column (visible and hidden).
   std::vector<BoundExprPtr> exprs;
 
-  // kFilter (also HAVING)
+  // kFilter (also HAVING): the rows kept. kProject: the pre-filter, over
+  // the child; null projects every child row (plan/rewrite.h).
   BoundExprPtr predicate;
 
   // kJoin

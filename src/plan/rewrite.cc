@@ -69,6 +69,7 @@ bool CannotRaise(const BoundExpr& e) {
       case BoundExprKind::kIsNull:
       case BoundExprKind::kInList:
       case BoundExprKind::kLike:
+      case BoundExprKind::kRowIndex:
         return;
       case BoundExprKind::kColumnRef:
         if (n.depth != 0) safe = false;
@@ -90,6 +91,11 @@ bool CannotRaise(const BoundExpr& e) {
           case FunctionId::kOpSub:
           case FunctionId::kOpMul:
           case FunctionId::kOpNeg:
+          case FunctionId::kYear:  // bind over DATE or NULL only
+          case FunctionId::kMonth:
+          case FunctionId::kDay:
+          case FunctionId::kQuarter:
+          case FunctionId::kDayOfWeek:
             return;
           default:
             safe = false;
@@ -101,6 +107,13 @@ bool CannotRaise(const BoundExpr& e) {
     }
   });
   return safe;
+}
+
+bool AllCannotRaise(const std::vector<BoundExprPtr>& exprs) {
+  for (const BoundExprPtr& e : exprs) {
+    if (!CannotRaise(*e)) return false;
+  }
+  return true;
 }
 
 BoundExprPtr AndAll(std::vector<BoundExprPtr> conjuncts) {
@@ -170,15 +183,75 @@ PlanPtr PushIntoJoinInputs(PlanPtr filter) {
   return filter;
 }
 
+// A copy of `e`, an expression over `project`'s output that passed
+// CannotRaise, over the project's input: each column reference becomes a
+// copy of the expression that computes that column.
+BoundExprPtr OverProjectInput(const BoundExpr& e, const LogicalPlan& project) {
+  if (e.kind == BoundExprKind::kColumnRef) {
+    return project.exprs[static_cast<size_t>(e.column)]->Clone();
+  }
+  BoundExprPtr copy = e.Clone();
+  for (BoundExprPtr& a : copy->args) a = OverProjectInput(*a, project);
+  if (copy->operand != nullptr) {
+    copy->operand = OverProjectInput(*copy->operand, project);
+  }
+  return copy;
+}
+
+// ANDs `conjunct`, an expression over `project`'s output, into the
+// pre-filter of `project`.
+void AddPrefilter(const BoundExpr& conjunct, LogicalPlan* project) {
+  BoundExprPtr moved = OverProjectInput(conjunct, *project);
+  if (project->predicate == nullptr) {
+    project->predicate = std::move(moved);
+    return;
+  }
+  std::vector<BoundExprPtr> both;
+  both.push_back(std::move(project->predicate));
+  both.push_back(std::move(moved));
+  project->predicate = AndAll(std::move(both));
+}
+
+bool DefinesMeasures(const LogicalPlan& plan) {
+  for (const PlanMeasure& m : plan.measures) {
+    if (m.define) return true;
+  }
+  return false;
+}
+
+// Moves the Filter above a Project into that Project's pre-filter, then on
+// down through each Project directly below one that defines no measures.
+// Returns the top Project, or the Filter unchanged when its predicate or an
+// output expression of the Project below could raise.
+PlanPtr PushIntoProject(PlanPtr filter) {
+  PlanPtr project = filter->children[0];
+  if (!CannotRaise(*filter->predicate) || !AllCannotRaise(project->exprs)) {
+    return filter;
+  }
+  AddPrefilter(*filter->predicate, project.get());
+  LogicalPlan* p = project.get();
+  while (!DefinesMeasures(*p) && p->children[0]->kind == PlanKind::kProject &&
+         AllCannotRaise(p->children[0]->exprs)) {
+    LogicalPlan* below = p->children[0].get();
+    AddPrefilter(*p->predicate, below);
+    p->predicate = nullptr;
+    p = below;
+  }
+  return project;
+}
+
 }  // namespace
 
-PlanPtr PushFiltersBelowJoins(PlanPtr plan) {
-  if (plan->kind == PlanKind::kFilter &&
-      plan->children[0]->kind == PlanKind::kJoin) {
-    plan = PushIntoJoinInputs(std::move(plan));
+PlanPtr PushDownFilters(PlanPtr plan) {
+  if (plan->kind == PlanKind::kFilter) {
+    if (plan->children[0]->kind == PlanKind::kJoin) {
+      plan = PushIntoJoinInputs(std::move(plan));
+    } else if (plan->children[0]->kind == PlanKind::kProject) {
+      plan = PushIntoProject(std::move(plan));
+    }
   }
   for (PlanPtr& child : plan->children) {
-    child = PushFiltersBelowJoins(std::move(child));
+    child = PushDownFilters(std::move(child));
   }
   return plan;
 }

@@ -25,25 +25,42 @@ BoundExprPtr ToInputLayout(const BoundExpr& e, JoinSide side, size_t lv,
 // Flattens nested ANDs into their conjuncts, left to right.
 void CollectConjuncts(const BoundExpr& e, std::vector<const BoundExpr*>* out);
 
-// The one plan rewrite: filter pushdown below joins. For every Filter
-// directly above a Join, each WHERE conjunct that reads one join input only
-// moves into a new Filter directly above that input. INNER and CROSS joins
-// take either side, LEFT only the left, RIGHT only the right, FULL nothing.
-// A Filter moves nothing when one of its conjuncts, or the join condition,
-// could raise an error: only column refs, literals, parameters,
-// comparisons, IN-list, IS [NOT] NULL, LIKE, AND/OR/NOT and the wrapping
-// arithmetic + - * count as safe (BETWEEN binds to comparisons). So moving
-// conjuncts never changes which rows a raising expression sees.
+// The one plan rewrite: filter pushdown. It takes a WHERE Filter down two
+// kinds of node.
 //
-// The new Filter sits directly above the input and propagates its measures
-// unchanged, so it never goes below a node that defines measures: a
-// measure's source, and every AT (ALL) / SET context over it, still reads
-// the unfiltered rows. Recurses through nested joins and the whole plan
-// tree, but not into subquery-expression plans.
+// Below a Join. For every Filter directly above a Join, each conjunct that
+// reads one join input only moves into a new Filter directly above that
+// input. INNER and CROSS joins take either side, LEFT only the left, RIGHT
+// only the right, FULL nothing. The new Filter propagates its input's
+// measures unchanged.
 //
-// Rewrites `plan` in place, so it must be freshly bound and unshared;
-// returns the new root (the root Filter goes when all its conjuncts move).
-PlanPtr PushFiltersBelowJoins(PlanPtr plan);
+// Into a Project. A Filter directly above a Project becomes the Project's
+// pre-filter (LogicalPlan::predicate on a kProject node): its predicate is
+// rewritten over the Project's input by substituting the output
+// expressions (`orderYear = 2024` becomes `YEAR(orderDate) = 2024`), and
+// the Project then projects only the input rows that pass. A pre-filter on
+// a Project that defines no measures sinks on into a Project directly
+// below it, so a filter over a stack of views reaches the view that
+// defines the measures. It goes no further: the defining Project's input
+// stays the measures' unfiltered source, so every AT (ALL) / SET context
+// still reads every row, the source's fingerprint (and so every shared
+// cache key) is unchanged, and the hidden row id stays the input row's
+// index.
+//
+// Nothing moves when a conjunct could raise an error, nor when the join
+// condition or an output expression of a Project crossed could: moving
+// would shrink the rows a raising expression sees and could hide the error
+// the literal plan reports. Only column refs, literals, parameters, the row
+// index, comparisons, IN-list, IS [NOT] NULL, LIKE, AND/OR/NOT, the
+// wrapping arithmetic + - * and YEAR/MONTH/DAY/QUARTER/DAYOFWEEK (which
+// bind over DATE or NULL only) count as safe; BETWEEN binds to
+// comparisons.
+//
+// Recurses through nested joins and the whole plan tree, but not into
+// subquery-expression plans. Rewrites `plan` in place, so it must be
+// freshly bound and unshared; returns the new root (a Filter goes when all
+// its conjuncts move).
+PlanPtr PushDownFilters(PlanPtr plan);
 
 }  // namespace msql
 

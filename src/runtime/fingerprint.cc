@@ -122,6 +122,10 @@ void AppendPlan(const LogicalPlan& p, std::string* out) {
       break;
     case PlanKind::kProject:
       for (const auto& e : p.exprs) AppendExpr(*e, out);
+      if (p.predicate) {
+        *out += "w";
+        AppendExpr(*p.predicate, out);
+      }
       break;
     case PlanKind::kFilter:
       AppendOptExpr(p.predicate, out);

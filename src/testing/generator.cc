@@ -23,6 +23,7 @@ struct SchemaInfo {
   bool has_y2 = false;    // derived YEAR(d2) dimension in the view
   bool has_join = false;  // dim table t1(d0, attr) exists
   bool has_level2 = false;  // view V1 over V0, measure n0 composing m0
+  bool has_r0 = false;    // derived r0 in the view that can raise
   bool empty_fact = false;  // t0 has no rows
   int d0_domain = 3;      // 'A'.. up to 'E'
   int d1_domain = 3;      // 0 .. d1_domain
@@ -51,12 +52,16 @@ class Generator {
       Check c;
       c.kind = CheckKind::kDifferential;
       c.label = StrCat("q", i);
-      c.queries.push_back(i == 0 && info_.empty_fact ? GenScalarAggQuery()
-                          : rng_.Chance(20)             ? GenRowGroupingQuery()
-                                                        : GenQuery());
+      c.queries.push_back(
+          i == 0 && info_.empty_fact        ? GenScalarAggQuery()
+          : rng_.Chance(20)                 ? GenRowGroupingQuery()
+          : info_.has_y2 && rng_.Chance(25) ? GenYearFilteredQuery()
+                                            : GenQuery());
       spec.checks.push_back(std::move(c));
     }
-    if (opts_.metamorphic) {
+    // The metamorphic checks compare answers, and r0 can make every query
+    // over the view raise.
+    if (opts_.metamorphic && !info_.has_r0) {
       AddVisiblePair(&spec);
       AddTlp(&spec);
       AddAllSetRoundtrip(&spec);
@@ -162,6 +167,19 @@ class Generator {
     info_.has_y2 = info_.has_d2 && rng_.Chance(50);
     std::string view = "CREATE VIEW V0 AS SELECT *, " + Join(defs, ", ");
     if (info_.has_y2) view += ", YEAR(d2) AS y2";
+    // A derived column that divides by zero on the rows whose v0 is k: the
+    // view then raises for every query over it, whatever the WHERE keeps,
+    // so no filter may move into its Project.
+    info_.has_r0 = rng_.Chance(6);
+    if (info_.has_r0) {
+      std::string k = StrCat(rng_.Range(-100, 100));
+      if (!spec->tables[0].rows.empty() && rng_.Chance(70)) {
+        const auto& row = rng_.Pick(spec->tables[0].rows);
+        const std::string& v0 = row[info_.has_d2 ? 3 : 2];
+        if (v0 != "NULL") k = v0;
+      }
+      view += StrCat(", 100 / (v0 - ", k, ") AS r0");
+    }
     view += " FROM t0";
     spec->setup.push_back(std::move(view));
 
@@ -198,7 +216,21 @@ class Generator {
                   Join(items, ", "), ")");
   }
 
-  std::string PredAtom(const std::string& q) {
+  // `y2 = k`, `y2 >= k` or `y2 IN (...)` over the view's derived YEAR(d2).
+  std::string Y2Atom(const std::string& q) {
+    switch (rng_.Range(0, 2)) {
+      case 0: return StrCat(q, "y2 = ", DimLitFor("y2"));
+      case 1: return StrCat(q, "y2 >= ", DimLitFor("y2"));
+      default:
+        return StrCat(q, "y2 IN (", DimLitFor("y2"), ", ", DimLitFor("y2"),
+                      ")");
+    }
+  }
+
+  // `over_view`: the atom filters a query over V0 or V1, so it may read the
+  // view's derived y2 (AT WHERE predicates and plain queries read t0).
+  std::string PredAtom(const std::string& q, bool over_view) {
+    if (over_view && info_.has_y2 && rng_.Chance(25)) return Y2Atom(q);
     switch (rng_.Range(0, 7)) {
       case 0: return StrCat(q, "d0 = ", D0Lit(false));
       case 1: return StrCat(q, "d0 <> 'A'");
@@ -216,10 +248,11 @@ class Generator {
     }
   }
 
-  std::string Pred(const std::string& q = "") {
-    std::string p = PredAtom(q);
+  std::string Pred(const std::string& q = "", bool over_view = false) {
+    std::string p = PredAtom(q, over_view);
     if (rng_.Chance(35)) {
-      p = StrCat(p, rng_.Chance(50) ? " AND " : " OR ", PredAtom(q));
+      p = StrCat(p, rng_.Chance(50) ? " AND " : " OR ",
+                 PredAtom(q, over_view));
     }
     if (rng_.Chance(15)) p = "NOT (" + p + ")";
     return p;
@@ -242,13 +275,13 @@ class Generator {
   // by zero on a fact row the join drops must not become an error.
   std::string JoinPred() {
     switch (rng_.Range(0, 5)) {
-      case 0: return Pred("o.");
+      case 0: return Pred("o.", true);
       case 1: return DimTableAtom();
-      case 2: return StrCat(PredAtom("o."), " AND ", DimTableAtom());
-      case 3: return StrCat(PredAtom("o."), " OR ", DimTableAtom());
+      case 2: return StrCat(PredAtom("o.", true), " AND ", DimTableAtom());
+      case 3: return StrCat(PredAtom("o.", true), " OR ", DimTableAtom());
       case 4: return "100 / o.v0 > 1";
       default:
-        return StrCat(DimTableAtom(), " AND ", PredAtom("o."),
+        return StrCat(DimTableAtom(), " AND ", PredAtom("o.", true),
                       rng_.Chance(50) ? " AND 100 / o.v0 > 1" : "");
     }
   }
@@ -412,7 +445,14 @@ class Generator {
     }
 
     std::string sql = "SELECT " + Join(items, ", ") + " FROM " + from;
-    if (rng_.Chance(50)) sql += " WHERE " + (join ? JoinPred() : Pred(q));
+    if (join) {
+      if (rng_.Chance(50)) sql += " WHERE " + JoinPred();
+    } else if (rng_.Chance(50)) {
+      // Now and then beside an atom that divides by zero where v0 = 0: no
+      // conjunct may then move, or a dropped row could hide the error.
+      sql += " WHERE " + Pred(q, !inline_provider);
+      if (rng_.Chance(15)) sql += StrCat(" AND 100 / ", q, "v0 > 1");
+    }
     if (!group_exprs.empty()) sql += " GROUP BY " + Join(group_exprs, ", ");
     if (!group_exprs.empty() && rng_.Chance(15)) {
       sql += StrCat(" HAVING AGGREGATE(", q, measures[0], ")",
@@ -427,13 +467,54 @@ class Generator {
     return sql;
   }
 
+  // A filter on the view's derived y2 beside the contexts that must still
+  // read the rows it removes: AT (ALL) and SET reopen them, VISIBLE and the
+  // bare measure keep to the WHERE. Without GROUP BY every reference is per
+  // row (row grain): VISIBLE reads the row's own source row through its
+  // hidden row id.
+  std::string GenYearFilteredQuery() {
+    const bool level2 = info_.has_level2 && rng_.Chance(30);
+    std::vector<std::string> measures;
+    if (level2) measures.push_back("n0");
+    for (const auto& m : info_.measures) measures.push_back(m.name);
+    const bool grouped = rng_.Chance(60);
+    std::vector<std::string> dims;
+    if (grouped) {
+      dims.push_back("y2");
+      if (rng_.Chance(50)) dims.push_back(rng_.Chance(50) ? "d0" : "d1");
+    } else {
+      dims = {"d0", "y2"};
+      if (rng_.Chance(50)) dims.push_back("d2");
+    }
+    std::vector<std::string> items = dims;
+    const std::string set_value = grouped && rng_.Chance(60)
+                                      ? "CURRENT y2 - 1"
+                                      : DimLitFor("y2");
+    const std::vector<std::string> contexts = {
+        " AT (ALL)", " AT (SET y2 = " + set_value + ")", " AT (VISIBLE)",
+        " AT (ALL y2)", ""};
+    // AT (ALL) first, then SET or VISIBLE, then any context.
+    const int64_t n = rng_.Range(2, 4);
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t c = i == 0   ? 0
+                        : i == 1 ? rng_.Range(1, 2)
+                                 : rng_.Range(0, 4);
+      items.push_back(StrCat(rng_.Pick(measures), contexts[c], " AS x", i));
+    }
+    std::string sql = StrCat("SELECT ", Join(items, ", "), " FROM ",
+                             level2 ? "V1" : "V0", " WHERE ", Y2Atom(""));
+    if (rng_.Chance(30)) sql += " AND " + PredAtom("", true);
+    if (grouped) sql += " GROUP BY " + Join(dims, ", ");
+    return sql;
+  }
+
   // Aggregates with no GROUP BY over the empty fact table: one group of
   // no rows, so COUNT reads 0 and every other aggregate NULL.
   std::string GenScalarAggQuery() {
     return StrCat("SELECT COUNT(*) AS c0, SUM(v0) AS c1, MAX(d0) AS c2, "
                   "AGGREGATE(", rng_.Pick(info_.measures).name,
                   ") AS x0 FROM V0",
-                  rng_.Chance(50) ? " WHERE " + Pred() : "");
+                  rng_.Chance(50) ? " WHERE " + Pred("", true) : "");
   }
 
   // A query over t0's base columns through an operator that groups whole
@@ -490,7 +571,7 @@ class Generator {
   void AddVisiblePair(CaseSpec* spec) {
     const MeasureDef& m = rng_.Pick(info_.measures);
     std::vector<std::string> dims = PickGroupDims();
-    std::string where = rng_.Chance(50) ? " WHERE " + Pred() : "";
+    std::string where = rng_.Chance(50) ? " WHERE " + Pred("", true) : "";
     std::string tail =
         StrCat(" FROM V0", where, " GROUP BY ", Join(dims, ", "));
     Check c;
@@ -514,7 +595,7 @@ class Generator {
       }
     }
     if (m == nullptr) return;  // AVG does not recombine; skip
-    std::string p = Pred();
+    std::string p = Pred("", true);
     std::string head = StrCat("SELECT AGGREGATE(", m->name, ") AS x FROM V0");
     Check c;
     c.kind = CheckKind::kTlp;

@@ -23,12 +23,14 @@ struct GeneratorOptions {
 // star-ish schema (NULL-heavy dimension columns, optional date dimension,
 // optional join table, extreme numerics, sometimes an empty table), a
 // measure view over the fact table (sometimes with a second-level view
-// whose measure composes a first-level one), and a batch of queries
-// exercising AT modifiers (ALL / ALL dim / SET / VISIBLE / WHERE), CURRENT
-// dim, joins, inline measure providers, and GROUP BY, plus plain queries
-// through the row-grouping operators (SELECT DISTINCT, UNION / EXCEPT /
-// INTERSECT, COUNT(DISTINCT) and SUM(DISTINCT)). The same (seed, options) pair
-// always produces the identical CaseSpec on every platform.
+// whose measure composes a first-level one, sometimes with a column that
+// raises on some rows), and a batch of queries exercising AT modifiers
+// (ALL / ALL dim / SET / VISIBLE / WHERE), CURRENT dim, joins, inline
+// measure providers, filters on the view's derived YEAR column (grouped
+// and at row grain), WHERE atoms that can raise, and GROUP BY, plus plain
+// queries through the row-grouping operators (SELECT DISTINCT, UNION /
+// EXCEPT / INTERSECT, COUNT(DISTINCT) and SUM(DISTINCT)). The same (seed,
+// options) pair always produces the identical CaseSpec on every platform.
 CaseSpec GenerateCase(uint64_t seed, const GeneratorOptions& options = {});
 
 }  // namespace testing

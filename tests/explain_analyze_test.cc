@@ -134,17 +134,19 @@ TEST_F(ExplainAnalyzeTest, AnalyzeGroupedStrategyReportsBuildsAndProbes) {
 }
 
 TEST_F(ExplainAnalyzeTest, InListFilterOverMeasureViewRunsVectorized) {
-  // `prodName IN (...)` has a batch kernel, so the Filter over the
-  // measure view's columnar projection never falls back to rows.
+  // `prodName IN (...)` has a batch kernel, so the filter, which runs as
+  // the pre-filter of the measure view's Project, never falls back to
+  // rows.
   MustExecute(&db_,
               "CREATE VIEW EO AS SELECT *, SUM(revenue) AS MEASURE sumRevenue "
               "FROM Orders");
   std::string text = Render(
       "EXPLAIN ANALYZE SELECT prodName, AGGREGATE(sumRevenue) AS r FROM EO "
       "WHERE prodName IN ('Happy', 'Whizz') GROUP BY prodName");
-  std::string filter = LineWith(text, "Filter");
+  std::string filter = LineWith(text, "WHERE (prodName IN (");
   ASSERT_FALSE(filter.empty()) << text;
-  EXPECT_NE(filter.find("IN ("), std::string::npos) << filter;
+  EXPECT_NE(filter.find("Project"), std::string::npos) << filter;
+  EXPECT_NE(filter.find("rows=4"), std::string::npos) << filter;
   EXPECT_NE(filter.find("exec=vectorized"), std::string::npos) << filter;
   EXPECT_NE(filter.find("fallbacks=0"), std::string::npos) << filter;
 }
@@ -234,11 +236,12 @@ TEST_F(ExplainAnalyzeTest, WarmBareMeasuresHitOneTablePerMeasureColumn) {
 TEST_F(ExplainAnalyzeTest, AnalyzeListing8CountsRollupGroupsAndScans) {
   std::string text = Render(std::string("EXPLAIN ANALYZE ") + kListing8);
 
-  // 5 source rows scanned; the WHERE filter keeps 3 (Bob's 2 drop out).
+  // 5 source rows scanned; the WHERE filter, the pre-filter of the view's
+  // Project, keeps 3 (Bob's 2 drop out).
   std::string scan = LineWith(text, "Scan Orders");
   ASSERT_FALSE(scan.empty());
   EXPECT_NE(scan.find("rows=5"), std::string::npos) << scan;
-  std::string filter = LineWith(text, "Filter");
+  std::string filter = LineWith(text, "WHERE (custName <> 'Bob')");
   ASSERT_FALSE(filter.empty());
   EXPECT_NE(filter.find("rows=3"), std::string::npos) << filter;
 

@@ -163,6 +163,15 @@ class PushdownTest : public PlanTest {
       MustExecute(db,
                   "CREATE VIEW EC AS SELECT *, AVG(custAge) AS MEASURE avgAge, "
                   "COUNT(*) AS MEASURE custCount FROM Customers");
+      // The benchmark's fact view and a stack of three views over it.
+      MustExecute(db,
+                  "CREATE VIEW EM AS SELECT *, SUM(revenue) AS MEASURE "
+                  "sumRevenue, (SUM(revenue) - SUM(cost)) * 1.0 / "
+                  "SUM(revenue) AS MEASURE margin, COUNT(*) AS MEASURE "
+                  "orderCount, YEAR(orderDate) AS orderYear FROM Orders");
+      MustExecute(db, "CREATE VIEW S1 AS SELECT * FROM EM");
+      MustExecute(db, "CREATE VIEW S2 AS SELECT * FROM S1");
+      MustExecute(db, "CREATE VIEW S3 AS SELECT * FROM S2");
     }
   }
 
@@ -183,6 +192,13 @@ class PushdownTest : public PlanTest {
   static size_t Find(const std::vector<Line>& lines, const std::string& head) {
     for (size_t i = 0; i < lines.size(); ++i) {
       if (lines[i].text.rfind(head, 0) == 0) return i;
+    }
+    return lines.size();
+  }
+  static size_t FindWith(const std::vector<Line>& lines,
+                         const std::string& needle) {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].text.find(needle) != std::string::npos) return i;
     }
     return lines.size();
   }
@@ -223,30 +239,182 @@ TEST_F(PushdownTest, CustomerGrainFilterRunsBelowTheJoin) {
   ASSERT_EQ(rs.num_rows(), 2u);
 }
 
-TEST_F(PushdownTest, FilterStopsAboveTheMeasureDefiningProject) {
-  // Paper fixture: the filter lands above EO's defining Project, so the
-  // measure's source stays unfiltered and AT (ALL) still reads every order.
+TEST_F(PushdownTest, FilterRunsInsideTheMeasureDefiningProject) {
+  // Paper fixture: the filter becomes the pre-filter of EO's defining
+  // Project, whose input is still the unfiltered scan, so the measure's
+  // source is every order and AT (ALL) still reads them all.
   const std::string sql =
       "SELECT o.prodName, o.r AS r, o.r AT (ALL) AS total "
       "FROM EO AS o JOIN Customers AS c USING (custName) "
       "WHERE o.prodName = 'Happy' GROUP BY o.prodName";
   auto lines = Lines(sql);
   const size_t join = Find(lines, "Join INNER");
-  const size_t filter = Find(lines, "Filter (prodName = 'Happy')");
-  ASSERT_LT(filter, lines.size());
-  EXPECT_GT(filter, join);
-  EXPECT_EQ(lines[filter].depth, lines[join].depth + 1);
-  EXPECT_NE(lines[filter].text.find("measures=[r]"), std::string::npos);
-  ASSERT_LT(filter + 2, lines.size());
-  EXPECT_EQ(lines[filter + 1].text.rfind("Project", 0), 0u);
-  EXPECT_NE(lines[filter + 1].text.find("expands=[r := SUM(revenue)]"),
+  const size_t project = FindWith(lines, "WHERE (prodName = 'Happy')");
+  ASSERT_LT(project, lines.size());
+  EXPECT_EQ(Find(lines, "Filter"), lines.size());
+  EXPECT_GT(project, join);
+  EXPECT_EQ(lines[project].depth, lines[join].depth + 1);
+  EXPECT_EQ(lines[project].text.rfind("Project", 0), 0u);
+  EXPECT_NE(lines[project].text.find("expands=[r := SUM(revenue)]"),
             std::string::npos);
-  EXPECT_EQ(lines[filter + 2].text, "Scan Orders");
+  ASSERT_LT(project + 1, lines.size());
+  EXPECT_EQ(lines[project + 1].text, "Scan Orders");
+  EXPECT_EQ(lines[project + 1].depth, lines[project].depth + 1);
 
   ResultSet rs = SameAsLiteral(sql);
   ASSERT_EQ(rs.num_rows(), 1u);
   EXPECT_EQ(rs.Get(0, "r").int_val(), 17);  // 6 + 7 + 4
   EXPECT_EQ(rs.Get(0, "total").int_val(), 25);  // the grand total
+}
+
+TEST_F(PushdownTest, MarginPerProductFiltersInsideTheView) {
+  // The dashboard's margin_per_product shape: an IN filter over the measure
+  // view moves into its defining Project and runs there vectorized.
+  const std::string sql =
+      "SELECT prodName, AGGREGATE(margin) AS m, AGGREGATE(orderCount) AS n "
+      "FROM EM WHERE prodName IN ('Happy', 'Acme') GROUP BY prodName "
+      "ORDER BY prodName";
+  auto lines = Lines(sql);
+  EXPECT_EQ(Find(lines, "Filter"), lines.size());
+  const size_t project = FindWith(lines, "WHERE (prodName IN ('Happy', ");
+  ASSERT_LT(project + 1, lines.size());
+  EXPECT_NE(lines[project].text.find("expands=[sumRevenue"),
+            std::string::npos);
+  EXPECT_EQ(lines[project + 1].text, "Scan Orders");
+
+  ResultSet rs = SameAsLiteral(sql);
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.Get(0, "prodName").str(), "Acme");
+  EXPECT_EQ(rs.Get(0, "n").int_val(), 1);
+  EXPECT_EQ(rs.Get(1, "n").int_val(), 3);
+  // Happy: (17 - 9) / 17.
+  EXPECT_DOUBLE_EQ(rs.Get(1, "m").double_val(), 8.0 / 17.0);
+  auto analyzed = db_.Query("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(analyzed.ok());
+  const std::string text = analyzed.value().ToString();
+  const size_t at = text.find("WHERE (prodName IN");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string line = text.substr(at, text.find('\n', at) - at);
+  EXPECT_NE(line.find("rows=4"), std::string::npos) << line;
+  EXPECT_NE(line.find("exec=vectorized"), std::string::npos) << line;
+  EXPECT_NE(line.find("fallbacks=0"), std::string::npos) << line;
+}
+
+TEST_F(PushdownTest, FilterSinksThroughAViewStack) {
+  // S3 over S2 over S1 over EM: the filter over the top view becomes the
+  // pre-filter of EM's Project, rewritten over the scan's columns; the
+  // views between project every row they get.
+  const std::string sql =
+      "SELECT orderYear, sumRevenue AS r, AGGREGATE(sumRevenue) AS v, "
+      "sumRevenue AT (ALL) AS total, "
+      "sumRevenue AT (SET orderYear = CURRENT orderYear - 1) AS prev "
+      "FROM S3 WHERE orderYear = 2023 AND custName <> 'Bob' "
+      "GROUP BY orderYear";
+  auto lines = Lines(sql);
+  EXPECT_EQ(Find(lines, "Filter"), lines.size());
+  const size_t em = FindWith(lines, "expands=[sumRevenue");
+  ASSERT_LT(em + 1, lines.size());
+  EXPECT_NE(lines[em].text.find(
+                "WHERE ((YEAR(orderDate) = 2023) AND (custName <> 'Bob'))"),
+            std::string::npos)
+      << lines[em].text;
+  EXPECT_EQ(lines[em].text.find("NULL]"), std::string::npos);
+  EXPECT_EQ(lines[em + 1].text, "Scan Orders");
+  size_t projects = 0;
+  for (size_t i = 0; i < em; ++i) {
+    if (lines[i].text.rfind("Project", 0) != 0) continue;
+    ++projects;
+    EXPECT_EQ(lines[i].text.find("WHERE"), std::string::npos)
+        << lines[i].text;
+  }
+  EXPECT_EQ(projects, 4u);  // the query's, S3's, S2's and S1's
+
+  ResultSet rs = SameAsLiteral(sql);
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.Get(0, "r").int_val(), 14);  // 2023: 6 + 5 + 3
+  EXPECT_EQ(rs.Get(0, "v").int_val(), 9);   // Bob's 5 filtered away
+  EXPECT_EQ(rs.Get(0, "total").int_val(), 25);
+  EXPECT_EQ(rs.Get(0, "prev").int_val(), 4);  // 2022: Bob's Happy order
+}
+
+TEST_F(PushdownTest, RaisingViewColumnBlocksTheMove) {
+  // ER's q divides by zero on the order whose revenue is 6, which the
+  // literal plan computes before any WHERE: the filter that would drop
+  // that order must stay above the Project, so the error still surfaces.
+  for (Engine* db : {&db_, literal_.get()}) {
+    MustExecute(db,
+                "CREATE VIEW ER AS SELECT *, SUM(revenue) AS MEASURE r, "
+                "100 / (revenue - 6) AS q FROM Orders");
+  }
+  const std::string sql =
+      "SELECT prodName, AGGREGATE(r) AS r FROM ER WHERE revenue <> 6 "
+      "GROUP BY prodName";
+  auto lines = Lines(sql);
+  const size_t filter = Find(lines, "Filter (revenue <> 6)");
+  ASSERT_LT(filter + 1, lines.size());
+  EXPECT_EQ(lines[filter + 1].text.rfind("Project", 0), 0u);
+  EXPECT_EQ(lines[filter + 1].text.find("WHERE"), std::string::npos);
+  auto rewritten = db_.Query(sql);
+  auto literal = literal_->Query(sql);
+  ASSERT_FALSE(literal.ok());
+  ASSERT_FALSE(rewritten.ok());
+  EXPECT_EQ(rewritten.status().ToString(), literal.status().ToString());
+  EXPECT_NE(literal.status().message().find("division by zero"),
+            std::string::npos);
+}
+
+TEST_F(PushdownTest, RowGrainVisibleReadsTheKeptRowsOwnSourceRow) {
+  // A row-grain AT (VISIBLE) reads the source row the hidden row id names.
+  // The pre-filtered Project keeps the scan's row index for each row it
+  // keeps (0, 2, 4 for Happy; 3 for Whizz), not the kept rows' positions.
+  for (const char* prod : {"Happy", "Whizz"}) {
+    for (const char* exec : {"vectorized", "row"}) {
+      const std::string sql = StrCat(
+          "SELECT orderDate, revenue, r AT (VISIBLE) AS v, r AS rr FROM EO "
+          "WHERE prodName = '",
+          prod, "' ORDER BY orderDate");
+      db_.options().exec_mode = std::string(exec) == "row"
+                                    ? ExecMode::kRow
+                                    : ExecMode::kVectorized;
+      auto lines = Lines(sql);
+      EXPECT_LT(FindWith(lines, "WHERE (prodName = "), lines.size());
+      ResultSet rs = SameAsLiteral(sql);
+      ASSERT_GT(rs.num_rows(), 0u);
+      for (size_t i = 0; i < rs.num_rows(); ++i) {
+        EXPECT_EQ(rs.Get(i, "v").int_val(), rs.Get(i, "revenue").int_val())
+            << prod << " " << exec << " row " << i;
+      }
+    }
+  }
+}
+
+TEST_F(PushdownTest, FilteredAndUnfilteredQueriesShareCacheEntries) {
+  // The pre-filter leaves the measure's source plan as it was, so an
+  // unfiltered query finds what a filtered one put in the shared cache.
+  auto filtered = db_.Query(
+      "SELECT prodName, r AT (ALL prodName) AS t FROM EO "
+      "WHERE prodName = 'Happy' GROUP BY prodName");
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_GT(filtered.value().stats()->shared_cache_misses, 0u);
+  auto unfiltered = db_.Query(
+      "SELECT prodName, r AT (ALL prodName) AS t FROM EO GROUP BY prodName");
+  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+  EXPECT_GT(unfiltered.value().stats()->shared_cache_hits, 0u);
+  EXPECT_EQ(unfiltered.value().stats()->shared_cache_misses, 0u);
+}
+
+TEST_F(PushdownTest, NaiveStrategyKeepsTheLiteralPlan) {
+  const std::string sql =
+      "SELECT prodName, AGGREGATE(r) AS r FROM EO WHERE prodName = 'Happy' "
+      "GROUP BY prodName";
+  auto literal = literal_->Explain(sql);
+  ASSERT_TRUE(literal.ok());
+  const std::string& text = literal.value();
+  const size_t filter = text.find("Filter (prodName = 'Happy')");
+  ASSERT_NE(filter, std::string::npos) << text;
+  EXPECT_LT(filter, text.find("Project [prodName, custName"));
+  EXPECT_EQ(text.find("WHERE"), std::string::npos) << text;
+  EXPECT_EQ(SameAsLiteral(sql).Get(0, "r").int_val(), 17);
 }
 
 TEST_F(PushdownTest, LeftJoinKeepsNullSupplyingConjunctsAbove) {
@@ -330,11 +498,12 @@ TEST_F(PushdownTest, NestedJoinsAndCrossJoinPushEachConjunctToItsInput) {
   const size_t both = Find(lines, "Filter (cost < custAge)");
   EXPECT_GT(both, outer);
   EXPECT_LT(both, inner);
-  // The cross join's right input is EC: above its defining Project.
-  const size_t ec = Find(lines, "Filter (custAge > 20)");
-  ASSERT_LT(ec + 1, lines.size());
-  EXPECT_NE(lines[ec + 1].text.find("custCount := COUNT(*)"),
-            std::string::npos);
+  // The cross join's right input is EC: the pre-filter of its defining
+  // Project.
+  const size_t ec = FindWith(lines, "WHERE (custAge > 20)");
+  ASSERT_LT(ec, lines.size());
+  EXPECT_NE(lines[ec].text.find("custCount := COUNT(*)"), std::string::npos);
+  EXPECT_EQ(lines[ec + 1].text, "Scan Customers");
   EXPECT_GT(Find(lines, "Filter"), outer);  // nothing stays above it
   SameAsLiteral(sql);
 }

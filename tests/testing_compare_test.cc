@@ -116,6 +116,24 @@ TEST(DiffResultsTest, NormalizedRowsSortTotally) {
   }
 }
 
+TEST(DiffResultsTest, NaNSortsAfterEveryNumber) {
+  // Value::Compare calls NaN equal to every number, so sorting by it alone
+  // can leave two orders of one multiset in two different orders.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ResultSet a = MakeResult({"x"}, {{Value::Double(nan)},
+                                   {Value::Double(1.0)},
+                                   {Value::Double(2.0)}});
+  ResultSet b = MakeResult({"x"}, {{Value::Double(2.0)},
+                                   {Value::Double(1.0)},
+                                   {Value::Double(nan)}});
+  EXPECT_EQ(DiffResults(a, b), std::nullopt);
+  std::vector<Row> sorted = NormalizedRows(a);
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(sorted[0][0].double_val(), 1.0);
+  EXPECT_EQ(sorted[1][0].double_val(), 2.0);
+  EXPECT_TRUE(std::isnan(sorted[2][0].double_val()));
+}
+
 }  // namespace
 }  // namespace testing
 }  // namespace msql

@@ -125,6 +125,63 @@ TEST(GeneratorTest, RowGroupingShapesAppearAcrossSeeds) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
+TEST(GeneratorTest, FilterPushdownShapesAppearAcrossSeeds) {
+  // Filters the planner moves into the view's Project (y2 atoms, over
+  // grouped and row-grain measure references whose AT (ALL), SET and
+  // VISIBLE contexts must still see the right rows), and filters it must
+  // leave alone: a WHERE atom that can raise, and a view column that does.
+  std::set<std::string> seen;
+  bool view_raises = false;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    const CaseSpec spec = GenerateCase(seed);
+    bool has_r0 = false;
+    for (const std::string& stmt : spec.SetupStatements()) {
+      if (stmt.find("100 / (v0 - ") != std::string::npos) has_r0 = true;
+    }
+    Engine db;
+    if (has_r0) {
+      seen.insert("raising view column");
+      for (const std::string& stmt : spec.SetupStatements()) {
+        ASSERT_TRUE(db.Execute(stmt).ok()) << stmt;
+      }
+      auto rs = db.Query("SELECT COUNT(*) AS n FROM V0");
+      if (!rs.ok() &&
+          rs.status().message().find("division by zero") != std::string::npos) {
+        view_raises = true;
+      }
+    }
+    for (const Check& c : spec.checks) {
+      for (const std::string& q : c.queries) {
+        const size_t where = q.find(" WHERE ");
+        if (where == std::string::npos) continue;
+        const std::string filter = q.substr(where);
+        for (const char* atom : {"y2 = ", "y2 >= ", "y2 IN ("}) {
+          if (filter.find(atom) != std::string::npos) seen.insert(atom);
+        }
+        if (q.find(" JOIN ") == std::string::npos &&
+            filter.find(" AND 100 / v0 > 1") != std::string::npos) {
+          seen.insert("raising WHERE atom");
+        }
+        if (filter.rfind(" WHERE y2", 0) != 0) continue;
+        for (const char* context :
+             {" AT (ALL)", " AT (SET y2 = ", " AT (VISIBLE)"}) {
+          if (q.find(context) != std::string::npos) seen.insert(context);
+        }
+        seen.insert(q.find(" GROUP BY ") == std::string::npos
+                        ? "row-grain y2 filter"
+                        : "grouped y2 filter");
+      }
+    }
+  }
+  for (const char* shape :
+       {"y2 = ", "y2 >= ", "y2 IN (", "raising WHERE atom", " AT (ALL)",
+        " AT (SET y2 = ", " AT (VISIBLE)", "row-grain y2 filter",
+        "grouped y2 filter", "raising view column"}) {
+    EXPECT_TRUE(seen.count(shape)) << shape;
+  }
+  EXPECT_TRUE(view_raises);
+}
+
 TEST(CaseSpecTest, ScriptRoundTripPreservesTheCase) {
   for (uint64_t seed = 0; seed < 30; ++seed) {
     CaseSpec spec = GenerateCase(seed);

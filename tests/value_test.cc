@@ -106,6 +106,43 @@ TEST(DateTest, CivilRoundTrip) {
   }
 }
 
+TEST(DateTest, YearOfDateMatchesCivilFromDays) {
+  auto civil_year = [](int64_t days) {
+    int64_t y;
+    unsigned m, d;
+    CivilFromDays(days, &y, &m, &d);
+    return y;
+  };
+  // Every day of the years 0000 to 9999 and a margin on both sides, which
+  // spans the 32-bit shortcut's range and both its edges.
+  const int64_t first = DaysFromCivil(0, 1, 1) - 1000;
+  const int64_t last = DaysFromCivil(9999, 12, 31) + 1000;
+  ASSERT_LT(first, kFastYearFirstDay);
+  ASSERT_GT(last, kFastYearEndDay);
+  int64_t mismatches = 0;
+  for (int64_t days = first; days <= last; ++days) {
+    if (YearOfDate(days) != civil_year(days) && ++mismatches <= 5) {
+      ADD_FAILURE() << "day " << days << ": " << YearOfDate(days) << " vs "
+                    << civil_year(days);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // A DATE literal's year is any int: the first and last days of the
+  // extreme years, and a stride across the days in between.
+  const int64_t lo = DaysFromCivil(INT32_MIN, 1, 1);
+  const int64_t hi = DaysFromCivil(INT32_MAX, 12, 31);
+  for (int64_t edge : {lo, lo + 1, hi - 1, hi, kFastYearFirstDay - 1,
+                       kFastYearFirstDay, kFastYearEndDay - 1,
+                       kFastYearEndDay}) {
+    EXPECT_EQ(YearOfDate(edge), civil_year(edge)) << "day " << edge;
+  }
+  EXPECT_EQ(YearOfDate(lo), INT32_MIN);
+  EXPECT_EQ(YearOfDate(hi), INT32_MAX);
+  for (int64_t days = lo; days <= hi; days += 7919 * 1013) {
+    ASSERT_EQ(YearOfDate(days), civil_year(days)) << "day " << days;
+  }
+}
+
 TEST(DateTest, KnownDates) {
   EXPECT_EQ(DaysFromCivil(1970, 1, 1), 0);
   EXPECT_EQ(DaysFromCivil(2023, 11, 28), 19689);

@@ -8,7 +8,14 @@
 # there and in this working tree, alternating which goes first in each pair.
 # Each side builds into its own directory. For every end-to-end metric of
 # BENCHMARK.json it prints the median [q1-q3] of both sides, the change of
-# the medians, and in how many pairs the working tree was better. The
+# the medians, in how many pairs the working tree was better, and a verdict
+# against the metric's `bound` (a fraction of the base median):
+#   worse       the change's median is worse than the base median by more
+#               than the bound;
+#   unresolved  the base runs' spread (q3 - q1) exceeds the bound, and not
+#               every change run beats every base run;
+#   ok          neither holds.
+# The
 # end-to-end metrics are scaled by the run's yardstick; below them follow
 # the same runs' unscaled wall-clock metrics (wall.setup_s, wall.qps,
 # wall.measure_p50_ms, wall.plain_p50_ms) and the yardstick itself
@@ -109,10 +116,23 @@ def spread(xs):
 
 print(f"{workload}: {pairs} pairs, base {sha[:10]} vs working tree")
 print(f"{'metric':<20} {'base median [q1-q3]':<30} "
-      f"{'change median [q1-q3]':<30} {'delta':>8}  won")
+      f"{'change median [q1-q3]':<30} {'delta':>8}  won    verdict")
+
+def verdict(b, c, lower, bound):
+    bm, bq1, bq3 = spread(b)
+    cm = spread(c)[0]
+    worse_by = (cm - bm if lower else bm - cm) / bm if bm else 0.0
+    if worse_by > bound:
+        return "worse"
+    all_beat = max(c) < min(b) if lower else min(c) > max(b)
+    if bm and (bq3 - bq1) / bm > bound and not all_beat:
+        return "unresolved"
+    return "ok"
+
 wall = [("wall.setup_s", True), ("wall.qps", False),
         ("wall.measure_p50_ms", True), ("wall.plain_p50_ms", True),
         ("yardstick_ms", True)]
+bounds = {m["name"]: m["bound"] for m in metrics}
 rows = [(m["name"], m["better"] == "lower") for m in metrics]
 for name, lower in rows + [("", None)] + wall:
     if not name:
@@ -124,7 +144,9 @@ for name, lower in rows + [("", None)] + wall:
     bm, bq1, bq3 = spread(b)
     cm, cq1, cq3 = spread(c)
     delta = (cm - bm) / bm * 100 if bm else float("nan")
+    verdict_text = (verdict(b, c, lower, bounds[name]) if name in bounds
+                    else "")
     print(f"{name:<20} {f'{bm:.4g} [{bq1:.4g}-{bq3:.4g}]':<30} "
           f"{f'{cm:.4g} [{cq1:.4g}-{cq3:.4g}]':<30} {delta:+7.1f}%  "
-          f"{won}/{pairs}")
+          f"{f'{won}/{pairs}':<6} {verdict_text}".rstrip())
 EOF

@@ -136,8 +136,7 @@ int Value::Compare(const Value& a, const Value& b) {
        a.kind_ == TypeKind::kBool)) {
     return a.i_ < b.i_ ? -1 : a.i_ > b.i_ ? 1 : 0;
   }
-  double x = a.AsDouble(), y = b.AsDouble();
-  return x < y ? -1 : x > y ? 1 : 0;
+  return CompareDoubles(a.AsDouble(), b.AsDouble());
 }
 
 size_t Value::Hash() const {

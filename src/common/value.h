@@ -1,6 +1,7 @@
 #ifndef MSQL_COMMON_VALUE_H_
 #define MSQL_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -72,9 +73,19 @@ class Value {
   // Three-valued `=`: returns Null if either side is NULL.
   static Value SqlEquals(const Value& a, const Value& b);
 
-  // Total order for ORDER BY: NULLs first, numeric cross-type comparison.
-  // Returns <0, 0, >0.
+  // Total order for ORDER BY, MIN/MAX, GREATEST/LEAST and `<`-style
+  // comparisons: NULLs first, numeric cross-type comparison, NaN after
+  // every other non-NULL value and equal to NaN. Returns <0, 0, >0.
   static int Compare(const Value& a, const Value& b);
+
+  // Compare's order on doubles (NaN last, equal to NaN), for the
+  // vectorized kernels that must agree with it.
+  static int CompareDoubles(double x, double y) {
+    if (x < y) return -1;
+    if (x > y) return 1;
+    if (x == y) return 0;
+    return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+  }
 
   // Hash consistent with NotDistinct (for hash aggregation / joins).
   size_t Hash() const;

@@ -105,10 +105,17 @@ std::string RenderParamSig(const Row& params) {
 }
 
 // The plan-cache key of `text` (a trimmed statement text or a canonical
-// unparse) for the context's user and plan form.
+// unparse) for the context's user and plan form at catalog `generation`.
 std::string CacheKey(const QueryContext& ctx, const std::string& text,
-                     const std::vector<TypeKind>& param_types) {
-  return PlanCacheKey(ctx.user, text, param_types, RewritesPlans(ctx.options));
+                     const std::vector<TypeKind>& param_types,
+                     uint64_t generation) {
+  return PlanCacheKey(ctx.user, text, param_types, RewritesPlans(ctx.options),
+                      generation);
+}
+
+// The plan cached under `key`, or null.
+PreparedPlanPtr LookupPlan(PlanCache& cache, const std::string& key) {
+  return std::static_pointer_cast<const PreparedPlan>(cache.Lookup(key));
 }
 
 // The row count a finished statement reports to its trace.
@@ -192,14 +199,14 @@ void Engine::InitObs() {
     ins_.query_counters[i] =
         metrics_.GetCounter(kQueryCounters[i].metric, kQueryCounters[i].help);
   }
-  ins_.shared_cache_insertions = metrics_.GetCounter(
+  ins_.shared_cache.insertions = metrics_.GetCounter(
       "msql_shared_cache_insertions_total", "Cross-query shared cache fills");
-  ins_.shared_cache_evictions = metrics_.GetCounter(
+  ins_.shared_cache.evictions = metrics_.GetCounter(
       "msql_shared_cache_evictions_total",
-      "Cross-query shared cache entries evicted (LRU or invalidation)");
-  ins_.shared_cache_invalidations = metrics_.GetCounter(
+      "Cross-query shared cache entries evicted (LRU or byte budget)");
+  ins_.shared_cache.invalidations = metrics_.GetCounter(
       "msql_shared_cache_invalidations_total",
-      "Generation invalidations of the cross-query shared cache");
+      "Cross-query shared cache entries purged by a catalog mutation");
   ins_.sessions_created = metrics_.GetCounter(
       "msql_sessions_created_total", "Sessions created over engine lifetime");
   ins_.slow_queries = metrics_.GetCounter(
@@ -208,31 +215,31 @@ void Engine::InitObs() {
   ins_.obs_sink_errors = metrics_.GetCounter(
       "msql_obs_sink_errors_total",
       "Trace sink emissions that failed (queries are unaffected)");
-  ins_.plan_cache_hits = metrics_.GetCounter(
+  ins_.plan_cache.hits = metrics_.GetCounter(
       "msql_plan_cache_hits_total",
       "Plan cache lookups that returned a fresh bound plan");
-  ins_.plan_cache_misses = metrics_.GetCounter(
+  ins_.plan_cache.misses = metrics_.GetCounter(
       "msql_plan_cache_misses_total",
       "Plan cache lookups that required a fresh parse + bind");
-  ins_.plan_cache_evictions = metrics_.GetCounter(
+  ins_.plan_cache.evictions = metrics_.GetCounter(
       "msql_plan_cache_evictions_total",
       "Prepared plans evicted from the plan cache (LRU)");
-  ins_.plan_cache_invalidations = metrics_.GetCounter(
+  ins_.plan_cache.invalidations = metrics_.GetCounter(
       "msql_plan_cache_invalidations_total",
-      "Cached plans dropped on probe because the catalog generation moved");
+      "Cached plans purged by a catalog mutation");
   ins_.sessions_active = metrics_.GetGauge(
       "msql_sessions_active", "Sessions currently alive");
-  ins_.shared_cache_entries = metrics_.GetGauge(
+  ins_.shared_cache.entries = metrics_.GetGauge(
       "msql_shared_cache_entries", "Cross-query shared cache entries");
-  ins_.shared_cache_bytes = metrics_.GetGauge(
+  ins_.shared_cache.bytes = metrics_.GetGauge(
       "msql_shared_cache_bytes", "Cross-query shared cache approximate bytes");
-  ins_.shared_cache_hit_ratio = metrics_.GetGauge(
+  ins_.shared_cache.hit_ratio = metrics_.GetGauge(
       "msql_shared_cache_hit_ratio",
       "Cross-query shared cache hits / lookups over engine lifetime");
-  ins_.plan_cache_entries = metrics_.GetGauge(
+  ins_.plan_cache.entries = metrics_.GetGauge(
       "msql_plan_cache_entries",
       "Prepared plans currently cached (alias keys counted)");
-  ins_.plan_cache_bytes = metrics_.GetGauge(
+  ins_.plan_cache.bytes = metrics_.GetGauge(
       "msql_plan_cache_bytes", "Plan cache approximate bytes");
   ins_.query_duration_ms = metrics_.GetHistogram(
       "msql_query_duration_ms", "SELECT wall time",
@@ -371,13 +378,19 @@ Result<ResultSet> Engine::QueryWith(const std::string& sql,
                                     const QueryContext& ctx) {
   // Raw-text fast path: a repeated statement skips the parser entirely. On
   // a miss a top-level SELECT publishes its fresh plan under the trimmed
-  // text too (BuildPlan), warming the path for the next identical call.
+  // text too (BuildPlan), warming the path for the next identical call. A
+  // hit runs the plan it found, fresh when probed: a write landing after
+  // the probe orders this read before it, as a read that probed a moment
+  // earlier would be. (QueryPlanned's staleness refusal is for handles a
+  // client holds across statements.)
   std::string text;
   if (ctx.options.enable_plan_cache) {
     text = TrimStatementText(sql);
-    if (PreparedPlanPtr cached = plan_cache_.Lookup(
-            CacheKey(ctx, text, {}), catalog_.generation())) {
-      return QueryPlanned(cached, {}, ctx);
+    if (PreparedPlanPtr cached = LookupPlan(
+            plan_cache_, CacheKey(ctx, text, {}, catalog_.generation()))) {
+      return Traced(cached->sql, ctx, [&](const QueryContext& tctx) {
+        return RunSelect(tctx, cached, {});
+      });
     }
   }
   return Traced(sql, ctx, [&](const QueryContext& tctx) -> Result<ResultSet> {
@@ -432,7 +445,7 @@ EngineStats Engine::stats() const {
   for (size_t i = 0; i < kNumQueryCounters; ++i) {
     s.*kQueryCounters[i].member = ins_.query_counters[i]->value();
   }
-  const SharedMeasureCache::Stats cache = shared_cache_.stats();
+  const LruCache::Stats cache = shared_cache_.stats();
   s.shared_cache_insertions = cache.insertions;
   s.shared_cache_evictions = cache.evictions;
   s.shared_cache_entries = cache.entries;
@@ -446,39 +459,32 @@ std::string Engine::MetricsText() {
 }
 
 void Engine::SyncCacheMetrics() {
-  // Fold the shared cache's internally-kept counters into the registry as
-  // deltas since the last exposition, and refresh the gauges.
-  const SharedMeasureCache::Stats cache = shared_cache_.stats();
-  {
-    std::lock_guard<std::mutex> lock(metrics_sync_mu_);
-    ins_.shared_cache_insertions->Increment(cache.insertions -
-                                            synced_cache_.insertions);
-    ins_.shared_cache_evictions->Increment(cache.evictions -
-                                           synced_cache_.evictions);
-    ins_.shared_cache_invalidations->Increment(cache.invalidations -
-                                               synced_cache_.invalidations);
-    synced_cache_ = cache;
-  }
-  ins_.shared_cache_entries->Set(static_cast<double>(cache.entries));
-  ins_.shared_cache_bytes->Set(static_cast<double>(cache.bytes));
-  const uint64_t lookups = cache.hits + cache.misses;
-  ins_.shared_cache_hit_ratio->Set(
-      lookups == 0 ? 0.0 : static_cast<double>(cache.hits) / lookups);
+  // Fold each cache's internally kept counters into the registry as deltas
+  // since the last exposition, and refresh the gauges.
+  std::lock_guard<std::mutex> lock(metrics_sync_mu_);
+  FoldCacheStats(shared_cache_.stats(), &ins_.shared_cache);
+  FoldCacheStats(plan_cache_.stats(), &ins_.plan_cache);
+}
 
-  // Same folding pattern for the prepared-plan cache.
-  const PlanCache::Stats pc = plan_cache_.stats();
-  {
-    std::lock_guard<std::mutex> lock(metrics_sync_mu_);
-    ins_.plan_cache_hits->Increment(pc.hits - synced_plan_cache_.hits);
-    ins_.plan_cache_misses->Increment(pc.misses - synced_plan_cache_.misses);
-    ins_.plan_cache_evictions->Increment(pc.evictions -
-                                         synced_plan_cache_.evictions);
-    ins_.plan_cache_invalidations->Increment(
-        pc.invalidations - synced_plan_cache_.invalidations);
-    synced_plan_cache_ = pc;
+void Engine::FoldCacheStats(const LruCache::Stats& now,
+                            CacheInstruments* ins) {
+  const LruCache::Stats& was = ins->synced;
+  auto fold = [](obs::Counter* c, uint64_t now_value, uint64_t was_value) {
+    if (c != nullptr) c->Increment(now_value - was_value);
+  };
+  fold(ins->hits, now.hits, was.hits);
+  fold(ins->misses, now.misses, was.misses);
+  fold(ins->insertions, now.insertions, was.insertions);
+  fold(ins->evictions, now.evictions, was.evictions);
+  fold(ins->invalidations, now.invalidations, was.invalidations);
+  ins->synced = now;
+  if (ins->entries != nullptr) ins->entries->Set(now.entries);
+  if (ins->bytes != nullptr) ins->bytes->Set(now.bytes);
+  if (ins->hit_ratio != nullptr) {
+    const uint64_t lookups = now.hits + now.misses;
+    ins->hit_ratio->Set(
+        lookups == 0 ? 0.0 : static_cast<double>(now.hits) / lookups);
   }
-  ins_.plan_cache_entries->Set(static_cast<double>(pc.entries));
-  ins_.plan_cache_bytes->Set(static_cast<double>(pc.bytes));
 }
 
 std::vector<obs::TracePtr> Engine::RecentTraces() const {
@@ -510,7 +516,9 @@ ThreadPool* Engine::MeasurePool() {
 
 void Engine::NoteCatalogMutation() {
   catalog_.BumpGeneration();
-  shared_cache_.InvalidateOlderThan(catalog_.generation());
+  const uint64_t generation = catalog_.generation();
+  shared_cache_.InvalidateOlderThan(generation);
+  plan_cache_.InvalidateOlderThan(generation);
 }
 
 void Engine::ArmGuard(const QueryContext& ctx, QueryGuard* guard) const {
@@ -553,8 +561,11 @@ Result<ResultSet> Engine::RunSelect(const QueryContext& ctx,
       state.options = ctx.options;
       if (ctx.options.measure_strategy != MeasureStrategy::kNaive &&
           !prepared->reads_system_tables) {
+        // The generation the plan was bound at: a reused plan that a write
+        // has since overtaken runs as if before that write, and the cache
+        // rejects what it computes.
         state.shared_cache = &shared_cache_;
-        state.catalog_generation = catalog_.generation();
+        state.catalog_generation = prepared->generation;
       }
       if (ctx.options.measure_strategy == MeasureStrategy::kGrouped &&
           ctx.options.measure_parallelism != 1) {
@@ -641,19 +652,21 @@ Result<PreparedPlanPtr> Engine::BuildPlan(
 
   // Canonical probe: two spellings of one statement share one entry. The
   // generation is snapshotted *before* binding so an entry bound while a
-  // catalog mutation is in flight records the older generation and
-  // self-invalidates on its next probe.
+  // catalog mutation is in flight records the older generation, and the
+  // cache rejects it or purges it with that mutation.
   const uint64_t bind_generation = catalog_.generation();
   std::string canonical;
   std::string canonical_key;
   if (use_cache) {
     canonical = Unparse(select);
-    canonical_key = CacheKey(ctx, canonical, types);
-    if (PreparedPlanPtr cached =
-            plan_cache_.Lookup(canonical_key, bind_generation)) {
+    canonical_key = CacheKey(ctx, canonical, types, bind_generation);
+    if (PreparedPlanPtr cached = LookupPlan(plan_cache_, canonical_key)) {
       if (outcome != nullptr) *outcome = 2;
       // Alias the text too, so its pre-parse probe hits next time.
-      if (!text.empty()) plan_cache_.Insert(CacheKey(ctx, text, types), cached);
+      if (!text.empty()) {
+        plan_cache_.Insert(CacheKey(ctx, text, types, bind_generation),
+                           cached, ApproxPlanBytes(*cached), bind_generation);
+      }
       return cached;
     }
     if (outcome != nullptr) *outcome = 1;
@@ -713,13 +726,17 @@ Result<PreparedPlanPtr> Engine::BuildPlan(
   // Publish under the canonical key and the text key. The fill is charged
   // to the statement's guard: a cache fill must not dodge its byte budget.
   entry->fingerprint = FingerprintPlan(*entry->plan);
-  entry->approx_bytes = PlanCache::ApproxPlanBytes(*entry);
+  const uint64_t bytes = ApproxPlanBytes(*entry);
   // A Prepare's fill is the wire's `net.plan_cache_fill` fault point.
   if (param_types != nullptr) MSQL_FAULT_POINT("net.plan_cache_fill");
-  MSQL_RETURN_IF_ERROR(guard->ChargeBytes(entry->approx_bytes));
-  plan_cache_.Insert(canonical_key, entry);
-  if (!text.empty()) plan_cache_.Insert(CacheKey(ctx, text, types), entry);
-  return PreparedPlanPtr(std::move(entry));
+  MSQL_RETURN_IF_ERROR(guard->ChargeBytes(bytes));
+  PreparedPlanPtr prepared = std::move(entry);
+  plan_cache_.Insert(canonical_key, prepared, bytes, bind_generation);
+  if (!text.empty()) {
+    plan_cache_.Insert(CacheKey(ctx, text, types, bind_generation), prepared,
+                       bytes, bind_generation);
+  }
+  return prepared;
 }
 
 Result<PreparedPlanPtr> Engine::PrepareSelect(
@@ -727,8 +744,9 @@ Result<PreparedPlanPtr> Engine::PrepareSelect(
     const QueryContext& ctx) {
   const std::string text = TrimStatementText(sql);
   if (ctx.options.enable_plan_cache) {
-    if (PreparedPlanPtr cached = plan_cache_.Lookup(
-            CacheKey(ctx, text, param_types), catalog_.generation())) {
+    if (PreparedPlanPtr cached = LookupPlan(
+            plan_cache_,
+            CacheKey(ctx, text, param_types, catalog_.generation()))) {
       return cached;
     }
   }

@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/plan_cache.h"
-#include "runtime/shared_cache.h"
 #include "runtime/thread_pool.h"
 
 namespace msql {
@@ -238,7 +237,7 @@ class Engine {
   obs::MetricsRegistry& metrics() { return metrics_; }
 
   // Prometheus-style text exposition of every registered metric, after
-  // syncing the SharedMeasureCache counters/gauges into the registry.
+  // syncing both caches' counters and gauges into the registry.
   std::string MetricsText();
 
   // The last N traces (newest first) of queries run with tracing enabled;
@@ -373,8 +372,8 @@ class Engine {
   std::string user_;
   SystemTableRegistry system_tables_;
   SharedMeasureCache shared_cache_;
-  PlanCache plan_cache_{options_.plan_cache_max_entries,
-                        options_.plan_cache_max_bytes};
+  PlanCache plan_cache_{options_.plan_cache_max_bytes,
+                        options_.plan_cache_max_entries};
 
   std::mutex measure_pool_mu_;
   std::unique_ptr<ThreadPool> measure_pool_;
@@ -382,39 +381,44 @@ class Engine {
   // Observability. Cached instrument pointers make the per-query
   // accounting lock-free (registration happens once, in InitObs).
   obs::MetricsRegistry metrics_;
+  // One cache's exported instruments; a null one is a statistic that
+  // cache does not export. `synced` is what MetricsText() already folded
+  // into the counters (guarded by metrics_sync_mu_).
+  struct CacheInstruments {
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* insertions = nullptr;
+    obs::Counter* evictions = nullptr;
+    obs::Counter* invalidations = nullptr;
+    obs::Gauge* entries = nullptr;
+    obs::Gauge* bytes = nullptr;
+    obs::Gauge* hit_ratio = nullptr;
+    LruCache::Stats synced;
+  };
+  // Folds one cache's counters into `ins` as deltas since the last fold and
+  // sets its gauges. metrics_sync_mu_ held.
+  static void FoldCacheStats(const LruCache::Stats& now,
+                             CacheInstruments* ins);
   struct Instruments {
     obs::Counter* queries = nullptr;
     obs::Counter* query_errors = nullptr;
     // Indexed like kQueryCounters (common/query_stats.h).
     obs::Counter* query_counters[kNumQueryCounters] = {};
-    obs::Counter* shared_cache_insertions = nullptr;
-    obs::Counter* shared_cache_evictions = nullptr;
-    obs::Counter* shared_cache_invalidations = nullptr;
     obs::Counter* sessions_created = nullptr;
     obs::Counter* slow_queries = nullptr;
     obs::Counter* obs_sink_errors = nullptr;
-    obs::Counter* plan_cache_hits = nullptr;
-    obs::Counter* plan_cache_misses = nullptr;
-    obs::Counter* plan_cache_evictions = nullptr;
-    obs::Counter* plan_cache_invalidations = nullptr;
     obs::Gauge* sessions_active = nullptr;
-    obs::Gauge* shared_cache_entries = nullptr;
-    obs::Gauge* shared_cache_bytes = nullptr;
-    obs::Gauge* shared_cache_hit_ratio = nullptr;
-    obs::Gauge* plan_cache_entries = nullptr;
-    obs::Gauge* plan_cache_bytes = nullptr;
     obs::Histogram* query_duration_ms = nullptr;
+    CacheInstruments shared_cache;
+    CacheInstruments plan_cache;
   };
   Instruments ins_;
 
   obs::TraceCollector trace_collector_;
   std::shared_ptr<obs::RingBufferSink> ring_sink_;
 
-  // MetricsText() folds SharedMeasureCache counter deltas into the
-  // registry; `synced_cache_` remembers what was already folded.
+  // Serializes MetricsText()'s folding of cache counter deltas.
   std::mutex metrics_sync_mu_;
-  SharedMeasureCache::Stats synced_cache_;
-  PlanCache::Stats synced_plan_cache_;
 
   // Snapshot of EngineOptions::slow_query_log_ms at construction, so the
   // msql_slow_queries_total counter agrees with the configured sink even if

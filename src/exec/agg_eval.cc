@@ -143,12 +143,13 @@ bool TryVectorizedAgg(AggId agg, const std::vector<BoundExprPtr>& args,
           best = idx;
           continue;
         }
-        // Strict comparisons keep the first-seen value among equals (and,
-        // for doubles, under NaN), exactly like Value::Compare.
+        // Strict comparisons keep the first-seen value among equals, in
+        // Value::Compare's order (NaN after every number).
         bool better;
         if (c.kind == TypeKind::kDouble) {
-          better = want_min ? c.doubles[idx] < c.doubles[best]
-                            : c.doubles[idx] > c.doubles[best];
+          const int cmp =
+              Value::CompareDoubles(c.doubles[idx], c.doubles[best]);
+          better = want_min ? cmp < 0 : cmp > 0;
         } else if (c.kind == TypeKind::kString) {
           const int cmp = (*c.dict)[static_cast<size_t>(c.ints[idx])].compare(
               (*c.dict)[static_cast<size_t>(c.ints[best])]);

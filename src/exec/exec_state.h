@@ -1,6 +1,7 @@
 #ifndef MSQL_EXEC_EXEC_STATE_H_
 #define MSQL_EXEC_EXEC_STATE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -16,11 +17,9 @@
 
 namespace msql {
 
-class SharedMeasureCache;  // runtime/shared_cache.h
-class ThreadPool;          // runtime/thread_pool.h
-struct GroupedIndex;       // measure/grouped.cc
-class MeasureTable;        // measure/grouped.cc
-struct LogicalPlan;        // plan/plan.h
+class LruCache;     // runtime/lru_cache.h
+class ThreadPool;   // runtime/thread_pool.h
+struct LogicalPlan;  // plan/plan.h
 
 // How measure evaluations are executed: the one switch between the literal
 // evaluation and the optimized one. kNaive, the reference the msqlcheck
@@ -108,17 +107,12 @@ struct ExecState : QueryCounters {
   // guard (QueryGuard::ForkWorker), merged after the join.
   QueryGuard guard;
 
-  std::unordered_map<std::string, Value> measure_cache;
-  std::unordered_map<std::string, Value> subquery_cache;
-
-  // Per-query caches of the grouped strategy (measure/grouped.h): value
-  // tables keyed by (source identity, formula identity, context-shape
-  // signature), and source partitions keyed by (source identity, shape
-  // signature), shared by every measure over that source.
-  std::unordered_map<std::string, std::shared_ptr<const MeasureTable>>
-      measure_table_cache;
-  std::unordered_map<std::string, std::shared_ptr<const GroupedIndex>>
-      grouped_index_cache;
+  // The query's memo, read and written only through MemoSlot: measure
+  // values, subquery values (both boxed as `const Value`), the grouped
+  // strategy's value tables and source partitions (measure/grouped.h).
+  // Keys start with a kind prefix and name per-bind pointer identities,
+  // stable within one query.
+  std::unordered_map<std::string, std::shared_ptr<const void>> memo;
 
   // Returns the engine's measure worker pool, creating it on first use
   // (null/unset => single-threaded evaluation). A provider rather than a
@@ -127,14 +121,13 @@ struct ExecState : QueryCounters {
   // unset: workers must never re-enter the pool they run on.
   std::function<ThreadPool*()> measure_pool_provider;
 
-  // Engine-wide cross-query result cache (may be null: uncached engine or
-  // naive strategy). Consulted through SharedCacheSlot by the measure
-  // evaluator, the grouped value tables and the subquery memoizer on a
-  // local-cache miss; fills are tagged with
-  // `catalog_generation`, the catalog data version snapshotted when this
-  // query started, so entries computed against concurrently mutated data
-  // are rejected by the cache.
-  SharedMeasureCache* shared_cache = nullptr;
+  // Engine-wide cross-query result cache, the SharedMeasureCache (may be
+  // null: uncached engine or naive strategy). Consulted through
+  // SharedCacheSlot on a memo miss; keys and fills are tagged with
+  // `catalog_generation`, the catalog data version the query's plan was
+  // bound at (snapshotted before binding), so entries computed against
+  // concurrently mutated data are rejected by the cache.
+  LruCache* shared_cache = nullptr;
   uint64_t catalog_generation = 0;
 
   // Per-query memo of structural plan fingerprints (cross-query cache key
@@ -165,29 +158,73 @@ struct ExecState : QueryCounters {
 // `prefix|catalog generation|parameter signature|part|part...`. The
 // generation pins the data version the entry was computed at; the
 // parameter signature pins the bound `?` values, which structural
-// fingerprints render identically. An inactive slot (default-constructed,
-// or on a query without a shared cache) misses every lookup uncounted and
-// ignores fills.
+// fingerprints render identically. The key is built on the first Lookup
+// or Fill, so a slot behind a memo hit costs no key; the prefix and parts
+// must outlive the slot. An inactive slot (default-constructed, or on a
+// query without a shared cache) misses every lookup uncounted and ignores
+// fills.
 class SharedCacheSlot {
  public:
   SharedCacheSlot() = default;
+  // At most three parts.
   SharedCacheSlot(ExecState* state, std::string_view prefix,
                   std::initializer_list<std::string_view> parts);
 
-  // On an active slot, counts a shared-cache hit or miss on the query.
-  bool Lookup(Value* out) const;
-  bool Lookup(std::shared_ptr<const void>* out) const;
+  // The shared entry, or null. On an active slot, counts a shared-cache
+  // hit or miss on the query.
+  std::shared_ptr<const void> Lookup() const;
 
-  // Publishes an entry computed by this query, charged to its byte budget.
-  // The `runtime.shared_cache_fill` fault point may skip the fill: the
-  // query's answer stays correct, only its result goes uncached.
-  Status Fill(const Value& value) const;
+  // Publishes an object computed by this query, charged to its byte budget
+  // as the cache charges it. The `runtime.shared_cache_fill` fault point
+  // may skip the fill: the query's answer stays correct, only its result
+  // goes uncached.
   Status Fill(std::shared_ptr<const void> object, uint64_t bytes) const;
 
  private:
+  const std::string& Key() const;
+
   ExecState* state_ = nullptr;
-  std::string key_;
+  std::string_view prefix_;
+  std::array<std::string_view, 3> parts_;
+  size_t num_parts_ = 0;
+  mutable std::string key_;
 };
+
+// One memoized result of a query: the one procedure behind the measure
+// memo, the subquery memo and the grouped value tables. Its local half is
+// the query's memo entry under `key`; its shared half, `shared`, is the
+// cross-query entry (inactive for results that are not shareable, and for
+// grouped partitions, which use the local half only). A shared hit is
+// memoized locally on the way; a computed result is filled into both.
+class MemoSlot {
+ public:
+  // `memo_hits` (may be null) counts local hits.
+  MemoSlot(ExecState* state, std::string key, SharedCacheSlot shared = {},
+           uint64_t* memo_hits = nullptr)
+      : state_(state),
+        key_(std::move(key)),
+        shared_(std::move(shared)),
+        memo_hits_(memo_hits) {}
+
+  // Whether the result is memoized or shared; sets *out to it. A memoized
+  // null marks a degraded grouped build.
+  bool Lookup(std::shared_ptr<const void>* out) const;
+
+  // Memoizes `object` and fills a non-null one into the shared half,
+  // charged at `bytes`.
+  Status Fill(std::shared_ptr<const void> object, uint64_t bytes) const;
+
+ private:
+  ExecState* state_;
+  std::string key_;
+  SharedCacheSlot shared_;
+  uint64_t* memo_hits_;
+};
+
+// The byte estimate of a Value memoized as an object.
+inline uint64_t MemoValueBytes(const Value& v) {
+  return sizeof(Value) + v.str().size();
+}
 
 }  // namespace msql
 

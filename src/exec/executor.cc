@@ -292,16 +292,16 @@ Result<ColumnPtr> RowIndexColumn(const std::vector<int64_t>& sel,
   return ColumnPtr(std::move(col));
 }
 
-// Vectorized projection: every output expression has a kernel, and so does
-// the pre-filter when there is one. Produces a columnar relation (rows stay
-// lazy) and charges exactly what the row path charges (n x ChargeRows(1,
-// width) == ChargeRows(n, width) in bytes). With a pre-filter the output
+// Vectorized projection over a child with a columnar image: every output
+// expression has a kernel, and so does the pre-filter when there is one.
+// Produces a columnar relation (rows stay lazy) and charges exactly what
+// the row path charges (n x ChargeRows(1, width) == ChargeRows(n, width) in
+// bytes). With a pre-filter the output
 // expressions run over only the child rows that pass it, and the row index
 // is the selection itself. Returns false — with nothing charged — when a
 // kernel is missing.
 Result<bool> TryVectorProject(const LogicalPlan& plan, const Relation& child,
                               ExecState* state, Relation* rel) {
-  if (child.columns == nullptr) return false;
   auto arena = std::make_shared<Arena>();
   const Relation* in = &child;
   Relation kept;
@@ -338,12 +338,13 @@ Result<bool> TryVectorProject(const LogicalPlan& plan, const Relation& child,
   return true;
 }
 
-// Vectorized filter: the predicate has a kernel and every child column is
-// columnar; kept rows are gathered by selection vector. Charges what the row
-// path charges: one row of the child width per kept row.
+// Vectorized filter over a child with a columnar image: the predicate has a
+// kernel and every child column is columnar; kept rows are gathered by
+// selection vector. Charges what the row path charges: one row of the child
+// width per kept row.
 Result<bool> TryVectorFilter(const LogicalPlan& plan, const Relation& child,
                              ExecState* state, Relation* rel) {
-  if (child.columns == nullptr || !child.columns->Complete()) return false;
+  if (!child.columns->Complete()) return false;
   const int64_t n = static_cast<int64_t>(child.rows.size());
   auto arena = std::make_shared<Arena>();
   std::vector<int64_t> sel;
@@ -373,7 +374,10 @@ Result<RelationPtr> Executor::ExecProject(const LogicalPlan& plan,
   MSQL_ASSIGN_OR_RETURN(RelationPtr child, Execute(*plan.children[0], outer));
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  if (outer.empty() && VectorizedGate(state_) == VectorGate::kOk) {
+  // A child without a columnar image (a Sort's or a Limit's rows) runs the
+  // row path by design; only a missing kernel counts as a fallback.
+  if (outer.empty() && child->columns != nullptr &&
+      VectorizedGate(state_) == VectorGate::kOk) {
     MSQL_ASSIGN_OR_RETURN(bool done,
                           TryVectorProject(plan, *child, state_, rel.get()));
     if (done) {
@@ -414,7 +418,8 @@ Result<RelationPtr> Executor::ExecFilter(const LogicalPlan& plan,
   MSQL_ASSIGN_OR_RETURN(RelationPtr child, Execute(*plan.children[0], outer));
   auto rel = std::make_shared<Relation>();
   rel->schema = plan.schema;
-  if (outer.empty() && VectorizedGate(state_) == VectorGate::kOk) {
+  if (outer.empty() && child->columns != nullptr &&
+      VectorizedGate(state_) == VectorGate::kOk) {
     MSQL_ASSIGN_OR_RETURN(bool done,
                           TryVectorFilter(plan, *child, state_, rel.get()));
     if (done) {
@@ -1049,59 +1054,12 @@ Result<RelationPtr> Executor::ExecWindow(const LogicalPlan& plan,
   return RelationPtr(rel);
 }
 
-Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
-                               Evaluator* ev) {
-  ExecState* state = ev->state();
-  MSQL_FAULT_POINT("exec.subquery");
-  MSQL_RETURN_IF_ERROR(state->guard.Check());
-  ++state->subquery_execs;
+namespace {
 
-  // Only scalar and EXISTS results are memoized: an IN result depends on
-  // the probe value too.
-  const bool memoize =
-      state->options.measure_strategy != MeasureStrategy::kNaive &&
-      (e.kind == BoundExprKind::kSubquery || e.kind == BoundExprKind::kExists);
-  std::string cache_key;
-  SharedCacheSlot shared;
-  if (memoize) {
-    cache_key = StrCat(reinterpret_cast<uintptr_t>(e.subplan.get()), "|");
-    std::string literals;
-    for (const auto& fv : e.free_vars) {
-      MSQL_ASSIGN_OR_RETURN(Value v, ev->Eval(*fv, stack));
-      literals += v.ToSqlLiteral();
-      literals += ",";
-    }
-    cache_key += literals;
-    auto it = state->subquery_cache.find(cache_key);
-    if (it != state->subquery_cache.end()) {
-      ++state->subquery_cache_hits;
-      return it->second;
-    }
-    // Cross-query layer: free-variable *values* are part of the key, so
-    // even correlated subqueries share safely under a structural plan
-    // fingerprint (pointer keys above are meaningless across binds).
-    if (state->shared_cache != nullptr) {
-      auto [fp, inserted] =
-          state->plan_fingerprints.emplace(e.subplan.get(), std::string());
-      if (inserted) fp->second = FingerprintPlan(*e.subplan);
-      const char* kind = e.kind == BoundExprKind::kExists
-                             ? (e.negated ? "e!" : "e")
-                             : (e.negated ? "s!" : "s");
-      shared = SharedCacheSlot(state, "q", {kind, fp->second, literals});
-      Value v;
-      if (shared.Lookup(&v)) {
-        state->subquery_cache.emplace(cache_key, v);
-        return v;
-      }
-    }
-  }
-
-  auto publish = [&](const Value& v) -> Status {
-    state->subquery_cache.emplace(cache_key, v);
-    return shared.Fill(v);
-  };
-
-  Executor exec(state);
+// The value of subquery expression `e`, running its plan under `stack`.
+Result<Value> RunSubquery(const BoundExpr& e, const RowStack& stack,
+                          Evaluator* ev) {
+  Executor exec(ev->state());
   MSQL_ASSIGN_OR_RETURN(RelationPtr result, exec.Execute(*e.subplan, stack));
 
   switch (e.kind) {
@@ -1110,15 +1068,10 @@ Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
         return Status(ErrorCode::kExecution,
                       "scalar subquery returned more than one row");
       }
-      Value v = result->rows.empty() ? Value::Null() : result->rows[0][0];
-      if (memoize) MSQL_RETURN_IF_ERROR(publish(v));
-      return v;
+      return result->rows.empty() ? Value::Null() : result->rows[0][0];
     }
-    case BoundExprKind::kExists: {
-      Value v = Value::Bool(result->rows.empty() == e.negated);
-      if (memoize) MSQL_RETURN_IF_ERROR(publish(v));
-      return v;
-    }
+    case BoundExprKind::kExists:
+      return Value::Bool(result->rows.empty() == e.negated);
     case BoundExprKind::kInSubquery: {
       MSQL_ASSIGN_OR_RETURN(Value probe, ev->Eval(*e.operand, stack));
       if (probe.is_null()) return Value::Null();
@@ -1136,6 +1089,52 @@ Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
     default:
       return Status(ErrorCode::kExecution, "not a subquery expression");
   }
+}
+
+}  // namespace
+
+Result<Value> EvalSubqueryExpr(const BoundExpr& e, const RowStack& stack,
+                               Evaluator* ev) {
+  ExecState* state = ev->state();
+  MSQL_FAULT_POINT("exec.subquery");
+  MSQL_RETURN_IF_ERROR(state->guard.Check());
+  ++state->subquery_execs;
+
+  // Only scalar and EXISTS results are memoized: an IN result depends on
+  // the probe value too.
+  if (state->options.measure_strategy == MeasureStrategy::kNaive ||
+      (e.kind != BoundExprKind::kSubquery &&
+       e.kind != BoundExprKind::kExists)) {
+    return RunSubquery(e, stack, ev);
+  }
+  std::string literals;
+  for (const auto& fv : e.free_vars) {
+    MSQL_ASSIGN_OR_RETURN(Value v, ev->Eval(*fv, stack));
+    literals += v.ToSqlLiteral();
+    literals += ",";
+  }
+  // Cross-query layer: free-variable *values* are part of the key, so even
+  // correlated subqueries share safely under a structural plan fingerprint
+  // (the memo's pointer keys are meaningless across binds).
+  SharedCacheSlot shared;
+  if (state->shared_cache != nullptr) {
+    auto [fp, inserted] = state->plan_fingerprints.try_emplace(e.subplan.get());
+    if (inserted) fp->second = FingerprintPlan(*e.subplan);
+    const char* kind = e.kind == BoundExprKind::kExists
+                           ? (e.negated ? "e!" : "e")
+                           : (e.negated ? "s!" : "s");
+    shared = SharedCacheSlot(state, "q", {kind, fp->second, literals});
+  }
+  MemoSlot memo(state,
+                StrCat("q|", reinterpret_cast<uintptr_t>(e.subplan.get()), "|",
+                       literals),
+                std::move(shared), &state->subquery_cache_hits);
+  std::shared_ptr<const void> hit;
+  if (memo.Lookup(&hit)) return *static_cast<const Value*>(hit.get());
+  MSQL_ASSIGN_OR_RETURN(Value v, RunSubquery(e, stack, ev));
+  MSQL_RETURN_IF_ERROR(
+      memo.Fill(std::make_shared<const Value>(v), MemoValueBytes(v)));
+  return v;
 }
 
 }  // namespace msql

@@ -227,8 +227,7 @@ struct CmpKernel {
     if (same_int) {
       return a.ints[i] < b.ints[i] ? -1 : a.ints[i] > b.ints[i] ? 1 : 0;
     }
-    double x = AsDoubleAt(a, i), y = AsDoubleAt(b, i);
-    return x < y ? -1 : x > y ? 1 : 0;
+    return Value::CompareDoubles(AsDoubleAt(a, i), AsDoubleAt(b, i));
   }
 };
 

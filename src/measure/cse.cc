@@ -180,7 +180,7 @@ namespace {
 
 // Per-query memo key: pointer identities, stable within one bind.
 std::string MeasureMemoKey(const RtMeasure& m, const std::string& signature) {
-  return StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
+  return StrCat("m|", reinterpret_cast<uintptr_t>(m.source.get()), "|",
                 reinterpret_cast<uintptr_t>(m.formula.get()), "|", signature);
 }
 
@@ -221,6 +221,27 @@ Status ScanAdmitted(const EvalContext& ctx, const Relation& src,
   return Status::Ok();
 }
 
+// The measure's value in `ctx`, computed over the source rows it admits.
+Result<Value> ComputeMeasure(const RtMeasure& m, const EvalContext& ctx,
+                             ExecState* state) {
+  const Relation& src = *m.source;
+  std::vector<int64_t> scanned;
+  const std::vector<int64_t>* selected = &scanned;
+
+  // Fast path (paper section 6.4, "inline the measure definition"): a
+  // context whose one term is a row-id restriction (EvalContext keeps at
+  // most one) admits exactly those rows — no scan of the source required.
+  if (state->options.measure_strategy != MeasureStrategy::kNaive &&
+      ctx.terms().size() == 1 &&
+      ctx.terms()[0].kind == ContextTerm::Kind::kRowIds) {
+    ++state->measure_inline_evals;
+    selected = ctx.terms()[0].rowids.get();
+  } else {
+    MSQL_RETURN_IF_ERROR(ScanAdmitted(ctx, src, state, &scanned));
+  }
+  return EvalFormulaOverRows(*m.formula, src, *selected, state);
+}
+
 }  // namespace
 
 Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
@@ -247,56 +268,27 @@ Result<Value> EvaluateMeasure(const RtMeasure& m, const EvalContext& ctx,
   MSQL_ASSIGN_OR_RETURN(TableRoute route, RouteToTable(m, ctx, state));
   if (route.table != nullptr) return route.Lookup(m, ctx, state);
 
-  const bool memoize =
-      state->options.measure_strategy != MeasureStrategy::kNaive;
-  std::string key;
+  if (state->options.measure_strategy == MeasureStrategy::kNaive) {
+    return ComputeMeasure(m, ctx, state);
+  }
+  // Cross-query layer (docs/CONCURRENCY.md): the fingerprint replaces the
+  // per-bind pointers with a structural identity stable across queries.
+  // Signatures that render an embedded subquery are skipped — that
+  // rendering is not injective, so two different predicates could alias
+  // one key.
+  const std::string signature = ctx.Signature();
   SharedCacheSlot shared;
-  if (memoize) {
-    const std::string signature = ctx.Signature();
-    key = MeasureMemoKey(m, signature);
-    auto it = state->measure_cache.find(key);
-    if (it != state->measure_cache.end()) {
-      ++state->measure_cache_hits;
-      return it->second;
-    }
-    // Cross-query layer (docs/CONCURRENCY.md): the fingerprint replaces the
-    // per-bind pointers with a structural identity stable across queries.
-    // Signatures that render an embedded subquery are skipped — that
-    // rendering is not injective, so two different predicates could alias
-    // one key.
-    if (m.fingerprint != nullptr &&
-        signature.find("<subquery>") == std::string::npos) {
-      shared = SharedCacheSlot(state, "m", {*m.fingerprint, signature});
-    }
-    Value v;
-    if (shared.Lookup(&v)) {
-      state->measure_cache.emplace(std::move(key), v);
-      return v;
-    }
+  if (m.fingerprint != nullptr &&
+      signature.find("<subquery>") == std::string::npos) {
+    shared = SharedCacheSlot(state, "m", {*m.fingerprint, signature});
   }
-
-  const Relation& src = *m.source;
-  std::vector<int64_t> scanned;
-  const std::vector<int64_t>* selected = &scanned;
-
-  // Fast path (paper section 6.4, "inline the measure definition"): a
-  // context whose one term is a row-id restriction (EvalContext keeps at
-  // most one) admits exactly those rows — no scan of the source required.
-  if (state->options.measure_strategy != MeasureStrategy::kNaive &&
-      ctx.terms().size() == 1 &&
-      ctx.terms()[0].kind == ContextTerm::Kind::kRowIds) {
-    ++state->measure_inline_evals;
-    selected = ctx.terms()[0].rowids.get();
-  } else {
-    MSQL_RETURN_IF_ERROR(ScanAdmitted(ctx, src, state, &scanned));
-  }
-
-  MSQL_ASSIGN_OR_RETURN(Value result,
-                        EvalFormulaOverRows(*m.formula, src, *selected, state));
-  if (memoize) {
-    MSQL_RETURN_IF_ERROR(shared.Fill(result));
-    state->measure_cache.emplace(std::move(key), result);
-  }
+  MemoSlot memo(state, MeasureMemoKey(m, signature), std::move(shared),
+                &state->measure_cache_hits);
+  std::shared_ptr<const void> hit;
+  if (memo.Lookup(&hit)) return *static_cast<const Value*>(hit.get());
+  MSQL_ASSIGN_OR_RETURN(Value result, ComputeMeasure(m, ctx, state));
+  MSQL_RETURN_IF_ERROR(memo.Fill(std::make_shared<const Value>(result),
+                                 MemoValueBytes(result)));
   return result;
 }
 

@@ -294,24 +294,27 @@ GroupedIndex MakeIndex(RowGroups groups, int64_t n) {
 }
 
 // The query's partition of m's source for `shape`, shared by every
-// measure over that source (per-query cache keyed by the source's pointer
-// identity, stable within one bind). A cached null marks a degraded build:
+// measure over that source (the memo's local half only, keyed by the
+// source's pointer identity). A memoized null marks a degraded build:
 // an injected fault at this checkpoint abandons the partition (the
 // fallback counter records it) and the query stays on the scan path
 // instead of re-tripping the checkpoint per context — grouped evaluation
 // is an optimization, so its build must never fail a query.
 Result<std::shared_ptr<const GroupedIndex>> PartitionFor(
     const RtMeasure& m, const ContextShape& shape, ExecState* state) {
-  const std::string key = StrCat(reinterpret_cast<uintptr_t>(m.source.get()),
-                                 "|", shape.signature);
-  auto it = state->grouped_index_cache.find(key);
-  if (it != state->grouped_index_cache.end()) return it->second;
+  const MemoSlot memo(state,
+                      StrCat("p|", reinterpret_cast<uintptr_t>(m.source.get()),
+                             "|", shape.signature));
+  std::shared_ptr<const void> hit;
+  if (memo.Lookup(&hit)) {
+    return std::static_pointer_cast<const GroupedIndex>(hit);
+  }
 
   FaultInjector& faults = FaultInjector::Instance();
   if (faults.active() &&
       !faults.Checkpoint("measure.grouped_index_build").ok()) {
     ++state->measure_grouped_fallbacks;
-    state->grouped_index_cache.emplace(key, nullptr);
+    MSQL_RETURN_IF_ERROR(memo.Fill(nullptr, 0));
     return std::shared_ptr<const GroupedIndex>();
   }
   RowGroups groups;
@@ -320,34 +323,32 @@ Result<std::shared_ptr<const GroupedIndex>> PartitionFor(
   auto index =
       std::make_shared<const GroupedIndex>(MakeIndex(std::move(groups), n));
   ++state->measure_grouped_builds;
-  state->grouped_index_cache.emplace(key, index);
+  MSQL_RETURN_IF_ERROR(memo.Fill(index, 0));
   return index;
 }
 
-// The table for (m, shape): a per-query entry, else the SharedMeasureCache
-// entry keyed by structural fingerprint and shape, else the query's
-// partition with empty value slots (published for later queries).
+// The table for (m, shape): the query's memo entry, else the
+// SharedMeasureCache entry keyed by structural fingerprint and shape, else
+// the query's partition with empty value slots (published for later
+// queries). A null table marks a degraded partition build.
 Result<std::shared_ptr<const MeasureTable>> TableFor(const RtMeasure& m,
                                                      const ContextShape& shape,
                                                      ExecState* state) {
-  const std::string local_key =
-      StrCat(reinterpret_cast<uintptr_t>(m.source.get()), "|",
-             reinterpret_cast<uintptr_t>(m.formula.get()), "|",
-             shape.signature);
-  auto it = state->measure_table_cache.find(local_key);
-  if (it != state->measure_table_cache.end()) return it->second;
-
   // Shape signatures never embed subquery renderings — TranslateToSource
   // rejects subqueries in dimension predicates — so the key is injective.
   SharedCacheSlot shared;
   if (m.fingerprint != nullptr) {
     shared = SharedCacheSlot(state, "mt", {*m.fingerprint, shape.signature});
   }
-  std::shared_ptr<const void> cached;
-  if (shared.Lookup(&cached)) {
-    auto table = std::static_pointer_cast<const MeasureTable>(cached);
-    state->measure_table_cache.emplace(local_key, table);
-    return table;
+  const MemoSlot memo(
+      state,
+      StrCat("t|", reinterpret_cast<uintptr_t>(m.source.get()), "|",
+             reinterpret_cast<uintptr_t>(m.formula.get()), "|",
+             shape.signature),
+      std::move(shared));
+  std::shared_ptr<const void> hit;
+  if (memo.Lookup(&hit)) {
+    return std::static_pointer_cast<const MeasureTable>(hit);
   }
 
   MSQL_ASSIGN_OR_RETURN(std::shared_ptr<const GroupedIndex> index,
@@ -356,10 +357,8 @@ Result<std::shared_ptr<const MeasureTable>> TableFor(const RtMeasure& m,
   if (index != nullptr) {
     table = std::make_shared<const MeasureTable>(std::move(index));
   }
-  state->measure_table_cache.emplace(local_key, table);
-  if (table != nullptr) {
-    MSQL_RETURN_IF_ERROR(shared.Fill(table, table->approx_bytes()));
-  }
+  MSQL_RETURN_IF_ERROR(
+      memo.Fill(table, table != nullptr ? table->approx_bytes() : 0));
   return table;
 }
 

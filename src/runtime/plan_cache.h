@@ -2,15 +2,13 @@
 #define MSQL_RUNTIME_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
 #include "plan/plan.h"
+#include "runtime/lru_cache.h"
 
 namespace msql {
 
@@ -28,7 +26,6 @@ struct PreparedPlan {
   int param_count = 0;    // `?` ordinals actually present in the statement
   uint64_t generation = 0;  // catalog data generation at bind time
   std::string fingerprint;  // structural identity (runtime/fingerprint.h)
-  uint64_t approx_bytes = 0;
   // Scans an msql_system table: the plan embeds a telemetry snapshot the
   // catalog generation does not version, so it is never cached, never
   // prepared, and its statement stays out of the shared measure cache.
@@ -37,82 +34,30 @@ struct PreparedPlan {
 using PreparedPlanPtr = std::shared_ptr<const PreparedPlan>;
 
 // Cache key for one (user, statement text, parameter-type signature, plan
-// form) tuple. `rewritten` tells the rewritten plan (plan/rewrite.h) from
-// the literal one the naive strategy runs. The same bound plan is typically
-// indexed twice: under the raw text a client sent and under the canonical
-// unparse, so Engine::Query (raw text, pre-parse probe) and EXPLAIN ANALYZE
-// (AST in hand, canonical probe) hit the same entry.
+// form, catalog generation) tuple. `rewritten` tells the rewritten plan
+// (plan/rewrite.h) from the literal one the naive strategy runs;
+// `generation` is the catalog generation the plan is bound at (a probe
+// names the current one), so a key never matches a plan bound against
+// other data. The same bound plan is typically indexed twice: under the raw
+// text a client sent and under the canonical unparse, so Engine::Query (raw
+// text, pre-parse probe) and EXPLAIN ANALYZE (AST in hand, canonical probe)
+// hit the same entry.
 std::string PlanCacheKey(const std::string& user, const std::string& sql,
                          const std::vector<TypeKind>& param_types,
-                         bool rewritten);
+                         bool rewritten, uint64_t generation);
 
-// Engine-wide, thread-safe LRU cache of prepared plans keyed by statement
-// text (docs/NETWORKING.md). A hit skips parse, bind and measure expansion
-// entirely — the dominant cost of the repeated-dashboard workload the
-// paper's semantic layer serves. Freshness follows the same discipline as
-// SharedMeasureCache: every entry records the catalog generation it was
-// bound at, and Lookup() takes the *current* generation — a stale entry is
-// dropped on probe (counted as an invalidation) and the caller re-prepares.
-class PlanCache {
- public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;      // LRU removals
-    uint64_t invalidations = 0;  // stale-generation drops on probe
-    uint64_t entries = 0;        // current keys (aliases count separately)
-    uint64_t bytes = 0;
-  };
+// Heuristic footprint of one cached plan: texts, fingerprint, and a fixed
+// charge per plan node standing in for the bound tree (plans are
+// pointer-rich; exact accounting is not worth the traversal).
+uint64_t ApproxPlanBytes(const PreparedPlan& plan);
 
-  PlanCache(size_t max_entries, uint64_t max_bytes)
-      : max_entries_(max_entries), max_bytes_(max_bytes) {}
-  PlanCache() : PlanCache(256, 64ull << 20) {}
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  // Returns the cached plan for `key` if present and bound at exactly
-  // `current_generation`; refreshes LRU recency. A generation mismatch
-  // erases the entry and counts as invalidation + miss.
-  PreparedPlanPtr Lookup(const std::string& key, uint64_t current_generation);
-
-  // Indexes `plan` under `key` (replacing any previous entry). Aliases —
-  // several keys sharing one PreparedPlanPtr — are independent LRU
-  // entries; the shared plan dies with its last key.
-  void Insert(const std::string& key, PreparedPlanPtr plan);
-
-  // Drops everything (counters survive). Used by tests and explicit
-  // administrative flushes; normal invalidation is lazy, on probe.
-  void Clear();
-
-  Stats stats() const;
-  size_t max_entries() const { return max_entries_; }
-  uint64_t max_bytes() const { return max_bytes_; }
-
-  // Heuristic footprint of one cached plan: texts, fingerprint, and a
-  // fixed charge per plan node standing in for the bound tree (plans are
-  // pointer-rich; exact accounting is not worth the traversal).
-  static uint64_t ApproxPlanBytes(const PreparedPlan& plan);
-
- private:
-  struct Entry {
-    std::string key;
-    PreparedPlanPtr plan;
-  };
-  using LruList = std::list<Entry>;
-
-  void EvictToBudgetLocked();
-
-  const size_t max_entries_;
-  const uint64_t max_bytes_;
-
-  mutable std::mutex mu_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
-  uint64_t bytes_ = 0;
-  Stats counters_;
-};
+// Engine-wide cache of prepared plans keyed by PlanCacheKey
+// (docs/NETWORKING.md), an LruCache holding PreparedPlans under the plan
+// entry cap and byte budget. A hit skips parse, bind and measure expansion
+// entirely, the dominant cost of the repeated-dashboard workload the
+// paper's semantic layer serves. Freshness is the one rule of
+// runtime/lru_cache.h: a catalog mutation purges every plan bound before it.
+using PlanCache = LruCache;
 
 }  // namespace msql
 

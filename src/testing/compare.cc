@@ -43,23 +43,6 @@ bool DoublesAgree(double a, double b, const CompareOptions& opts) {
   return std::fabs(a - b) <= opts.double_rel_tol * scale;
 }
 
-bool IsNaN(const Value& v) {
-  return v.kind() == TypeKind::kDouble && std::isnan(v.double_val());
-}
-
-// Value::Compare made a total order. Compare calls NaN equal to every
-// number, which is no strict weak order; here NaN sorts after every
-// non-NULL value and equal to NaN (as ValuesAgree reads two NaNs), so equal
-// multisets holding NaN normalize into the same order.
-int TotalCompare(const Value& a, const Value& b) {
-  const bool an = IsNaN(a), bn = IsNaN(b);
-  if (!an && !bn) return Value::Compare(a, b);
-  if (an && bn) return 0;
-  if (a.is_null()) return -1;
-  if (b.is_null()) return 1;
-  return an ? 1 : -1;
-}
-
 }  // namespace
 
 bool ValuesAgree(const Value& a, const Value& b, const CompareOptions& opts) {
@@ -82,7 +65,7 @@ std::vector<Row> NormalizedRows(const ResultSet& rs) {
   std::sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
     size_t n = std::min(x.size(), y.size());
     for (size_t i = 0; i < n; ++i) {
-      int c = TotalCompare(x[i], y[i]);
+      int c = Value::Compare(x[i], y[i]);
       if (c != 0) return c < 0;
     }
     return x.size() < y.size();

@@ -274,62 +274,74 @@ TEST(ConcurrencyStressTest, ConcurrentInsertsNeverYieldStaleOrTornSums) {
   // revenue through a measure. Every observed sum must be a valid prefix
   // state (base + k*kBatch) and each reader's view must be monotonic —
   // a stale cache hit after an insert would go backwards, a torn scan
-  // would land between batch states.
-  Engine db;
-  ASSERT_TRUE(db.Execute(R"sql(
-    CREATE TABLE Ticks (v INTEGER);
-    INSERT INTO Ticks VALUES (1), (1), (1), (1);
-    CREATE VIEW ET AS SELECT *, SUM(v) AS MEASURE total FROM Ticks
-  )sql")
-                  .ok());
-  constexpr int kBatch = 5;
-  constexpr int kBatches = 60;
-  constexpr int64_t kBase = 4;
+  // would land between batch states. With the plan cache on, readers send
+  // one text that hits the pre-parse probe, and a write landing between
+  // that probe and the run must not fail the read as a stale plan
+  // (kCatalog): only prepared handles a client holds are refused so.
+  for (const bool plan_cache : {false, true}) {
+    SCOPED_TRACE(plan_cache ? "plan cache on" : "plan cache off");
+    EngineOptions options;
+    options.enable_plan_cache = plan_cache;
+    Engine db(options);
+    ASSERT_TRUE(db.Execute(R"sql(
+      CREATE TABLE Ticks (v INTEGER);
+      INSERT INTO Ticks VALUES (1), (1), (1), (1);
+      CREATE VIEW ET AS SELECT *, SUM(v) AS MEASURE total FROM Ticks
+    )sql")
+                    .ok());
+    constexpr int kBatch = 5;
+    constexpr int kBatches = 60;
+    constexpr int64_t kBase = 4;
 
-  constexpr int64_t kFinal = kBase + int64_t{kBatch} * kBatches;
-  std::atomic<bool> done{false};
-  std::atomic<int> violations{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&db, &done, &violations] {
-      SessionPtr session = db.CreateSession();
-      auto read_sum = [&session, &violations]() -> int64_t {
-        auto r = session->Query("SELECT AGGREGATE(total) FROM ET");
-        if (!r.ok()) {
-          ++violations;
-          return -1;
+    constexpr int64_t kFinal = kBase + int64_t{kBatch} * kBatches;
+    std::atomic<bool> done{false};
+    std::atomic<int> violations{0};
+    std::atomic<int> stale_plan_errors{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&db, &done, &violations, &stale_plan_errors] {
+        SessionPtr session = db.CreateSession();
+        auto read_sum = [&session, &violations,
+                         &stale_plan_errors]() -> int64_t {
+          auto r = session->Query("SELECT AGGREGATE(total) FROM ET");
+          if (!r.ok()) {
+            if (r.status().code() == ErrorCode::kCatalog) ++stale_plan_errors;
+            ++violations;
+            return -1;
+          }
+          return r.value().rows()[0][0].int_val();
+        };
+        while (!done.load(std::memory_order_relaxed)) {
+          const int64_t sum = read_sum();
+          if (sum < 0) return;
+          const bool prefix_state =
+              sum >= kBase && (sum - kBase) % kBatch == 0 && sum <= kFinal;
+          if (!prefix_state) ++violations;
         }
-        return r.value().rows()[0][0].int_val();
-      };
-      while (!done.load(std::memory_order_relaxed)) {
-        const int64_t sum = read_sum();
-        if (sum < 0) return;
-        const bool prefix_state =
-            sum >= kBase && (sum - kBase) % kBatch == 0 && sum <= kFinal;
-        if (!prefix_state) ++violations;
-      }
-      // Staleness check: with all inserts published, a fresh read must see
-      // the final state — a stale cache entry surviving invalidation would
-      // surface here deterministically.
-      if (read_sum() != kFinal) ++violations;
-    });
-  }
+        // Staleness check: with all inserts published, a fresh read must
+        // see the final state — a stale cache entry surviving invalidation
+        // would surface here deterministically.
+        if (read_sum() != kFinal) ++violations;
+      });
+    }
 
-  SessionPtr writer = db.CreateSession();
-  for (int b = 0; b < kBatches; ++b) {
-    ASSERT_TRUE(
-        writer->Execute("INSERT INTO Ticks VALUES (1), (1), (1), (1), (1)")
-            .ok());
-  }
-  done = true;
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(violations.load(), 0);
+    SessionPtr writer = db.CreateSession();
+    for (int b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(
+          writer->Execute("INSERT INTO Ticks VALUES (1), (1), (1), (1), (1)")
+              .ok());
+    }
+    done = true;
+    for (auto& th : readers) th.join();
+    EXPECT_EQ(stale_plan_errors.load(), 0);
+    EXPECT_EQ(violations.load(), 0);
 
-  // Final state matches an uncached engine evaluating from scratch.
-  auto final_sum = db.Query("SELECT AGGREGATE(total) FROM ET");
-  ASSERT_TRUE(final_sum.ok());
-  EXPECT_EQ(final_sum.value().rows()[0][0].int_val(),
-            kBase + int64_t{kBatch} * kBatches);
+    // Final state matches an uncached engine evaluating from scratch.
+    auto final_sum = db.Query("SELECT AGGREGATE(total) FROM ET");
+    ASSERT_TRUE(final_sum.ok());
+    EXPECT_EQ(final_sum.value().rows()[0][0].int_val(),
+              kBase + int64_t{kBatch} * kBatches);
+  }
 }
 
 TEST(ConcurrencyStressTest, ConcurrentDdlAndQueries) {

@@ -687,6 +687,56 @@ TEST_F(GroupingOperatorTest, EquiJoins) {
             6u + 4u + 2u);
 }
 
+// ORDER BY, the window ORDER BY and MIN/MAX share Value::Compare's total
+// order, in which NaN sorts after every number and equal to NaN, under
+// both exec modes (MIN/MAX over the columnar scan run the vectorized
+// kernel).
+TEST(NaNOrderTest, SortWindowAndExtremesAgree) {
+  Engine db;
+  MustExecute(&db, "CREATE TABLE n (v INTEGER, x DOUBLE)");
+  MustExecute(&db,
+              "INSERT INTO n VALUES (1, CAST('nan' AS DOUBLE)), (2, 3.0), "
+              "(3, 1.0), (4, CAST('nan' AS DOUBLE)), (5, 2.0), (6, 0.5)");
+  for (ExecMode mode : {ExecMode::kVectorized, ExecMode::kRow}) {
+    SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "vectorized");
+    db.options().exec_mode = mode;
+    const double asc[] = {0.5, 1.0, 2.0, 3.0};
+    ResultSet up = MustQuery(&db, "SELECT x FROM n ORDER BY x");
+    ASSERT_EQ(up.num_rows(), 6u);
+    for (size_t i = 0; i < 4; ++i) EXPECT_EQ(up.Get(i, 0).double_val(), asc[i]);
+    EXPECT_TRUE(std::isnan(up.Get(4, 0).double_val()));
+    EXPECT_TRUE(std::isnan(up.Get(5, 0).double_val()));
+
+    ResultSet down = MustQuery(&db, "SELECT x FROM n ORDER BY x DESC");
+    ASSERT_EQ(down.num_rows(), 6u);
+    EXPECT_TRUE(std::isnan(down.Get(0, 0).double_val()));
+    EXPECT_TRUE(std::isnan(down.Get(1, 0).double_val()));
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(down.Get(i + 2, 0).double_val(), asc[3 - i]);
+    }
+
+    // By v: NaN, 3.0, 1.0, NaN, 2.0, 0.5; the two NaNs take 5 and 6.
+    ResultSet numbered = MustQuery(
+        &db, "SELECT v, ROW_NUMBER() OVER (ORDER BY x) AS rn FROM n "
+             "ORDER BY v");
+    ASSERT_EQ(numbered.num_rows(), 6u);
+    EXPECT_EQ(numbered.Get(1, 1).int_val(), 4);
+    EXPECT_EQ(numbered.Get(2, 1).int_val(), 2);
+    EXPECT_EQ(numbered.Get(4, 1).int_val(), 3);
+    EXPECT_EQ(numbered.Get(5, 1).int_val(), 1);
+    EXPECT_EQ(numbered.Get(0, 1).int_val() + numbered.Get(3, 1).int_val(),
+              11);
+    EXPECT_GE(numbered.Get(0, 1).int_val(), 5);
+
+    ResultSet extremes = MustQuery(&db, "SELECT MIN(x), MAX(x) FROM n");
+    EXPECT_EQ(extremes.Get(0, 0).double_val(), 0.5);
+    EXPECT_TRUE(std::isnan(extremes.Get(0, 1).double_val()));
+    if (mode == ExecMode::kVectorized) {
+      EXPECT_GT(extremes.stats()->exec_vectorized_batches, 0u);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorKernelTest,
                          ::testing::Values(7u, 42u, 4096u));
 

@@ -124,6 +124,9 @@ TEST(PlanCacheTest, CatalogGenerationBumpInvalidates) {
   // survive it (it may reference dropped objects or stale data).
   ASSERT_TRUE(db.Execute("INSERT INTO Orders VALUES ('Acme', 'Dana', 9)")
                   .ok());
+  // The write purges every older plan at once, before any probe.
+  EXPECT_EQ(db.plan_cache().stats().entries, 0u);
+  EXPECT_EQ(db.plan_cache().stats().bytes, 0u);
   auto after = db.Query(sql);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().stats()->plan_cache,
@@ -184,28 +187,36 @@ TEST(PlanCacheTest, DeclaredArityMustMatchStatement) {
 }
 
 TEST(PlanCacheTest, LruBoundsAndMetrics) {
-  EngineOptions options;
-  options.enable_plan_cache = true;
-  options.plan_cache_max_entries = 4;
-  Engine db(options);
-  ASSERT_TRUE(db.Execute(kSetup).ok());
+  // The entry cap and the byte budget each evict: 16 distinct statements
+  // through a 4-entry cache, then through a budget of about 4 plans.
+  EngineOptions by_entries;
+  by_entries.plan_cache_max_entries = 4;
+  EngineOptions by_bytes;
+  by_bytes.plan_cache_max_bytes = 4 * 4096;
+  for (EngineOptions options : {by_entries, by_bytes}) {
+    options.enable_plan_cache = true;
+    Engine db(options);
+    ASSERT_TRUE(db.Execute(kSetup).ok());
 
-  for (int i = 0; i < 16; ++i) {
-    auto r = db.Query("SELECT prodName FROM Orders WHERE revenue > " +
-                      std::to_string(i) + " ORDER BY prodName");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  const PlanCache::Stats stats = db.plan_cache().stats();
-  EXPECT_LE(stats.entries, 4u);
-  EXPECT_GE(stats.evictions, 1u);
+    for (int i = 0; i < 16; ++i) {
+      auto r = db.Query("SELECT prodName FROM Orders WHERE revenue > " +
+                        std::to_string(i) + " ORDER BY prodName");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    const PlanCache::Stats stats = db.plan_cache().stats();
+    EXPECT_LE(stats.entries, 4u);
+    EXPECT_GE(stats.evictions, 1u);
+    EXPECT_LE(stats.bytes, options.plan_cache_max_bytes);
+    EXPECT_GT(stats.entries, 0u);
 
-  const std::string metrics = db.MetricsText();
-  for (const char* name :
-       {"msql_plan_cache_hits_total", "msql_plan_cache_misses_total",
-        "msql_plan_cache_evictions_total", "msql_plan_cache_entries",
-        "msql_plan_cache_bytes"}) {
-    EXPECT_NE(metrics.find(name), std::string::npos)
-        << "metric " << name << " missing from exposition";
+    const std::string metrics = db.MetricsText();
+    for (const char* name :
+         {"msql_plan_cache_hits_total", "msql_plan_cache_misses_total",
+          "msql_plan_cache_evictions_total", "msql_plan_cache_entries",
+          "msql_plan_cache_bytes"}) {
+      EXPECT_NE(metrics.find(name), std::string::npos)
+          << "metric " << name << " missing from exposition";
+    }
   }
 }
 

@@ -1,5 +1,6 @@
-// Unit tests for the concurrency runtime: ThreadPool, SharedMeasureCache
-// (LRU bounds, generation invalidation, stats), QueryScheduler admission
+// Unit tests for the concurrency runtime: ThreadPool, the LruCache behind
+// SharedMeasureCache and PlanCache (LRU bounds, generation invalidation,
+// stats), QueryScheduler admission
 // control, Session basics, engine-wide stats aggregation, and the
 // generation counters that drive cross-query cache invalidation.
 
@@ -16,9 +17,10 @@
 #include "gtest/gtest.h"
 #include "parser/parser.h"
 #include "runtime/fingerprint.h"
+#include "runtime/lru_cache.h"
+#include "runtime/plan_cache.h"
 #include "runtime/scheduler.h"
 #include "runtime/session.h"
-#include "runtime/shared_cache.h"
 #include "runtime/thread_pool.h"
 
 namespace msql {
@@ -58,16 +60,25 @@ TEST(ThreadPoolTest, DestructorDrainsPendingWork) {
 }
 
 // ---------------------------------------------------------------------------
-// SharedMeasureCache
+// SharedMeasureCache (the LruCache PlanCache shares)
 // ---------------------------------------------------------------------------
+
+// A value held the way the measure memo holds one: boxed as an object.
+std::shared_ptr<const void> Boxed(int64_t i) {
+  return std::make_shared<const Value>(Value::Int(i));
+}
+constexpr uint64_t kBoxedBytes = sizeof(Value);
+int64_t IntOf(const std::shared_ptr<const void>& object) {
+  return static_cast<const Value*>(object.get())->int_val();
+}
 
 TEST(SharedCacheTest, LookupAfterInsertHits) {
   SharedMeasureCache cache;
-  cache.Insert("k1", Value::Int(42), /*generation=*/1);
-  Value v;
-  ASSERT_TRUE(cache.Lookup("k1", &v));
-  EXPECT_EQ(v.int_val(), 42);
-  EXPECT_FALSE(cache.Lookup("nope", &v));
+  cache.Insert("k1", Boxed(42), kBoxedBytes, /*generation=*/1);
+  std::shared_ptr<const void> v = cache.Lookup("k1");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(IntOf(v), 42);
+  EXPECT_EQ(cache.Lookup("nope"), nullptr);
   auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
@@ -78,48 +89,52 @@ TEST(SharedCacheTest, LookupAfterInsertHits) {
 
 TEST(SharedCacheTest, ReplacesSameKey) {
   SharedMeasureCache cache;
-  cache.Insert("k", Value::Int(1), 1);
-  cache.Insert("k", Value::Int(2), 1);
-  Value v;
-  ASSERT_TRUE(cache.Lookup("k", &v));
-  EXPECT_EQ(v.int_val(), 2);
+  cache.Insert("k", Boxed(1), kBoxedBytes, 1);
+  cache.Insert("k", Boxed(2), kBoxedBytes, 1);
+  std::shared_ptr<const void> v = cache.Lookup("k");
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(IntOf(v), 2);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(SharedCacheTest, EvictsLeastRecentlyUsed) {
-  // Budget fits ~2 entries; key "a" is kept hot by a lookup, so inserting a
-  // third entry must evict "b", the least recently used.
-  SharedMeasureCache cache(
-      2 * SharedMeasureCache::ApproxEntryBytes("a", Value::Int(0)) + 8);
-  cache.Insert("a", Value::Int(1), 1);
-  cache.Insert("b", Value::Int(2), 1);
-  Value v;
-  ASSERT_TRUE(cache.Lookup("a", &v));  // refresh "a"
-  cache.Insert("c", Value::Int(3), 1);
-  EXPECT_TRUE(cache.Lookup("a", &v));
-  EXPECT_FALSE(cache.Lookup("b", &v));
-  EXPECT_TRUE(cache.Lookup("c", &v));
-  EXPECT_GE(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.stats().bytes, cache.max_bytes());
+  // Each cache fits 2 entries, one by its byte budget and one by its entry
+  // cap; key "a" is kept hot by a lookup, so inserting a third entry must
+  // evict "b", the least recently used.
+  SharedMeasureCache by_bytes(2 * LruCache::EntryBytes("a", kBoxedBytes) +
+                              8);
+  PlanCache by_entries(LruCache::kDefaultMaxBytes, /*max_entries=*/2);
+  for (LruCache* cache : {&by_bytes, &by_entries}) {
+    cache->Insert("a", Boxed(1), kBoxedBytes, 1);
+    cache->Insert("b", Boxed(2), kBoxedBytes, 1);
+    ASSERT_NE(cache->Lookup("a"), nullptr);  // refresh "a"
+    cache->Insert("c", Boxed(3), kBoxedBytes, 1);
+    EXPECT_NE(cache->Lookup("a"), nullptr);
+    EXPECT_EQ(cache->Lookup("b"), nullptr);
+    EXPECT_NE(cache->Lookup("c"), nullptr);
+    EXPECT_GE(cache->stats().evictions, 1u);
+    EXPECT_LE(cache->stats().bytes, cache->max_bytes());
+    EXPECT_LE(cache->stats().entries, cache->max_entries());
+  }
 }
 
 TEST(SharedCacheTest, OversizedEntryRejected) {
   SharedMeasureCache cache(16);  // smaller than any entry
-  cache.Insert("key", Value::Int(1), 1);
-  Value v;
-  EXPECT_FALSE(cache.Lookup("key", &v));
+  cache.Insert("key", Boxed(1), kBoxedBytes, 1);
+  EXPECT_EQ(cache.Lookup("key"), nullptr);
   EXPECT_EQ(cache.stats().rejected, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(SharedCacheTest, InvalidationPurgesOldGenerations) {
   SharedMeasureCache cache;
-  cache.Insert("old", Value::Int(1), 1);
-  cache.Insert("new", Value::Int(2), 5);
+  cache.Insert("old", Boxed(1), kBoxedBytes, 1);
+  cache.Insert("new", Boxed(2), kBoxedBytes, 5);
   cache.InvalidateOlderThan(5);
-  Value v;
-  EXPECT_FALSE(cache.Lookup("old", &v));
-  EXPECT_TRUE(cache.Lookup("new", &v));
+  EXPECT_EQ(cache.stats().entries, 1u);  // purged at once, not on probe
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.Lookup("old"), nullptr);
+  EXPECT_NE(cache.Lookup("new"), nullptr);
 }
 
 TEST(SharedCacheTest, StaleInsertRejectedAfterInvalidation) {
@@ -128,29 +143,40 @@ TEST(SharedCacheTest, StaleInsertRejectedAfterInvalidation) {
   // be dropped or the next reader would see pre-mutation data forever.
   SharedMeasureCache cache;
   cache.InvalidateOlderThan(2);
-  cache.Insert("k", Value::Int(1), 1);
-  Value v;
-  EXPECT_FALSE(cache.Lookup("k", &v));
+  cache.Insert("k", Boxed(1), kBoxedBytes, 1);
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
   EXPECT_EQ(cache.stats().rejected, 1u);
+
+  // A write raises the floor of both engine caches: each rejects an entry
+  // computed at the generation before it.
+  EngineOptions options;
+  options.enable_plan_cache = true;
+  Engine db(options);
+  const uint64_t before = db.catalog().generation();
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (x INTEGER)").ok());
+  ASSERT_GT(db.catalog().generation(), before);
+  for (LruCache* engine_cache : {&db.shared_cache(), &db.plan_cache()}) {
+    engine_cache->Insert("k", Boxed(1), kBoxedBytes, before);
+    EXPECT_EQ(engine_cache->Lookup("k"), nullptr);
+    EXPECT_EQ(engine_cache->stats().rejected, 1u);
+  }
 }
 
 TEST(SharedCacheTest, ClearKeepsInvalidationFloor) {
   SharedMeasureCache cache;
   cache.InvalidateOlderThan(3);
   cache.Clear();
-  cache.Insert("k", Value::Int(1), 2);  // still stale
-  Value v;
-  EXPECT_FALSE(cache.Lookup("k", &v));
+  cache.Insert("k", Boxed(1), kBoxedBytes, 2);  // still stale
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
 }
 
 TEST(SharedCacheTest, ShrinkingBudgetEvicts) {
   SharedMeasureCache cache;
   for (int i = 0; i < 10; ++i) {
-    cache.Insert("key" + std::to_string(i), Value::Int(i), 1);
+    cache.Insert("key" + std::to_string(i), Boxed(i), kBoxedBytes, 1);
   }
   EXPECT_EQ(cache.stats().entries, 10u);
-  cache.set_max_bytes(
-      3 * SharedMeasureCache::ApproxEntryBytes("key0", Value::Int(0)) + 8);
+  cache.set_max_bytes(3 * LruCache::EntryBytes("key0", kBoxedBytes) + 8);
   EXPECT_LE(cache.stats().bytes, cache.max_bytes());
   EXPECT_LT(cache.stats().entries, 10u);
 }

@@ -4,75 +4,57 @@
 // evaluation; WHERE contexts with per-group correlations cost one source
 // selection per group; VISIBLE additionally collects the group's row ids.
 //
-// Args: {rows, products}.
+// Sizes: {rows, products}.
 
-#include "benchmark/benchmark.h"
+#include <string>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
 
-using msql::Engine;
-using msql::ResultSet;
-using msql::bench::CheckResult;
-using msql::bench::LoadOrders;
+struct Modifier {
+  const char* name;
+  const char* select_item;
+};
+constexpr Modifier kModifiers[] = {
+    {"bare_measure", "sumRevenue"},
+    {"aggregate", "AGGREGATE(sumRevenue)"},
+    {"visible", "sumRevenue AT (VISIBLE)"},
+    {"all_dim", "sumRevenue AT (ALL prodName)"},
+    {"all_everything", "sumRevenue AT (ALL)"},
+    {"set_constant", "sumRevenue AT (SET prodName = 'P0')"},
+    {"set_current", "sumRevenue AT (SET orderYear = CURRENT orderYear - 1)"},
+    {"where_modifier", "sumRevenue AT (WHERE revenue > 250)"},
+    {"share_of_total", "sumRevenue * 1.0 / sumRevenue AT (ALL prodName)"},
+};
 
-void RunQuery(benchmark::State& state, const std::string& select_item) {
-  Engine db;
-  LoadOrders(&db, static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)), /*customers=*/50);
-  std::string query = "SELECT prodName, " + select_item +
-                      " AS v FROM EO GROUP BY prodName";
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "query");
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
+constexpr OrdersSize kSizes[] = {{4000, 16}, {4000, 256}, {32000, 256}};
+
+int Main(int argc, char** argv) {
+  Harness h("at_modifiers", argc, argv, /*rounds=*/5, /*smoke_rounds=*/1);
+  for (const OrdersSize& s : h.Sweep(kSizes)) {
+    Engine db;
+    LoadOrders(&db, s.rows, s.products, /*customers=*/50);
+    Comparison& c = h.Compare(s.Name(), "ms");
+    for (const Modifier& m : kModifiers) {
+      c.Add(m.name, [&db, query = std::string("SELECT prodName, ") +
+                                  m.select_item +
+                                  " AS v FROM EO GROUP BY prodName"](Leg& leg) {
+        ResultSet rs;
+        const double ms = TimeQueryMs(&db, query, &rs);
+        const QueryStats* stats = rs.stats().get();
+        leg.Counter("source_scans", stats ? stats->measure_source_scans : 0);
+        return ms;
+      });
+    }
+    c.Run(h.rounds());
   }
-  state.counters["source_scans"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_source_scans);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  return h.Finish();
 }
-
-void BM_BareMeasure(benchmark::State& state) {
-  RunQuery(state, "sumRevenue");
-}
-void BM_Aggregate(benchmark::State& state) {
-  RunQuery(state, "AGGREGATE(sumRevenue)");
-}
-void BM_Visible(benchmark::State& state) {
-  RunQuery(state, "sumRevenue AT (VISIBLE)");
-}
-void BM_AllDim(benchmark::State& state) {
-  RunQuery(state, "sumRevenue AT (ALL prodName)");
-}
-void BM_AllEverything(benchmark::State& state) {
-  RunQuery(state, "sumRevenue AT (ALL)");
-}
-void BM_SetConstant(benchmark::State& state) {
-  RunQuery(state, "sumRevenue AT (SET prodName = 'P0')");
-}
-void BM_SetCurrent(benchmark::State& state) {
-  RunQuery(state, "sumRevenue AT (SET orderYear = CURRENT orderYear - 1)");
-}
-void BM_WhereModifier(benchmark::State& state) {
-  RunQuery(state, "sumRevenue AT (WHERE revenue > 250)");
-}
-void BM_ShareOfTotal(benchmark::State& state) {
-  RunQuery(state, "sumRevenue * 1.0 / sumRevenue AT (ALL prodName)");
-}
-
-#define SIZES                                            \
-  Args({4000, 16})->Args({4000, 256})->Args({32000, 256}) \
-      ->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_BareMeasure)->SIZES;
-BENCHMARK(BM_Aggregate)->SIZES;
-BENCHMARK(BM_Visible)->SIZES;
-BENCHMARK(BM_AllDim)->SIZES;
-BENCHMARK(BM_AllEverything)->SIZES;
-BENCHMARK(BM_SetConstant)->SIZES;
-BENCHMARK(BM_SetCurrent)->SIZES;
-BENCHMARK(BM_WhereModifier)->SIZES;
-BENCHMARK(BM_ShareOfTotal)->SIZES;
 
 }  // namespace
+}  // namespace msql::bench
+
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

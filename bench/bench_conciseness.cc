@@ -1,22 +1,21 @@
 // Paper section 5.7: conciseness. A measure query referencing k evaluation
 // contexts stays O(k) tokens, while its plain-SQL expansion repeats a
 // correlated subquery (with the full formula and filter set) per context.
-// This harness reports the sizes side by side and times the expansion
+// This bench reports the sizes side by side and times the expansion
 // itself. Shape claim: expanded/measure size ratio grows roughly linearly
-// in k and with the formula length.
+// in k and with the formula length. A correctness check (every run, exit
+// 1 on failure) asserts both forms return the same row count.
 //
-// Args: {contexts}.
+// Sizes: {contexts}.
 
-#include "benchmark/benchmark.h"
+#include <string>
+
+#include "harness.h"
 #include "parser/lexer.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
-
-using msql::Engine;
-using msql::Lexer;
-using msql::bench::CheckResult;
-using msql::bench::LoadOrders;
 
 size_t CountTokens(const std::string& sql) {
   Lexer lexer(sql);
@@ -36,45 +35,52 @@ std::string MakeMeasureQuery(int contexts) {
   return q;
 }
 
-void BM_Conciseness(benchmark::State& state) {
-  Engine db;
-  LoadOrders(&db, 100, 8, 8);
-  std::string measure_query = MakeMeasureQuery(static_cast<int>(state.range(0)));
-  std::string expanded;
-  for (auto _ : state) {
-    expanded = CheckResult(db.ExpandSql(measure_query), "expansion");
-    benchmark::DoNotOptimize(expanded);
-  }
-  state.counters["measure_chars"] =
-      static_cast<double>(measure_query.size());
-  state.counters["expanded_chars"] = static_cast<double>(expanded.size());
-  state.counters["measure_tokens"] =
-      static_cast<double>(CountTokens(measure_query));
-  state.counters["expanded_tokens"] =
-      static_cast<double>(CountTokens(expanded));
-  state.counters["token_ratio"] =
-      static_cast<double>(CountTokens(expanded)) /
-      static_cast<double>(CountTokens(measure_query));
-}
-
-// Both forms must agree; correctness gate for the family above.
-void BM_ConcisenessEquivalence(benchmark::State& state) {
+// Both forms of the family must agree.
+bool ExpansionAgrees() {
   Engine db;
   LoadOrders(&db, 500, 8, 8);
-  std::string measure_query = MakeMeasureQuery(2);
-  std::string expanded = CheckResult(db.ExpandSql(measure_query), "expansion");
-  for (auto _ : state) {
-    auto native = CheckResult(db.Query(measure_query), "native");
-    auto plain = CheckResult(db.Query(expanded), "plain");
-    if (native.num_rows() != plain.num_rows()) {
-      state.SkipWithError("expansion changed the result");
-      return;
-    }
-    benchmark::DoNotOptimize(plain);
-  }
+  const std::string measure_query = MakeMeasureQuery(2);
+  const std::string expanded =
+      CheckResult(db.ExpandSql(measure_query), "expansion");
+  const size_t native =
+      CheckResult(db.Query(measure_query), "native").num_rows();
+  const size_t plain = CheckResult(db.Query(expanded), "plain").num_rows();
+  std::printf("expansion check: native %zu rows, expanded %zu rows\n", native,
+              plain);
+  return native == plain;
 }
 
-BENCHMARK(BM_Conciseness)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-BENCHMARK(BM_ConcisenessEquivalence)->Unit(benchmark::kMillisecond);
+constexpr int kContexts[] = {1, 2, 4, 8, 16};
+
+int Main(int argc, char** argv) {
+  Harness h("conciseness", argc, argv, /*rounds=*/5, /*smoke_rounds=*/1);
+  h.Check("expansion returns the measure query's row count",
+          ExpansionAgrees());
+  Engine db;
+  LoadOrders(&db, 100, 8, 8);
+  Comparison& c = h.Compare("ExpandSql", "ms");
+  for (const int k : h.Sweep(kContexts)) {
+    c.Add("contexts=" + std::to_string(k),
+          [&db, query = MakeMeasureQuery(k)](Leg& leg) {
+            std::string expanded;
+            const double seconds = SecondsOf([&] {
+              expanded = CheckResult(db.ExpandSql(query), "expansion");
+            });
+            const double measure_tokens = CountTokens(query);
+            const double expanded_tokens = CountTokens(expanded);
+            leg.Counter("measure_chars", static_cast<double>(query.size()));
+            leg.Counter("expanded_chars", static_cast<double>(expanded.size()));
+            leg.Counter("measure_tokens", measure_tokens);
+            leg.Counter("expanded_tokens", expanded_tokens);
+            leg.Counter("token_ratio", expanded_tokens / measure_tokens);
+            return seconds * 1000.0;
+          });
+  }
+  c.Run(h.rounds());
+  return h.Finish();
+}
 
 }  // namespace
+}  // namespace msql::bench
+
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

@@ -1,24 +1,17 @@
 // Concurrency benchmark: queries/sec for a read-only paper-listing
 // workload at 1/2/4/8 sessions, with a cold and a warm shared measure
-// cache. Emits BENCH_concurrency.json via bench/json_writer.h.
-//
-// Unlike the other benches this binary has its own main (the run shape —
-// one timed region spanning N threads — does not fit the per-iteration
-// google-benchmark model). Unknown flags such as --benchmark_min_time
-// are ignored so the CI smoke-run can invoke every bench uniformly.
+// cache. Each (sessions, cache) cell is one leg of a comparison
+// (bench/harness.h), timed over every round, so a cell reports the median
+// and quartiles of many short timed regions instead of one.
 
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/engine.h"
-#include "json_writer.h"
+#include "harness.h"
 #include "runtime/session.h"
 #include "workload.h"
 
@@ -44,17 +37,14 @@ const char* const kWorkload[] = {
 };
 constexpr int kWorkloadSize = static_cast<int>(std::size(kWorkload));
 
-struct RunResult {
-  int sessions = 0;
-  bool warm = false;
-  int queries = 0;
-  double seconds = 0;
-  double qps = 0;
-};
+// A cold cell runs the workload once per session after clearing the
+// shared cache, so the fills are part of its cost; a warm cell runs it
+// this many times over the cache some earlier leg filled.
+constexpr int kWarmPasses = 3;
 
 // Runs the whole workload `passes` times on each of `n` concurrent
 // sessions and returns the aggregate queries/sec.
-RunResult TimeRun(Engine* db, int n, int passes, bool warm) {
+double TimeCell(Engine* db, int n, int passes) {
   std::vector<SessionPtr> sessions;
   sessions.reserve(n);
   for (int i = 0; i < n; ++i) sessions.push_back(db->CreateSession());
@@ -75,111 +65,50 @@ RunResult TimeRun(Engine* db, int n, int passes, bool warm) {
       }
     });
   }
-
-  const auto start = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-
+  const double seconds = SecondsOf([&] {
+    go.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+  });
   if (failures.load() != 0) {
     std::fprintf(stderr, "bench_concurrency: %d queries failed\n",
                  failures.load());
     std::abort();
   }
-
-  RunResult res;
-  res.sessions = n;
-  res.warm = warm;
-  res.queries = n * passes * kWorkloadSize;
-  res.seconds = elapsed.count();
-  res.qps = res.queries / res.seconds;
-  return res;
+  return n * passes * kWorkloadSize / seconds;
 }
 
 int Main(int argc, char** argv) {
-  int rows = 6000;
-  int warm_passes = 3;
-  for (int i = 1; i < argc; ++i) {
-    // Unknown flags (e.g. google-benchmark's) are silently ignored.
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) rows = std::atoi(argv[i] + 7);
-    if (std::strncmp(argv[i], "--passes=", 9) == 0)
-      warm_passes = std::atoi(argv[i] + 9);
-  }
-
+  Harness h("concurrency", argc, argv, /*rounds=*/21, /*smoke_rounds=*/1,
+            {{"rows", 6000, 1000}});
   Engine db;
-  LoadOrders(&db, rows, /*products=*/50, /*customers=*/200);
+  LoadOrders(&db, static_cast<int>(h.size("rows")), /*products=*/50,
+             /*customers=*/200);
   LoadCustomers(&db, /*customers=*/200);
 
-  std::vector<RunResult> runs;
+  // Round 0 starts with the 1-session cold leg, and every cold leg refills
+  // the cache it clears, so each warm leg finds the cache full.
+  Comparison& c = h.Compare("sessions x shared cache", "qps");
   for (int n : {1, 2, 4, 8}) {
-    // Cold: empty shared cache, one pass — fills are part of the cost.
-    db.shared_cache().Clear();
-    runs.push_back(TimeRun(&db, n, /*passes=*/1, /*warm=*/false));
-    // Warm: the cache the cold run just filled stays in place.
-    runs.push_back(TimeRun(&db, n, warm_passes, /*warm=*/true));
+    for (bool warm : {false, true}) {
+      const std::string name = std::to_string(n) + (warm ? "_warm" : "_cold");
+      c.Add(name, [&db, n, warm](Leg& leg) {
+        const EngineStats before = db.stats();
+        if (!warm) db.shared_cache().Clear();
+        const double qps = TimeCell(&db, n, warm ? kWarmPasses : 1);
+        const EngineStats after = db.stats();
+        leg.Counter("cache_hits", static_cast<double>(
+                                      after.shared_cache_hits -
+                                      before.shared_cache_hits));
+        leg.Counter("cache_misses", static_cast<double>(
+                                        after.shared_cache_misses -
+                                        before.shared_cache_misses));
+        return qps;
+      });
+    }
   }
-
-  double cold1_qps = 0, warm8_qps = 0;
-  std::printf("%-10s %-6s %10s %10s %12s\n", "sessions", "cache", "queries",
-              "seconds", "queries/sec");
-  for (const RunResult& r : runs) {
-    std::printf("%-10d %-6s %10d %10.3f %12.1f\n", r.sessions,
-                r.warm ? "warm" : "cold", r.queries, r.seconds, r.qps);
-    if (r.sessions == 1 && !r.warm) cold1_qps = r.qps;
-    if (r.sessions == 8 && r.warm) warm8_qps = r.qps;
-  }
-  const double speedup = cold1_qps > 0 ? warm8_qps / cold1_qps : 0;
-  std::printf("8-session warm vs 1-session cold: %.2fx\n", speedup);
-
-  const EngineStats stats = db.stats();
-  std::ofstream out("BENCH_concurrency.json");
-  JsonWriter w(out);
-  w.BeginObject();
-  w.Key("bench");
-  w.String("concurrency");
-  w.Key("rows");
-  w.Int(rows);
-  w.Key("workload_queries");
-  w.Int(kWorkloadSize);
-  w.Key("runs");
-  w.BeginArray();
-  for (const RunResult& r : runs) {
-    w.BeginObject();
-    w.Key("sessions");
-    w.Int(r.sessions);
-    w.Key("cache");
-    w.String(r.warm ? "warm" : "cold");
-    w.Key("queries");
-    w.Int(r.queries);
-    w.Key("seconds");
-    w.Double(r.seconds);
-    w.Key("qps");
-    w.Double(r.qps);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("speedup_8_sessions_warm_vs_1_cold");
-  w.Double(speedup);
-  w.Key("shared_cache");
-  w.BeginObject();
-  w.Key("hits");
-  w.Int(static_cast<int64_t>(stats.shared_cache_hits));
-  w.Key("misses");
-  w.Int(static_cast<int64_t>(stats.shared_cache_misses));
-  w.Key("insertions");
-  w.Int(static_cast<int64_t>(stats.shared_cache_insertions));
-  w.Key("evictions");
-  w.Int(static_cast<int64_t>(stats.shared_cache_evictions));
-  w.Key("entries");
-  w.Int(static_cast<int64_t>(stats.shared_cache_entries));
-  w.Key("bytes");
-  w.Int(static_cast<int64_t>(stats.shared_cache_bytes));
-  w.EndObject();
-  w.EndObject();
-  out << "\n";
-  std::printf("wrote BENCH_concurrency.json\n");
-  return 0;
+  c.Run(h.rounds());
+  c.Ratio("8_warm_over_1_cold", "8_warm", "1_cold");
+  return h.Finish();
 }
 
 }  // namespace

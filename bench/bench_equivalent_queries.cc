@@ -3,30 +3,27 @@
 // subquery, self-join, window aggregate, and measure. The shape claim: the
 // window and measure forms scan Orders once; the correlated-subquery form is
 // only competitive with result memoization (the WinMagic observation); the
-// self-join pays a second scan plus the join.
-// Emits BENCH_equivalent_queries.json (bench_reporter.h).
+// self-join pays a second scan plus the join. A correctness check (every
+// run, exit 1 on failure) asserts the four return the same row count.
 //
-// Args: {rows, products}.
+// Sizes: {rows, products}.
 
-#include "bench_reporter.h"
-#include "benchmark/benchmark.h"
+#include <string>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
 
-using msql::Engine;
-using msql::ResultSet;
-using msql::bench::CheckResult;
-using msql::bench::LoadOrders;
-
-const char* kCorrelatedSubquery = R"sql(
+const char* const kCorrelatedSubquery = R"sql(
   SELECT o.prodName, o.orderDate
   FROM Orders AS o
   WHERE o.revenue > (SELECT AVG(revenue) FROM Orders AS o1
                      WHERE o1.prodName = o.prodName)
 )sql";
 
-const char* kSelfJoin = R"sql(
+const char* const kSelfJoin = R"sql(
   SELECT o.prodName, o.orderDate
   FROM Orders AS o
   LEFT JOIN (SELECT prodName, AVG(revenue) AS avgRevenue
@@ -35,7 +32,7 @@ const char* kSelfJoin = R"sql(
   WHERE o.revenue > o2.avgRevenue
 )sql";
 
-const char* kWindowAggregate = R"sql(
+const char* const kWindowAggregate = R"sql(
   SELECT o.prodName, o.orderDate
   FROM (SELECT prodName, revenue, orderDate,
                AVG(revenue) OVER (PARTITION BY prodName) AS avgRevenue
@@ -43,70 +40,67 @@ const char* kWindowAggregate = R"sql(
   WHERE o.revenue > o.avgRevenue
 )sql";
 
-const char* kMeasure = R"sql(
+const char* const kMeasure = R"sql(
   SELECT o.prodName, o.orderDate
   FROM (SELECT prodName, orderDate, revenue,
                AVG(revenue) AS MEASURE avgRevenue FROM Orders) AS o
   WHERE o.revenue > o.avgRevenue AT (WHERE prodName = o.prodName)
 )sql";
 
-void RunFormulation(benchmark::State& state, const char* query) {
-  Engine db;
-  LoadOrders(&db, static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)), /*customers=*/50);
-  size_t rows = 0;
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "query");
-    rows = rs.num_rows();
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
-  }
-  state.counters["result_rows"] = static_cast<double>(rows);
-  state.counters["subq_execs"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->subquery_execs);
-  state.counters["measure_scans"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_source_scans);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
+struct Formulation {
+  const char* name;
+  const char* sql;
+};
+constexpr Formulation kFormulations[] = {
+    {"correlated_subquery", kCorrelatedSubquery},
+    {"self_join", kSelfJoin},
+    {"window_aggregate", kWindowAggregate},
+    {"measure", kMeasure},
+};
 
-void BM_CorrelatedSubquery(benchmark::State& state) {
-  RunFormulation(state, kCorrelatedSubquery);
-}
-void BM_SelfJoin(benchmark::State& state) { RunFormulation(state, kSelfJoin); }
-void BM_WindowAggregate(benchmark::State& state) {
-  RunFormulation(state, kWindowAggregate);
-}
-void BM_Measure(benchmark::State& state) { RunFormulation(state, kMeasure); }
+constexpr OrdersSize kSizes[] = {
+    {1000, 10}, {1000, 100}, {8000, 10}, {8000, 100}, {32000, 100}};
 
-void EquivalenceCheck(benchmark::State& state) {
-  // Sanity pass executed once under the benchmark harness: the four
-  // formulations must return the same number of rows.
-  Engine db;
-  LoadOrders(&db, 2000, 20, 50);
-  size_t n = CheckResult(db.Query(kCorrelatedSubquery), "q1").num_rows();
-  for (auto _ : state) {
-    for (const char* q : {kSelfJoin, kWindowAggregate, kMeasure}) {
-      size_t m = CheckResult(db.Query(q), "q").num_rows();
-      if (m != n) {
-        state.SkipWithError("formulations disagree!");
-        return;
-      }
+int Main(int argc, char** argv) {
+  Harness h("equivalent_queries", argc, argv, /*rounds=*/5,
+            /*smoke_rounds=*/1);
+  {
+    Engine db;
+    LoadOrders(&db, 2000, 20, 50);
+    const size_t n =
+        CheckResult(db.Query(kCorrelatedSubquery), "q1").num_rows();
+    bool agree = true;
+    for (const Formulation& f : kFormulations) {
+      const size_t m = CheckResult(db.Query(f.sql), f.name).num_rows();
+      std::printf("%s: %zu rows above their product's average\n", f.name, m);
+      agree = agree && m == n;
     }
+    h.Check("the four formulations return the same row count", agree);
   }
-  state.counters["rows_above_avg"] = static_cast<double>(n);
+  for (const OrdersSize& s : h.Sweep(kSizes)) {
+    Engine db;
+    LoadOrders(&db, s.rows, s.products, /*customers=*/50);
+    Comparison& c = h.Compare(s.Name(), "ms");
+    for (const Formulation& f : kFormulations) {
+      c.Add(f.name, [&db, &f](Leg& leg) {
+        ResultSet rs;
+        const double ms = TimeQueryMs(&db, f.sql, &rs);
+        const QueryStats* stats = rs.stats().get();
+        leg.Counter("result_rows", static_cast<double>(rs.num_rows()));
+        leg.Counter("subq_execs", stats ? stats->subquery_execs : 0);
+        leg.Counter("measure_scans", stats ? stats->measure_source_scans : 0);
+        return ms;
+      });
+    }
+    c.Run(h.rounds());
+    // ROADMAP item 4's baseline: the per-row measure form against its
+    // window twin.
+    c.Ratio("measure_over_window", "measure", "window_aggregate");
+  }
+  return h.Finish();
 }
-
-#define SIZES                                       \
-  Args({1000, 10})->Args({1000, 100})->Args({8000, 10}) \
-      ->Args({8000, 100})->Args({32000, 100})->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_CorrelatedSubquery)->SIZES;
-BENCHMARK(BM_SelfJoin)->SIZES;
-BENCHMARK(BM_WindowAggregate)->SIZES;
-BENCHMARK(BM_Measure)->SIZES;
-BENCHMARK(EquivalenceCheck)->Unit(benchmark::kMillisecond);
 
 }  // namespace
+}  // namespace msql::bench
 
-MSQL_BENCH_REPORTER_MAIN("equivalent_queries")
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

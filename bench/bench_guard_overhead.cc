@@ -2,24 +2,22 @@
 // with the guard effectively idle (no limits set — the default) versus
 // armed with generous, never-tripping limits. The claim: the per-row
 // Check() / ChargeRows() hot path costs under ~2%, so guard rails are safe
-// to leave on in production.
+// to leave on in production. Reported as the median of the per-round
+// paired ratios armed/unlimited; no gate.
 //
-// Args: {rows, products}.
+// Sizes: {rows, products}.
 
-#include "benchmark/benchmark.h"
+#include <cstdint>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
-
-using msql::Engine;
-using msql::EngineOptions;
-using msql::ResultSet;
-using msql::bench::CheckResult;
-using msql::bench::LoadOrders;
 
 // A mix that exercises every guarded loop: base scan, filter, aggregation
 // with grouping, measure evaluation with AT modifiers, sort.
-const char* kWorkloadQuery = R"sql(
+const char* const kWorkloadQuery = R"sql(
   SELECT prodName, orderYear,
          AGGREGATE(sumRevenue) AS rev,
          sumRevenue AT (ALL) AS grand_total
@@ -29,38 +27,44 @@ const char* kWorkloadQuery = R"sql(
   ORDER BY prodName, orderYear
 )sql";
 
-void RunWithOptions(benchmark::State& state, const EngineOptions& options) {
-  Engine db(options);
-  LoadOrders(&db, static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)), /*customers=*/50);
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(kWorkloadQuery), "query");
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
-  }
-  state.counters["rows_charged"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->rows_charged);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
+int Main(int argc, char** argv) {
+  Harness h("guard_overhead", argc, argv, /*rounds=*/15, /*smoke_rounds=*/1,
+            {{"rows", 20000, 20000, /*settable=*/false},
+             {"products", 50, 50, /*settable=*/false}});
+  const int rows = static_cast<int>(h.size("rows"));
+  const int products = static_cast<int>(h.size("products"));
 
-// Baseline: default options — no limits, guard checks reduce to their
-// cheapest form.
-void BM_GuardUnlimited(benchmark::State& state) {
-  RunWithOptions(state, EngineOptions{});
-}
-
-// All guard rails on, set high enough that nothing ever trips: measures
-// the full Check()/ChargeRows() bookkeeping cost.
-void BM_GuardArmed(benchmark::State& state) {
+  // Baseline: default options — no limits, guard checks reduce to their
+  // cheapest form.
+  Engine unlimited;
+  LoadOrders(&unlimited, rows, products, /*customers=*/50);
+  // All guard rails on, set high enough that nothing ever trips: measures
+  // the full Check()/ChargeRows() bookkeeping cost.
   EngineOptions options;
   options.timeout_ms = 10 * 60 * 1000;
   options.max_memory_bytes = uint64_t{64} << 30;
   options.max_result_rows = uint64_t{1} << 40;
-  RunWithOptions(state, options);
+  Engine armed(options);
+  LoadOrders(&armed, rows, products, /*customers=*/50);
+
+  auto leg_on = [](Engine* db) {
+    return [db](Leg& leg) {
+      ResultSet rs;
+      const double ms = TimeQueryMs(db, kWorkloadQuery, &rs);
+      const QueryStats* stats = rs.stats().get();
+      leg.Counter("rows_charged", stats ? stats->rows_charged : 0);
+      return ms;
+    };
+  };
+  Comparison& c = h.Compare("guarded workload", "ms");
+  c.Add("unlimited", leg_on(&unlimited));
+  c.Add("armed", leg_on(&armed));
+  c.Run(h.rounds());
+  c.Ratio("armed_over_unlimited", "armed", "unlimited");
+  return h.Finish();
 }
 
-BENCHMARK(BM_GuardUnlimited)->Args({20000, 50})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GuardArmed)->Args({20000, 50})->Unit(benchmark::kMillisecond);
-
 }  // namespace
+}  // namespace msql::bench
+
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

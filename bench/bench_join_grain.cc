@@ -8,83 +8,51 @@
 //                   the cost of the error).
 // Shape claim: the measure's cost tracks the dedup query while staying as
 // simple to write as the naive one; the gap to naive grows with fan-out.
+// A correctness check (every run, exit 1 on failure) asserts the measure
+// returns the dedup answer.
 //
-// Args: {orders_per_customer, customers}.
+// Sizes: {orders_per_customer, customers}.
 
-#include "benchmark/benchmark.h"
+#include <string>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
 
-using msql::Engine;
-using msql::ResultSet;
-using msql::bench::CheckResult;
-using msql::bench::LoadCustomers;
-using msql::bench::LoadOrders;
+const char* const kMeasureGrain = R"sql(
+  SELECT o.prodName, AGGREGATE(c.avgAge) AS avg_age,
+         AGGREGATE(c.custCount) AS customers
+  FROM Orders AS o JOIN EC AS c USING (custName)
+  GROUP BY o.prodName
+)sql";
 
-void Setup(Engine* db, benchmark::State& state) {
-  const int fanout = static_cast<int>(state.range(0));
-  const int customers = static_cast<int>(state.range(1));
-  LoadOrders(db, fanout * customers, /*products=*/32, customers);
-  LoadCustomers(db, customers);
-}
+// The manual workaround: distinct (product, customer) pairs first.
+const char* const kDedupSql = R"sql(
+  SELECT d.prodName, AVG(c.custAge) AS avg_age, COUNT(*) AS customers
+  FROM (SELECT DISTINCT o.prodName, o.custName
+        FROM Orders AS o) AS d
+  JOIN Customers AS c ON d.custName = c.custName
+  GROUP BY d.prodName
+)sql";
 
-void BM_MeasureGrain(benchmark::State& state) {
-  Engine db;
-  Setup(&db, state);
-  const char* query = R"sql(
-    SELECT o.prodName, AGGREGATE(c.avgAge) AS avg_age,
-           AGGREGATE(c.custCount) AS customers
-    FROM Orders AS o JOIN EC AS c USING (custName)
-    GROUP BY o.prodName
-  )sql";
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "measure grain");
-    benchmark::DoNotOptimize(rs);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
+// The tempting-but-wrong query: fan-out weighted average.
+const char* const kNaiveWeightedSql = R"sql(
+  SELECT o.prodName, AVG(c.custAge) AS avg_age, COUNT(*) AS joined_rows
+  FROM Orders AS o JOIN Customers AS c ON o.custName = c.custName
+  GROUP BY o.prodName
+)sql";
 
-void BM_DedupSql(benchmark::State& state) {
-  Engine db;
-  Setup(&db, state);
-  // The manual workaround: distinct (product, customer) pairs first.
-  const char* query = R"sql(
-    SELECT d.prodName, AVG(c.custAge) AS avg_age, COUNT(*) AS customers
-    FROM (SELECT DISTINCT o.prodName, o.custName
-          FROM Orders AS o) AS d
-    JOIN Customers AS c ON d.custName = c.custName
-    GROUP BY d.prodName
-  )sql";
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "dedup sql");
-    benchmark::DoNotOptimize(rs);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
+struct Sizes {
+  int fanout;
+  int customers;
+};
+constexpr Sizes kSizes[] = {{1, 512}, {4, 512}, {16, 512}, {64, 512}};
 
-void BM_NaiveWeightedSql(benchmark::State& state) {
-  Engine db;
-  Setup(&db, state);
-  // The tempting-but-wrong query: fan-out weighted average.
-  const char* query = R"sql(
-    SELECT o.prodName, AVG(c.custAge) AS avg_age, COUNT(*) AS joined_rows
-    FROM Orders AS o JOIN Customers AS c ON o.custName = c.custName
-    GROUP BY o.prodName
-  )sql";
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "naive weighted");
-    benchmark::DoNotOptimize(rs);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(1));
-}
-
-// Correctness gate: the measure answer equals the dedup answer and differs
-// from the naive one once fan-out is uneven.
-void GrainCheck(benchmark::State& state) {
+// The measure's per-product customer count equals the dedup query's: the
+// same number of groups, and the same count in each.
+bool GrainAgrees() {
   Engine db;
   LoadOrders(&db, 4000, 32, 100);
   LoadCustomers(&db, 100);
@@ -100,24 +68,42 @@ void GrainCheck(benchmark::State& state) {
     GROUP BY prodName ORDER BY prodName
   )sql"),
                             "dedup");
-  for (auto _ : state) {
-    for (size_t i = 0; i < m.num_rows(); ++i) {
-      if (!msql::Value::NotDistinct(m.Get(i, "n"), d.Get(i, "n"))) {
-        state.SkipWithError("measure grain disagrees with dedup SQL");
-        return;
-      }
-    }
+  std::printf("grain check: measure %zu groups, dedup %zu groups\n",
+              m.num_rows(), d.num_rows());
+  if (m.num_rows() != d.num_rows()) return false;
+  for (size_t i = 0; i < m.num_rows(); ++i) {
+    if (!Value::NotDistinct(m.Get(i, "n"), d.Get(i, "n"))) return false;
   }
-  state.counters["groups"] = static_cast<double>(m.num_rows());
+  return true;
 }
 
-#define FANOUTS                                     \
-  Args({1, 512})->Args({4, 512})->Args({16, 512})   \
-      ->Args({64, 512})->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_MeasureGrain)->FANOUTS;
-BENCHMARK(BM_DedupSql)->FANOUTS;
-BENCHMARK(BM_NaiveWeightedSql)->FANOUTS;
-BENCHMARK(GrainCheck)->Unit(benchmark::kMillisecond);
+int Main(int argc, char** argv) {
+  Harness h("join_grain", argc, argv, /*rounds=*/5, /*smoke_rounds=*/1);
+  h.Check("measure grain equals the dedup SQL", GrainAgrees());
+  for (const Sizes& s : h.Sweep(kSizes)) {
+    Engine db;
+    LoadOrders(&db, s.fanout * s.customers, /*products=*/32, s.customers);
+    LoadCustomers(&db, s.customers);
+    Comparison& c =
+        h.Compare("fanout=" + std::to_string(s.fanout) +
+                      " customers=" + std::to_string(s.customers),
+                  "ms");
+    for (const auto& [name, sql] :
+         {std::pair{"measure", kMeasureGrain},
+          std::pair{"dedup_sql", kDedupSql},
+          std::pair{"naive_sql", kNaiveWeightedSql}}) {
+      c.Add(name, [&db, sql](Leg&) {
+        ResultSet rs;
+        return TimeQueryMs(&db, sql, &rs);
+      });
+    }
+    c.Run(h.rounds());
+    c.Ratio("measure_over_dedup", "measure", "dedup_sql");
+  }
+  return h.Finish();
+}
 
 }  // namespace
+}  // namespace msql::bench
+
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

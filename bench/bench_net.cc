@@ -3,20 +3,17 @@
 // traffic (every statement text unique, so every request pays parse + bind
 // + measure expansion) against warm traffic (one hot statement, served
 // from the bound-plan cache). Reports qps and client-observed p50/p99 per
-// phase and emits BENCH_net.json.
+// phase.
 //
 // A third phase re-runs the warm traffic while one admin client scrapes
 // GET /metrics at 10 Hz — the observability plane must be invisible to
 // the data path.
 //
-// Gates (full runs only): warm qps must be >= 3x cold qps — the plan cache
+// Gates (full runs only, on the median of the per-round qps ratios; a
+// full run is one round): warm qps must be >= 3x cold qps — the plan cache
 // must actually delete the prepare cost from the hot path, through the
 // whole network stack — and warm qps under scrape must stay >= 95% of
-// undisturbed warm qps. `--smoke` or any --benchmark* flag shrinks the run
-// (fewer connections, shorter phases) and skips the gates.
-//
-// Own-main bench: the timed multi-connection phases don't fit the
-// per-iteration google-benchmark model.
+// undisturbed warm qps.
 
 #include <poll.h>
 #include <sys/resource.h>
@@ -27,8 +24,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,7 +31,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "json_writer.h"
+#include "harness.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "workload.h"
@@ -61,27 +56,6 @@ const char* const kHotQuery =
     "AGGREGATE(sumRevenue) / AGGREGATE(orderCount) AS avg_rev, "
     "AGGREGATE(margin) / AGGREGATE(orderCount) AS avg_m "
     "FROM L24 GROUP BY prodName ORDER BY prodName";
-
-struct Phase {
-  std::string name;  // "cold" | "warm"
-  int64_t ok = 0;
-  int64_t failed = 0;
-  double duration_s = 0;
-  double qps = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  // Server-side execution time from the ResultBatch trailer: splits engine
-  // cost from wire + dispatch overhead in the latency numbers.
-  double engine_p50_ms = 0;
-};
-
-double Percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const size_t idx =
-      static_cast<size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
 
 // One Prometheus-style scrape: GET /metrics, read until the server closes.
 // Returns true when a complete 200 response arrived.
@@ -119,14 +93,12 @@ void RaiseNofile() {
 // the (already connected) client pool — a Client is not safe for two
 // threads at once — each issuing blocking request/response queries
 // for `duration_s`. Every connection stays established for the whole
-// phase, so the server sustains the full pool concurrently.
-Phase RunPhase(const std::string& name,
-               std::vector<std::unique_ptr<net::Client>>* clients,
-               int drivers, double duration_s, bool unique_texts) {
-  Phase phase;
-  phase.name = name;
-  phase.duration_s = duration_s;
-
+// phase, so the server sustains the full pool concurrently. Returns the
+// phase's qps, records its tallies and latency percentiles on `leg` and
+// adds its failed requests to `*failures`.
+double RunPhase(std::vector<std::unique_ptr<net::Client>>* clients,
+                int drivers, double duration_s, bool unique_texts, Leg& leg,
+                int64_t* failures) {
   std::mutex mu;
   std::vector<double> latencies_ms;
   std::vector<double> engine_ms;
@@ -163,6 +135,8 @@ Phase RunPhase(const std::string& name,
         if (r.ok()) {
           ok.fetch_add(1, std::memory_order_relaxed);
           local.push_back(elapsed.count());
+          // Server-side execution time from the ResultBatch trailer:
+          // splits engine cost from wire + dispatch overhead.
           if (r.value().stats() != nullptr) {
             local_engine.push_back(
                 static_cast<double>(r.value().stats()->total_us) / 1000.0);
@@ -181,43 +155,29 @@ Phase RunPhase(const std::string& name,
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
 
-  phase.ok = ok.load();
-  phase.failed = failed.load();
-  phase.qps = static_cast<double>(phase.ok) / wall.count();
-  phase.p50_ms = Percentile(latencies_ms, 0.50);
-  phase.p99_ms = Percentile(latencies_ms, 0.99);
-  phase.engine_p50_ms = Percentile(engine_ms, 0.50);
-  return phase;
+  leg.Counter("ok", static_cast<double>(ok.load()));
+  leg.Counter("failed", static_cast<double>(failed.load()));
+  leg.Counter("p50_ms", Quantile(latencies_ms, 0.50));
+  leg.Counter("p99_ms", Quantile(latencies_ms, 0.99));
+  leg.Counter("engine_p50_ms", Quantile(engine_ms, 0.50));
+  *failures += failed.load();
+  return static_cast<double>(ok.load()) / wall.count();
 }
 
 int Main(int argc, char** argv) {
-  int connections = 1000;
   // More drivers than ~4x the cores just adds scheduler contention, which
   // inflates the cheap (warm) requests far more than the cold ones.
   const int cores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  int drivers = std::min(16, 4 * cores);
-  int rows = 50;
-  double duration_s = 2.0;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0 ||
-        std::strncmp(argv[i], "--benchmark", 11) == 0) {
-      smoke = true;
-    }
-    if (std::strncmp(argv[i], "--connections=", 14) == 0)
-      connections = std::atoi(argv[i] + 14);
-    if (std::strncmp(argv[i], "--duration=", 11) == 0)
-      duration_s = std::atof(argv[i] + 11);
-    if (std::strncmp(argv[i], "--drivers=", 10) == 0)
-      drivers = std::atoi(argv[i] + 10);
-  }
-  if (smoke) {
-    connections = std::min(connections, 32);
-    duration_s = 0.3;
-    drivers = std::min(drivers, 4);
-  }
-  drivers = std::min(drivers, connections);
+  Harness h("net", argc, argv, /*rounds=*/1, /*smoke_rounds=*/1,
+            {{"connections", 1000, 32},
+             {"duration", 2.0, 0.3},
+             {"drivers", static_cast<double>(std::min(16, 4 * cores)), 4},
+             {"rows", 50, 50, /*settable=*/false}});
+  const int connections = static_cast<int>(h.size("connections"));
+  const int drivers =
+      std::min(static_cast<int>(h.size("drivers")), connections);
+  const double duration_s = h.size("duration");
   RaiseNofile();
 
   EngineOptions engine_options;
@@ -226,7 +186,8 @@ int Main(int argc, char** argv) {
   // than it saves and only add latency noise to both phases.
   engine_options.measure_parallelism = 1;
   Engine db(engine_options);
-  LoadOrders(&db, rows, /*products=*/8, /*customers=*/25);
+  LoadOrders(&db, static_cast<int>(h.size("rows")), /*products=*/8,
+             /*customers=*/25);
   // Semantic-layer stack: each level re-exports the measure view below.
   Check(db.Execute("CREATE VIEW L1 AS SELECT * FROM EO"), "create L1");
   for (int level = 2; level <= 24; ++level) {
@@ -256,126 +217,51 @@ int Main(int argc, char** argv) {
   }
   std::printf("%d connections established (server reports %d active)\n",
               connections, server.active_connections());
+  CheckResult(clients[0]->Query(kHotQuery), "warmup query");  // untimed
 
-  {  // warmup, untimed: one round through the hot statement
-    CheckResult(clients[0]->Query(kHotQuery), "warmup query");
-  }
-
-  Phase cold = RunPhase("cold", &clients, drivers, duration_s,
-                        /*unique_texts=*/true);
-  Phase warm = RunPhase("warm", &clients, drivers, duration_s,
-                        /*unique_texts=*/false);
-
+  int64_t failures = 0;
+  int64_t scrapes_ok = 0;
+  Comparison& c = h.Compare("loopback traffic", "qps");
+  c.Add("cold", [&](Leg& leg) {
+    return RunPhase(&clients, drivers, duration_s, /*unique_texts=*/true,
+                    leg, &failures);
+  });
+  c.Add("warm", [&](Leg& leg) {
+    return RunPhase(&clients, drivers, duration_s, /*unique_texts=*/false,
+                    leg, &failures);
+  });
   // Warm traffic again, now with a Prometheus-style scraper hitting the
   // admin endpoint at 10 Hz for the whole phase.
-  std::atomic<bool> scraping{true};
-  std::atomic<int64_t> scrapes_ok{0}, scrapes_failed{0};
-  std::thread scraper([&] {
-    while (scraping.load(std::memory_order_acquire)) {
-      if (ScrapeMetrics(server.admin_port())) {
-        scrapes_ok.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        scrapes_failed.fetch_add(1, std::memory_order_relaxed);
+  c.Add("warm_scrape", [&](Leg& leg) {
+    std::atomic<bool> scraping{true};
+    int64_t ok = 0, failed = 0;  // written by the scraper until joined
+    std::thread scraper([&] {
+      while (scraping.load(std::memory_order_acquire)) {
+        ++(ScrapeMetrics(server.admin_port()) ? ok : failed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    });
+    const double qps = RunPhase(&clients, drivers, duration_s,
+                                /*unique_texts=*/false, leg, &failures);
+    scraping.store(false, std::memory_order_release);
+    scraper.join();
+    scrapes_ok += ok;
+    leg.Counter("scrapes_ok", static_cast<double>(ok));
+    leg.Counter("scrapes_failed", static_cast<double>(failed));
+    return qps;
   });
-  Phase warm_scrape = RunPhase("warm_scrape", &clients, drivers, duration_s,
-                               /*unique_texts=*/false);
-  scraping.store(false, std::memory_order_release);
-  scraper.join();
-
-  for (const Phase* p : {&cold, &warm, &warm_scrape}) {
-    std::printf("%-5s %8.1f qps  p50 %7.3f ms (engine %6.3f)  p99 %7.3f ms  "
-                "ok=%lld failed=%lld\n",
-                p->name.c_str(), p->qps, p->p50_ms, p->engine_p50_ms,
-                p->p99_ms, static_cast<long long>(p->ok),
-                static_cast<long long>(p->failed));
-  }
-  const double speedup = cold.qps > 0 ? warm.qps / cold.qps : 0;
-  std::printf("warm/cold speedup: %.2fx (gate: >= 3x on the full run)\n",
-              speedup);
-  const double scrape_impact =
-      warm.qps > 0 ? warm_scrape.qps / warm.qps : 0;
-  std::printf("qps under 10 Hz /metrics scrape: %.2fx of warm "
-              "(%lld scrapes ok, %lld failed; gate: >= 0.95x)\n",
-              scrape_impact, static_cast<long long>(scrapes_ok.load()),
-              static_cast<long long>(scrapes_failed.load()));
-
+  c.Run(h.rounds());
   for (auto& client : clients) client->Disconnect();
   server.Stop();
 
-  std::ofstream out("BENCH_net.json");
-  JsonWriter w(out);
-  w.BeginObject();
-  w.Key("bench");
-  w.String("net");
-  w.Key("connections");
-  w.Int(connections);
-  w.Key("drivers");
-  w.Int(drivers);
-  w.Key("rows");
-  w.Int(rows);
-  w.Key("duration_s");
-  w.Double(duration_s);
-  w.Key("smoke");
-  w.Bool(smoke);
-  w.Key("phases");
-  w.BeginArray();
-  for (const Phase* p : {&cold, &warm, &warm_scrape}) {
-    w.BeginObject();
-    w.Key("name");
-    w.String(p->name);
-    w.Key("ok");
-    w.Int(p->ok);
-    w.Key("failed");
-    w.Int(p->failed);
-    w.Key("qps");
-    w.Double(p->qps);
-    w.Key("p50_ms");
-    w.Double(p->p50_ms);
-    w.Key("p99_ms");
-    w.Double(p->p99_ms);
-    w.Key("engine_p50_ms");
-    w.Double(p->engine_p50_ms);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("warm_over_cold_speedup");
-  w.Double(speedup);
-  w.Key("scrape_impact");
-  w.Double(scrape_impact);
-  w.Key("scrapes_ok");
-  w.Int(scrapes_ok.load());
-  w.Key("scrapes_failed");
-  w.Int(scrapes_failed.load());
-  w.EndObject();
-  out << "\n";
-
-  if (cold.failed + warm.failed + warm_scrape.failed > 0) {
-    std::fprintf(stderr, "bench_net: %lld requests failed\n",
-                 static_cast<long long>(cold.failed + warm.failed +
-                                        warm_scrape.failed));
-    return 1;
-  }
-  if (scrapes_ok.load() == 0) {
-    std::fprintf(stderr, "bench_net: no successful /metrics scrape\n");
-    return 1;
-  }
-  if (!smoke && speedup < 3.0) {
-    std::fprintf(stderr,
-                 "bench_net gate FAILED: warm qps %.1f < 3x cold qps %.1f\n",
-                 warm.qps, cold.qps);
-    return 1;
-  }
-  if (!smoke && scrape_impact < 0.95) {
-    std::fprintf(stderr,
-                 "bench_net gate FAILED: qps under scrape %.1f < 95%% of "
-                 "warm qps %.1f\n",
-                 warm_scrape.qps, warm.qps);
-    return 1;
-  }
-  return 0;
+  h.Check("no request failed", failures == 0);
+  h.Check("a /metrics scrape succeeded", scrapes_ok > 0);
+  h.Gate("warm_over_cold >= 3",
+         c.Ratio("warm_over_cold", "warm", "cold").median >= 3.0);
+  h.Gate("warm_scrape_over_warm >= 0.95",
+         c.Ratio("warm_scrape_over_warm", "warm_scrape", "warm").median >=
+             0.95);
+  return h.Finish();
 }
 
 }  // namespace

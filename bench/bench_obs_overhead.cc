@@ -3,33 +3,25 @@
 // read-only workload in four configurations:
 //
 //   baseline  tracing disabled (the default)       — reference
-//   off2      tracing disabled, second round        — gate comparand
+//   off2      tracing disabled, second leg          — gate comparand
 //   ring      tracing on, ring-buffer sink only
 //   slowlog   tracing on + slow-query log at threshold 0 (logs everything)
 //
-// Comparing two *disabled* rounds bounds the measurement noise the gate
+// Comparing two *disabled* legs bounds the measurement noise the gate
 // tolerates; the <3% acceptance criterion applies to |baseline - off2|,
 // i.e. the disabled path must be statistically indistinguishable from
 // itself. The ring/slowlog rows quantify the cost of turning tracing on
-// (informational, not gated). Emits BENCH_obs_overhead.json.
-//
-// Own-main bench (round structure and a process-exit gate do not fit the
-// per-iteration google-benchmark model). `--smoke` or any --benchmark*
-// flag (CI passes --benchmark_min_time) shrinks the run and skips the
-// gate so smoke runs stay fast and never flake.
+// (informational, not gated). Each leg's per-round qps is paired with the
+// baseline's same round (bench/harness.h), so the median of the per-round
+// ratios cancels machine-wide drift and is stable to ~1% even when
+// absolute round qps swings by 25%.
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "engine/engine.h"
-#include "json_writer.h"
+#include "harness.h"
 #include "workload.h"
 
 namespace msql::bench {
@@ -43,205 +35,64 @@ const char* const kWorkload[] = {
     "SELECT custName, orderYear, AGGREGATE(margin) AS margin "
     "FROM EO GROUP BY custName, orderYear ORDER BY custName, orderYear",
 };
-constexpr int kWorkloadSize = static_cast<int>(std::size(kWorkload));
 
-struct Mode {
-  const char* name;
-  bool tracing;
-  bool slowlog;
-};
-
-constexpr Mode kModes[] = {
-    {"baseline", false, false},
-    {"off2", false, false},
-    {"ring", true, false},
-    {"slowlog", true, true},
-};
-
-struct ModeResult {
-  std::string name;
-  int queries = 0;
-  double median_qps = 0;
-  double best_qps = 0;
-  std::vector<double> round_qps;
-};
-
-// Queries/sec for `passes` full workload passes on a fresh engine.
+// Queries/sec for `passes` full workload passes.
 double TimeRound(Engine* db, int passes) {
-  const auto start = std::chrono::steady_clock::now();
-  int queries = 0;
-  for (int p = 0; p < passes; ++p) {
-    for (const char* sql : kWorkload) {
-      auto r = db->Query(sql);
-      Check(r.status(), sql);
-      ++queries;
+  const double seconds = SecondsOf([&] {
+    for (int p = 0; p < passes; ++p) {
+      for (const char* sql : kWorkload) Check(db->Query(sql).status(), sql);
     }
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return queries / elapsed.count();
+  });
+  return passes * static_cast<double>(std::size(kWorkload)) / seconds;
 }
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
+int Main(int argc, char** argv) {
+  Harness h("obs_overhead", argc, argv, /*rounds=*/31, /*smoke_rounds=*/2,
+            {{"rows", 4000, 500}, {"passes", 3, 2, /*settable=*/false}});
+  const int rows = static_cast<int>(h.size("rows"));
+  const int passes = static_cast<int>(h.size("passes"));
 
-// Overhead of `mode` relative to `base` as a percentage. Each round of a
-// mode runs back-to-back with the same round of the baseline (see
-// RunInterleaved), so the per-round qps ratio is a paired sample that
-// cancels machine-wide drift; the median of those ratios is stable to ~1%
-// even when absolute round qps swings by 25%.
-double PairedOverheadPct(const ModeResult& base, const ModeResult& mode) {
-  std::vector<double> ratios;
-  for (size_t i = 0; i < base.round_qps.size(); ++i) {
-    if (base.round_qps[i] > 0) {
-      ratios.push_back(mode.round_qps[i] / base.round_qps[i]);
-    }
-  }
-  return (1.0 - Median(ratios)) * 100.0;
-}
-
-// Runs all modes with their rounds interleaved round-robin: round r of
-// every mode executes inside the same wall-clock window, so machine-wide
-// drift (CPU frequency, noisy neighbours) cancels out of the mode-to-mode
-// comparison instead of biasing whichever mode ran last.
-//
-// baseline / off2 / ring share ONE engine, toggling enable_tracing per
-// round: two engine instances with identical configs can genuinely differ
-// by a few percent from heap-layout luck alone, which would drown the
-// signal the gate looks for. Only slowlog needs its own engine (the log
-// sink is installed at construction).
-std::vector<ModeResult> RunInterleaved(int rows, int rounds, int passes,
-                                       const std::string& slowlog_path) {
+  // baseline / off2 / ring share ONE engine, toggling enable_tracing per
+  // round: two engine instances with identical configs can genuinely
+  // differ by a few percent from heap-layout luck alone, which would drown
+  // the signal the gate looks for. Only slowlog needs its own engine (the
+  // log sink is installed at construction).
   Engine main_db;
   LoadOrders(&main_db, rows, /*products=*/40, /*customers=*/100);
-
+  const std::string slowlog_path = "bench_obs_overhead_slow.jsonl";
   EngineOptions slow_options;
   slow_options.enable_tracing = true;
   slow_options.slow_query_log_ms = 0;  // log every query: worst case
   slow_options.slow_query_log_path = slowlog_path;
   Engine slow_db(slow_options);
   LoadOrders(&slow_db, rows, /*products=*/40, /*customers=*/100);
-
   TimeRound(&main_db, 1);  // warmup, untimed
   TimeRound(&slow_db, 1);
 
-  std::vector<ModeResult> results;
-  for (const Mode& mode : kModes) {
-    ModeResult res;
-    res.name = mode.name;
-    res.queries = rounds * passes * kWorkloadSize;
-    results.push_back(std::move(res));
-  }
-  for (int r = 0; r < rounds; ++r) {
-    for (size_t m = 0; m < std::size(kModes); ++m) {
-      Engine* db = kModes[m].slowlog ? &slow_db : &main_db;
-      db->options().enable_tracing = kModes[m].tracing;
+  Comparison& c = h.Compare("measure-heavy workload", "qps");
+  auto mode = [&](Engine* db, bool tracing) {
+    return [=](Leg&) {
+      db->options().enable_tracing = tracing;
       // Clear the shared cache so every round pays the same fills.
       db->shared_cache().Clear();
-      results[m].round_qps.push_back(TimeRound(db, passes));
-    }
-  }
-  for (ModeResult& res : results) {
-    res.median_qps = Median(res.round_qps);
-    res.best_qps = *std::max_element(res.round_qps.begin(),
-                                     res.round_qps.end());
-  }
-  return results;
-}
-
-int Main(int argc, char** argv) {
-  int rows = 4000;
-  int rounds = 31;
-  int passes = 3;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0 ||
-        std::strncmp(argv[i], "--benchmark", 11) == 0) {
-      smoke = true;
-    }
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) rows = std::atoi(argv[i] + 7);
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0)
-      rounds = std::atoi(argv[i] + 9);
-  }
-  if (smoke) {
-    rows = std::min(rows, 500);
-    rounds = 2;
-    passes = 2;
-  }
-
-  const std::string slowlog_path = "bench_obs_overhead_slow.jsonl";
-  std::vector<ModeResult> results =
-      RunInterleaved(rows, rounds, passes, slowlog_path);
-  for (const ModeResult& r : results) {
-    std::printf("%-10s best %10.1f qps  median %10.1f qps  "
-                "(%d queries/round)\n",
-                r.name.c_str(), r.best_qps, r.median_qps,
-                passes * kWorkloadSize);
-  }
+      return TimeRound(db, passes);
+    };
+  };
+  c.Add("baseline", mode(&main_db, false));
+  c.Add("off2", mode(&main_db, false));
+  c.Add("ring", mode(&main_db, true));
+  c.Add("slowlog", mode(&slow_db, true));
+  c.Run(h.rounds());
   std::remove(slowlog_path.c_str());
 
-  const double disabled_overhead_pct =
-      PairedOverheadPct(results[0], results[1]);
-  const double ring_overhead_pct = PairedOverheadPct(results[0], results[2]);
-  const double slowlog_overhead_pct =
-      PairedOverheadPct(results[0], results[3]);
-  std::printf("disabled-path delta: %+.2f%% (gate: |delta| < 3%%)\n",
-              disabled_overhead_pct);
-  std::printf("ring sink overhead: %+.2f%% (informational)\n",
-              ring_overhead_pct);
-  std::printf("slow-log overhead:  %+.2f%% (informational)\n",
-              slowlog_overhead_pct);
-
-  std::ofstream out("BENCH_obs_overhead.json");
-  JsonWriter w(out);
-  w.BeginObject();
-  w.Key("bench");
-  w.String("obs_overhead");
-  w.Key("rows");
-  w.Int(rows);
-  w.Key("rounds");
-  w.Int(rounds);
-  w.Key("smoke");
-  w.Bool(smoke);
-  w.Key("modes");
-  w.BeginArray();
-  for (const ModeResult& r : results) {
-    w.BeginObject();
-    w.Key("mode");
-    w.String(r.name);
-    w.Key("best_qps");
-    w.Double(r.best_qps);
-    w.Key("median_qps");
-    w.Double(r.median_qps);
-    w.Key("round_qps");
-    w.BeginArray();
-    for (double q : r.round_qps) w.Double(q);
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("disabled_overhead_pct");
-  w.Double(disabled_overhead_pct);
-  w.Key("ring_overhead_pct");
-  w.Double(ring_overhead_pct);
-  w.Key("slowlog_overhead_pct");
-  w.Double(slowlog_overhead_pct);
-  w.Key("gate_pct");
-  w.Double(3.0);
-  w.EndObject();
-  out << "\n";
-  std::printf("wrote BENCH_obs_overhead.json\n");
-
-  if (!smoke && std::fabs(disabled_overhead_pct) >= 3.0) {
-    std::fprintf(stderr,
-                 "GATE FAILED: disabled-path tracing overhead %.2f%% "
-                 "exceeds 3%%\n",
-                 disabled_overhead_pct);
-    return 1;
-  }
-  return 0;
+  // Overhead of a mode = 1 - its paired qps ratio to the baseline.
+  const double off2 = c.Ratio("off2_over_baseline", "off2", "baseline").median;
+  c.Ratio("ring_over_baseline", "ring", "baseline");
+  c.Ratio("slowlog_over_baseline", "slowlog", "baseline");
+  const double disabled_pct = (1.0 - off2) * 100.0;
+  std::printf("disabled-path delta: %+.2f%%\n", disabled_pct);
+  h.Gate("|1 - off2_over_baseline| < 3%", std::fabs(disabled_pct) < 3.0);
+  return h.Finish();
 }
 
 }  // namespace

@@ -3,58 +3,57 @@
 // cost grows with the number of grouping sets, and the memoized strategy
 // reuses coarse contexts across sets (the grand total is computed once).
 //
-// Args: {rows}.
+// Sizes: {rows}.
 
-#include "benchmark/benchmark.h"
+#include <string>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
 
-using msql::Engine;
-using msql::ResultSet;
-using msql::bench::CheckResult;
-using msql::bench::LoadOrders;
+struct Grouping {
+  const char* name;
+  const char* clause;
+};
+constexpr Grouping kGroupings[] = {
+    {"plain_group_by", "prodName, custName, orderYear"},
+    {"rollup3", "ROLLUP(prodName, custName, orderYear)"},
+    {"cube3", "CUBE(prodName, custName, orderYear)"},
+    {"grouping_sets",
+     "GROUPING SETS ((prodName), (custName), (orderYear), ())"},
+};
 
-void RunGrouped(benchmark::State& state, const std::string& group_clause) {
-  Engine db;
-  LoadOrders(&db, static_cast<int>(state.range(0)), /*products=*/24,
-             /*customers=*/12);
-  std::string query =
-      "SELECT prodName, custName, orderYear, AGGREGATE(sumRevenue) AS rev "
-      "FROM EO GROUP BY " + group_clause;
-  size_t out_rows = 0;
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "rollup query");
-    out_rows = rs.num_rows();
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
+constexpr int kRows[] = {2000, 16000};
+
+int Main(int argc, char** argv) {
+  Harness h("rollup", argc, argv, /*rounds=*/5, /*smoke_rounds=*/1);
+  for (const int rows : h.Sweep(kRows)) {
+    Engine db;
+    LoadOrders(&db, rows, /*products=*/24, /*customers=*/12);
+    Comparison& c = h.Compare("rows=" + std::to_string(rows), "ms");
+    for (const Grouping& g : kGroupings) {
+      c.Add(g.name,
+            [&db, query = std::string("SELECT prodName, custName, orderYear, "
+                                      "AGGREGATE(sumRevenue) AS rev "
+                                      "FROM EO GROUP BY ") +
+                          g.clause](Leg& leg) {
+              ResultSet rs;
+              const double ms = TimeQueryMs(&db, query, &rs);
+              const QueryStats* stats = rs.stats().get();
+              leg.Counter("out_rows", static_cast<double>(rs.num_rows()));
+              leg.Counter("source_scans",
+                          stats ? stats->measure_source_scans : 0);
+              return ms;
+            });
+    }
+    c.Run(h.rounds());
   }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-  state.counters["source_scans"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_source_scans);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  return h.Finish();
 }
-
-void BM_PlainGroupBy(benchmark::State& state) {
-  RunGrouped(state, "prodName, custName, orderYear");
-}
-void BM_Rollup3(benchmark::State& state) {
-  RunGrouped(state, "ROLLUP(prodName, custName, orderYear)");
-}
-void BM_Cube3(benchmark::State& state) {
-  RunGrouped(state, "CUBE(prodName, custName, orderYear)");
-}
-void BM_GroupingSets(benchmark::State& state) {
-  RunGrouped(state,
-             "GROUPING SETS ((prodName), (custName), (orderYear), ())");
-}
-
-#define SIZES Args({2000})->Args({16000})->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_PlainGroupBy)->SIZES;
-BENCHMARK(BM_Rollup3)->SIZES;
-BENCHMARK(BM_Cube3)->SIZES;
-BENCHMARK(BM_GroupingSets)->SIZES;
 
 }  // namespace
+}  // namespace msql::bench
+
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

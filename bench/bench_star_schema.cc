@@ -3,21 +3,17 @@
 // realistic mixed query set — top-line KPIs, grouped breakdowns with shares,
 // subtotal reports, and period comparisons — at growing fact sizes, and the
 // cost of the semantic layer relative to hand-written SQL over the base
-// tables.
+// tables: one round of a leg is one refresh of all four queries.
 //
-// Args: {fact_rows}.
+// Sizes: {fact_rows}.
 
-#include "benchmark/benchmark.h"
+#include <string>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
-
-using msql::Engine;
-using msql::ResultSet;
-using msql::Row;
-using msql::Value;
-using msql::bench::Check;
-using msql::bench::CheckResult;
 
 void LoadStarSchema(Engine* db, int fact_rows) {
   Check(db->Execute(R"sql(
@@ -33,23 +29,23 @@ void LoadStarSchema(Engine* db, int fact_rows) {
   std::vector<Row> products;
   for (int p = 0; p < kProducts; ++p) {
     products.push_back({Value::Int(p),
-                        Value::String(msql::StrCat("cat", p % 12)),
-                        Value::String(msql::StrCat("brand", p % 30))});
+                        Value::String(StrCat("cat", p % 12)),
+                        Value::String(StrCat("brand", p % 30))});
   }
   Check(db->InsertRows("Products", std::move(products)), "load Products");
   std::vector<Row> stores;
   for (int s = 0; s < kStores; ++s) {
     stores.push_back({Value::Int(s),
-                      Value::String(msql::StrCat("region", s % 5)),
-                      Value::String(msql::StrCat("city", s))});
+                      Value::String(StrCat("region", s % 5)),
+                      Value::String(StrCat("city", s))});
   }
   Check(db->InsertRows("Stores", std::move(stores)), "load Stores");
 
   std::mt19937 rng(99);
   std::uniform_int_distribution<int> product(0, kProducts - 1);
   std::uniform_int_distribution<int> store(0, kStores - 1);
-  std::uniform_int_distribution<int64_t> day(msql::DaysFromCivil(2023, 1, 1),
-                                             msql::DaysFromCivil(2024, 12, 31));
+  std::uniform_int_distribution<int64_t> day(DaysFromCivil(2023, 1, 1),
+                                             DaysFromCivil(2024, 12, 31));
   std::uniform_int_distribution<int> units(1, 20);
   std::uniform_int_distribution<int> price(3, 80);
   std::vector<Row> facts;
@@ -97,19 +93,6 @@ const char* kDashboardQueries[] = {
     "FROM Mart WHERE saleYear = 2024 GROUP BY category",
 };
 
-void BM_DashboardOverMart(benchmark::State& state) {
-  Engine db;
-  LoadStarSchema(&db, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    for (const char* q : kDashboardQueries) {
-      ResultSet rs = CheckResult(db.Query(q), "dashboard query");
-      benchmark::DoNotOptimize(rs);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          static_cast<int64_t>(std::size(kDashboardQueries)));
-}
-
 // The same four questions hand-written against the base tables (what a user
 // without the semantic layer must maintain).
 const char* kHandwrittenQueries[] = {
@@ -130,28 +113,32 @@ const char* kHandwrittenQueries[] = {
     "GROUP BY p.category",
 };
 
-void BM_DashboardHandwritten(benchmark::State& state) {
-  Engine db;
-  LoadStarSchema(&db, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    for (const char* q : kHandwrittenQueries) {
-      ResultSet rs = CheckResult(db.Query(q), "handwritten query");
-      benchmark::DoNotOptimize(rs);
-    }
+constexpr int kFactRows[] = {2000, 16000, 64000};
+
+int Main(int argc, char** argv) {
+  Harness h("star_schema", argc, argv, /*rounds=*/5, /*smoke_rounds=*/1);
+  for (const int fact_rows : h.Sweep(kFactRows)) {
+    Engine db;
+    LoadStarSchema(&db, fact_rows);
+    auto refresh = [&db](std::span<const char* const> queries) {
+      return [&db, queries](Leg&) {
+        ResultSet rs;
+        double ms = 0;
+        for (const char* q : queries) ms += TimeQueryMs(&db, q, &rs);
+        return ms;
+      };
+    };
+    Comparison& c = h.Compare("fact_rows=" + std::to_string(fact_rows), "ms");
+    c.Add("dashboard_over_mart", refresh(kDashboardQueries));
+    c.Add("dashboard_handwritten", refresh(kHandwrittenQueries));
+    c.Run(h.rounds());
+    c.Ratio("mart_over_handwritten", "dashboard_over_mart",
+            "dashboard_handwritten");
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          static_cast<int64_t>(std::size(kHandwrittenQueries)));
+  return h.Finish();
 }
 
-BENCHMARK(BM_DashboardOverMart)
-    ->Arg(2000)
-    ->Arg(16000)
-    ->Arg(64000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DashboardHandwritten)
-    ->Arg(2000)
-    ->Arg(16000)
-    ->Arg(64000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
+}  // namespace msql::bench
+
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

@@ -9,27 +9,25 @@
 //                  correlated scalar subqueries (subquery memoization on).
 // The shape claim: grouped ≪ naive as soon as a context repeats, and the
 // measure engine matches the expanded form without any textual rewriting.
-// Emits BENCH_strategies.json (bench_reporter.h).
 //
-// Args: {rows, products}.
+// One engine per strategy; each leg runs its query once per round over an
+// empty shared cache (TimeQueryMs), so no leg reads another's values.
+//
+// Sizes: {rows, products}.
 
-#include "bench_reporter.h"
-#include "benchmark/benchmark.h"
+#include <memory>
+#include <string>
+
+#include "harness.h"
 #include "workload.h"
 
+namespace msql::bench {
 namespace {
-
-using msql::Engine;
-using msql::EngineOptions;
-using msql::MeasureStrategy;
-using msql::ResultSet;
-using msql::bench::CheckResult;
-using msql::bench::LoadOrders;
 
 // Every product row evaluates the same per-product context repeatedly: the
 // query compares each group's revenue to its own product total and to the
 // grand total.
-const char* kMeasureQuery = R"sql(
+const char* const kMeasureQuery = R"sql(
   SELECT prodName, orderYear,
          AGGREGATE(sumRevenue) AS rev,
          sumRevenue AT (ALL orderYear) AS product_total,
@@ -38,96 +36,71 @@ const char* kMeasureQuery = R"sql(
   GROUP BY prodName, orderYear
 )sql";
 
-void RunWithStrategy(benchmark::State& state, MeasureStrategy strategy) {
-  EngineOptions options;
-  options.measure_strategy = strategy;
-  Engine db(options);
-  LoadOrders(&db, static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)), /*customers=*/50);
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(kMeasureQuery), "query");
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
-  }
-  state.counters["measure_evals"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_evals);
-  state.counters["cache_hits"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_cache_hits);
-  state.counters["source_scans"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_source_scans);
-  state.counters["grouped_probes"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_grouped_probes);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_StrategyNaive(benchmark::State& state) {
-  RunWithStrategy(state, MeasureStrategy::kNaive);
-}
-void BM_StrategyGrouped(benchmark::State& state) {
-  RunWithStrategy(state, MeasureStrategy::kGrouped);
-}
-
 // The section 6.4 inline fast path on the AGGREGATE-only query (the
 // overwhelmingly common BI shape): by default each group's measure is
 // computed over exactly its own rows, no source scan at all; kNaive scans
 // the source once per group.
-void RunAggregateOnly(benchmark::State& state, MeasureStrategy strategy) {
+const char* const kAggregateOnlyQuery =
+    "SELECT prodName, AGGREGATE(sumRevenue) AS rev, "
+    "AGGREGATE(margin) AS margin FROM EO GROUP BY prodName";
+
+constexpr OrdersSize kSizes[] = {
+    {2000, 16}, {2000, 256}, {16000, 16}, {16000, 256}};
+
+// An engine under `strategy` holding the Orders workload.
+std::unique_ptr<Engine> Load(MeasureStrategy strategy, const OrdersSize& s) {
   EngineOptions options;
   options.measure_strategy = strategy;
-  Engine db(options);
-  LoadOrders(&db, static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)), /*customers=*/50);
-  const char* query =
-      "SELECT prodName, AGGREGATE(sumRevenue) AS rev, "
-      "AGGREGATE(margin) AS margin FROM EO GROUP BY prodName";
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(query), "aggregate-only query");
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
+  auto db = std::make_unique<Engine>(options);
+  LoadOrders(db.get(), s.rows, s.products, /*customers=*/50);
+  return db;
+}
+
+int Main(int argc, char** argv) {
+  Harness h("strategies", argc, argv, /*rounds=*/5, /*smoke_rounds=*/1);
+  for (const OrdersSize& s : h.Sweep(kSizes)) {
+    using enum MeasureStrategy;
+    auto naive = Load(kNaive, s);
+    auto grouped = Load(kGrouped, s);
+    const std::string expanded = CheckResult(
+        grouped->ExpandSql(kMeasureQuery), "expansion of strategy query");
+
+    // One execution of `sql` on `db`, in ms, with its measure counters.
+    auto measure_leg = [](Engine* db, const char* sql) {
+      return [db, sql](Leg& leg) {
+        ResultSet rs;
+        const double ms = TimeQueryMs(db, sql, &rs);
+        const QueryStats* stats = rs.stats().get();
+        leg.Counter("measure_evals", stats ? stats->measure_evals : 0);
+        leg.Counter("cache_hits", stats ? stats->measure_cache_hits : 0);
+        leg.Counter("source_scans", stats ? stats->measure_source_scans : 0);
+        leg.Counter("grouped_probes",
+                    stats ? stats->measure_grouped_probes : 0);
+        return ms;
+      };
+    };
+    Comparison& c = h.Compare(s.Name(), "ms");
+    c.Add("naive", measure_leg(naive.get(), kMeasureQuery));
+    c.Add("grouped", measure_leg(grouped.get(), kMeasureQuery));
+    c.Add("expanded", [&](Leg& leg) {
+      ResultSet rs;
+      const double ms = TimeQueryMs(grouped.get(), expanded, &rs);
+      const QueryStats* stats = rs.stats().get();
+      leg.Counter("subq_execs", stats ? stats->subquery_execs : 0);
+      leg.Counter("subq_hits", stats ? stats->subquery_cache_hits : 0);
+      return ms;
+    });
+    c.Add("aggregate_inline", measure_leg(grouped.get(), kAggregateOnlyQuery));
+    c.Add("aggregate_scan", measure_leg(naive.get(), kAggregateOnlyQuery));
+    c.Run(h.rounds());
+    c.Ratio("naive_over_grouped", "naive", "grouped");
+    c.Ratio("expanded_over_grouped", "expanded", "grouped");
+    c.Ratio("scan_over_inline", "aggregate_scan", "aggregate_inline");
   }
-  state.counters["source_scans"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->measure_source_scans);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  return h.Finish();
 }
-
-void BM_AggregateInlineFastpath(benchmark::State& state) {
-  RunAggregateOnly(state, MeasureStrategy::kGrouped);
-}
-void BM_AggregateContextScan(benchmark::State& state) {
-  RunAggregateOnly(state, MeasureStrategy::kNaive);
-}
-
-void BM_StrategyExpandedSql(benchmark::State& state) {
-  Engine db;
-  LoadOrders(&db, static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)), /*customers=*/50);
-  std::string expanded =
-      CheckResult(db.ExpandSql(kMeasureQuery), "expansion of strategy query");
-  std::shared_ptr<const msql::QueryStats> stats;
-  for (auto _ : state) {
-    ResultSet rs = CheckResult(db.Query(expanded), "expanded query");
-    stats = rs.stats();
-    benchmark::DoNotOptimize(rs);
-  }
-  state.counters["subq_execs"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->subquery_execs);
-  state.counters["subq_hits"] =
-      static_cast<double>(stats == nullptr ? 0 : stats->subquery_cache_hits);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-#define SIZES                                                 \
-  Args({2000, 16})->Args({2000, 256})->Args({16000, 16})      \
-      ->Args({16000, 256})->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_StrategyNaive)->SIZES;
-BENCHMARK(BM_StrategyGrouped)->SIZES;
-BENCHMARK(BM_StrategyExpandedSql)->SIZES;
-BENCHMARK(BM_AggregateInlineFastpath)->SIZES;
-BENCHMARK(BM_AggregateContextScan)->SIZES;
 
 }  // namespace
+}  // namespace msql::bench
 
-MSQL_BENCH_REPORTER_MAIN("strategies")
+int main(int argc, char** argv) { return msql::bench::Main(argc, argv); }

@@ -1,9 +1,10 @@
 #ifndef MSQL_BENCH_WORKLOAD_H_
 #define MSQL_BENCH_WORKLOAD_H_
 
-// Shared workload generators for the benchmark harness. All generators are
+// Shared workload generators for the benches. All generators are
 // deterministic (seeded) so runs are comparable.
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -30,6 +31,30 @@ inline T CheckResult(Result<T> r, const char* what) {
   }
   return r.take();
 }
+
+// Runs `sql` once, aborting on error; stores the result in `*out` and
+// returns the wall time in milliseconds. The shared cache is cleared
+// first, so every round pays the query's own evaluation: a warm cache
+// would time the previous round's cached measure values and subquery
+// results instead of the strategy under test.
+inline double TimeQueryMs(Engine* db, const std::string& sql, ResultSet* out) {
+  db->shared_cache().Clear();
+  const auto start = std::chrono::steady_clock::now();
+  *out = CheckResult(db->Query(sql), sql.c_str());
+  const std::chrono::duration<double, std::milli> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count();
+}
+
+// One point of a sweep over the Orders workload (LoadOrders).
+struct OrdersSize {
+  int rows;
+  int products;
+
+  std::string Name() const {
+    return StrCat("rows=", rows, " products=", products);
+  }
+};
 
 // Creates an Orders table with `rows` rows spread over `products` products,
 // `customers` customers and three years, plus the standard measure view EO

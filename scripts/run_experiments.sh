@@ -2,7 +2,10 @@
 # Regenerates every artifact recorded in EXPERIMENTS.md:
 #   - builds the project,
 #   - runs the full test suite (paper listings, table 3, properties, ...),
-#   - runs every benchmark binary,
+#   - runs every bench under build/bench/ (full runs; BENCH_ARGS=--smoke
+#     for reduced ones), each writing BENCH_<name>.json (or
+#     BENCH_<name>.smoke.json) and stopping the script with exit 1 on a
+#     failed correctness check or performance gate,
 # leaving test_output.txt and bench_output.txt in the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
